@@ -208,20 +208,11 @@ def cmd_groundstate(cfg, args) -> int:
             raise ConfigError(f"groundstate ({m}): {exc}") from exc
     primary = results.get("fixedpoint") or next(iter(results.values()))
     field_to_csv(primary.profile, os.path.join(out, "profile.csv"), precision=prec)
-    N, alpha, b = params.N, params.alpha, params.b
-    denom = N * alpha + 2 * b
     id_rows = []
     for name, gs in sorted(results.items()):
-        id_rows.extend(
-            [
-                [f"GS1:{name}", gs.grad2, denom / (4 - 2 * b - alpha * (N - 2)) * gs.mass2,
-                 groundstate.verify_identities(gs)["GS1"]],
-                [f"GS2:{name}", gs.potential, 2 * (alpha + 2) / denom * gs.grad2,
-                 groundstate.verify_identities(gs)["GS2"]],
-                [f"EGS:{name}", gs.energy, alpha * params.s_c / denom * gs.grad2,
-                 groundstate.verify_identities(gs)["EGS"]],
-            ]
-        )
+        residuals = groundstate.verify_identities(gs)
+        for key, (lhs, rhs) in groundstate.identity_sides(gs).items():
+            id_rows.append([f"{key}:{name}", lhs, rhs, residuals[key]])
     _write_csv(os.path.join(out, "identities.csv"), ["identity", "lhs", "rhs", "rel_residual"], id_rows, prec)
     sc = groundstate.sharp_constant(primary)
     probe = groundstate.gn_maximality_probe(primary, trials=200, seed=args.seed)

@@ -12,15 +12,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
-from scipy.sparse.linalg import splu
 
+from .evolve import Evolver
 from .grid import (
     RadialField,
     RadialGrid,
     grad_norm,
+    grad_norm_sq_form,
     l2_norm,
-    laplacian_diagonals,
     potential_term,
 )
 from .groundstate import GroundState
@@ -34,9 +33,7 @@ def mass(u: RadialField) -> float:
 
 def energy(u: RadialField, params: ModelParams) -> float:
     """E[u] = ||grad u||^2 / 2 - potential / (alpha + 2)."""
-    return 0.5 * grad_norm(u) ** 2 - potential_term(
-        u, params.alpha, params.b
-    ) / (params.alpha + 2)
+    return 0.5 * grad_norm_sq_form(u) - potential_term(u, params.alpha, params.b) / (params.alpha + 2)
 
 
 def _signed_power(x: float, p: float) -> float:
@@ -161,7 +158,7 @@ def lgs_verify(u: RadialField, gs: GroundState) -> LgsReport:
     rep = classify(u, gs)
     hyp = rep.em_product < rep.em_threshold and rep.gm_product <= rep.gm_threshold
     e = rep.energy
-    grad2 = grad_norm(u) ** 2
+    grad2 = grad_norm_sq_form(u)
     pot = potential_term(u, alpha, b)
     w, A = rep.w, rep.A
     if not hyp:
@@ -226,11 +223,7 @@ def linear_decay_check(
     grid = RadialGrid(J=J, h=h, N=N)
     r = grid.nodes
 
-    lower, diag, upper = laplacian_diagonals(grid)
-    z = 1j * dt / 2
-    A = sps.diags([-z * lower, 1 - z * diag, -z * upper], [-1, 0, 1]).tocsc()
-    B = sps.diags([z * lower, 1 + z * diag, z * upper], [-1, 0, 1]).tocsr()
-    solver = splu(A)
+    ev = Evolver(grid, params, dt, linear_only=True)
 
     u0 = np.exp(-(r**2)).astype(complex)
     g_weight = np.exp(-(r**2))
@@ -242,7 +235,7 @@ def linear_decay_check(
     for t_target in t_list:
         steps = int(round((t_target - t) / dt))
         for _ in range(steps):
-            v = solver.solve(B @ v)
+            v = ev.step_values(v)
         t += steps * dt
         field = grid.field(v)
         closed = (1 + 4j * t) ** (-N / 2) * np.exp(-(r**2) / (1 + 4j * t))

@@ -6,6 +6,8 @@ midpoint quadrature converges at second order.  The Laplacian is the
 flux (conservative) form of u'' + (N-1)/r u', which is self-adjoint in the
 weighted inner product by construction: zero-flux face at r = 0 (the
 reflection ghost u_{-1} = u_0) and a homogeneous Dirichlet ghost u_J = 0.
+Every linear solve factors I - c Lap once with LAPACK gttrf, and the one
+discrete ||grad u||^2 is this Laplacian's quadratic form <-Lap u, u>.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 from scipy.special import gamma as gamma_fn
 
 
@@ -87,7 +90,7 @@ def l2_norm(u: RadialField) -> float:
 
 
 def radial_derivative(u: RadialField) -> np.ndarray:
-    """Centered differences, one-sided at both ends."""
+    """Centered differences, one-sided at both ends (virial integrands only)."""
     v = u.values
     h = u.grid.h
     d = np.empty_like(v)
@@ -98,16 +101,14 @@ def radial_derivative(u: RadialField) -> np.ndarray:
 
 
 def grad_norm(u: RadialField) -> float:
-    """Weighted l2 norm of the centered-difference radial derivative."""
-    d = radial_derivative(u)
-    return math.sqrt(float(np.sum(u.grid.weights * np.abs(d) ** 2)))
+    """||grad u||, the root of grad_norm_sq_form."""
+    return math.sqrt(grad_norm_sq_form(u))
 
 
 def grad_norm_sq_form(u: RadialField) -> float:
-    """<-Lap u, u> via the face fluxes; the operator-consistent gradient.
+    """<-Lap u, u> via the face fluxes: the one discrete ||grad u||^2.
 
-    This is the quadratic form conserved by the implicit linear step, so
-    evolution traces use it; it agrees with grad_norm up to O(h^2).
+    This is the quadratic form conserved by the implicit linear step.
     """
     grid = u.grid
     omega = sphere_area(grid.N)
@@ -144,14 +145,35 @@ def laplacian_diagonals(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.nd
     return lower, diag, upper
 
 
-def laplacian_radial(u: RadialField) -> RadialField:
-    """Second-order flux-form discretization of u'' + (N-1)/r u'."""
-    lower, diag, upper = laplacian_diagonals(u.grid)
-    v = u.values
+def _tridiag_apply(lower, diag, upper, v):
+    """The tridiagonal product (lower, diag, upper) @ v."""
     out = diag * v
     out[1:] += lower * v[:-1]
     out[:-1] += upper * v[1:]
-    return u.grid.field(out)
+    return out
+
+
+def laplacian_radial(u: RadialField) -> RadialField:
+    """Second-order flux-form discretization of u'' + (N-1)/r u'."""
+    return u.grid.field(_tridiag_apply(*laplacian_diagonals(u.grid), u.values))
+
+
+def shifted_laplacian_solver(grid: RadialGrid, c):
+    """Factor I - c Lap once (LAPACK gttrf) and return rhs -> (I - c Lap)^{-1} rhs.
+
+    rhs must have the dtype of c (real or complex); a singular matrix raises
+    numpy.linalg.LinAlgError.
+    """
+    lower, diag, upper = laplacian_diagonals(grid)
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.result_type(c, diag))
+    dl, d, du, du2, ipiv, info = gttrf(-c * lower, 1 - c * diag, -c * upper)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"I - c Lap is singular (gttrf info {info})")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return gttrs(dl, d, du, du2, ipiv, rhs)[0]
+
+    return solve
 
 
 def strauss_check(u: RadialField, R: float, tol: float = 1e-6) -> dict:

@@ -18,20 +18,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
 from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import splu
 from scipy.special import kv, roots_jacobi, roots_legendre
 
 from .grid import (
     RadialField,
     RadialGrid,
     grad_norm,
+    grad_norm_sq_form,
     l2_norm,
-    laplacian_diagonals,
     laplacian_radial,
     potential_term,
-    weighted_inner,
+    shifted_laplacian_solver,
 )
 from .params import ModelParams, validate_scope
 
@@ -73,7 +71,7 @@ def _require_scope(params: ModelParams, test_mode: bool):
 
 def _finalize(params, profile, method, residual) -> GroundState:
     mass2 = l2_norm(profile) ** 2
-    grad2 = grad_norm(profile) ** 2
+    grad2 = grad_norm_sq_form(profile)
     pot = potential_term(profile, params.alpha, params.b)
     energy = 0.5 * grad2 - pot / (params.alpha + 2)
     cgn = weinstein_quotient(profile, params)
@@ -327,11 +325,7 @@ def solve_fixedpoint(
     _require_scope(params, test_mode)
     N, alpha, b = params.N, params.alpha, params.b
     gamma = (alpha + 1) / alpha if stabilizer_exponent is None else stabilizer_exponent
-    lower, diag, upper = laplacian_diagonals(grid)
-    A = sps.diags(
-        [-lower, 1.0 - diag, -upper], [-1, 0, 1], format="csc"
-    )  # I - Lap
-    solver = splu(A)
+    solve = shifted_laplacian_solver(grid, 1.0)  # (I - Lap)^{-1}
     r = grid.nodes
     w = grid.weights
     rb = r ** (-b)
@@ -344,7 +338,7 @@ def solve_fixedpoint(
         if den <= 0:
             raise NoConvergence("nonlinear term lost positivity", trace)
         m = num / den
-        q_next = m**gamma * solver.solve(f)
+        q_next = m**gamma * solve(f)
         dist = math.sqrt(float(np.sum(w * (q_next - q) ** 2)))
         trace.append((m, dist))
         q = q_next
@@ -363,19 +357,21 @@ def solve_fixedpoint(
 # identities and the sharp constant
 
 
+def identity_sides(gs: GroundState) -> dict:
+    """(lhs, rhs) of the three ground-state identities GS1, GS2 and EGS."""
+    N, alpha, b = gs.params.N, gs.params.alpha, gs.params.b
+    denom = N * alpha + 2 * b
+    return {
+        "GS1": (gs.grad2, denom / (4 - 2 * b - alpha * (N - 2)) * gs.mass2),
+        "GS2": (gs.potential, 2 * (alpha + 2) / denom * gs.grad2),
+        "EGS": (gs.energy, alpha * gs.params.s_c / denom * gs.grad2),
+    }
+
+
 def verify_identities(gs: GroundState) -> dict:
     """Relative residuals of the three ground-state identities."""
-    N, alpha, b = gs.params.N, gs.params.alpha, gs.params.b
-    s_c = gs.params.s_c
-    denom = N * alpha + 2 * b
-    gs1 = gs.grad2 - denom / (4 - 2 * b - alpha * (N - 2)) * gs.mass2
-    gs2 = gs.potential - 2 * (alpha + 2) / denom * gs.grad2
-    egs = gs.energy - alpha * s_c / denom * gs.grad2
-    return {
-        "GS1": abs(gs1) / gs.grad2,
-        "GS2": abs(gs2) / gs.potential,
-        "EGS": abs(egs) / max(abs(gs.energy), gs.grad2 * 1e-3),
-    }
+    scale = {"GS1": gs.grad2, "GS2": gs.potential, "EGS": max(abs(gs.energy), gs.grad2 * 1e-3)}
+    return {key: abs(lhs - rhs) / scale[key] for key, (lhs, rhs) in identity_sides(gs).items()}
 
 
 def weinstein_quotient(u: RadialField, params: ModelParams) -> float:

@@ -91,6 +91,26 @@ def test_groundstate_outputs_and_determinism(tmp_path):
     assert all(float(r["rel_residual"]) < 1e-3 for r in rows)
 
 
+def test_identities_csv_matches_library(tmp_path):
+    from inlslab.grid import RadialGrid
+    from inlslab.groundstate import identity_sides, solve_fixedpoint, verify_identities
+    from inlslab.params import ModelParams
+
+    cfg = _write_config(tmp_path / "c.json", solver={"method": "fixedpoint"})
+    out = tmp_path / "out"
+    assert main(["groundstate", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "identities.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    gs = solve_fixedpoint(ModelParams(3, 2, 0.3), RadialGrid(J=1024, h=1 / 64, N=3))
+    residuals = verify_identities(gs)
+    expected = [
+        {"identity": f"{key}:fixedpoint", "lhs": "%.12g" % lhs, "rhs": "%.12g" % rhs,
+         "rel_residual": "%.12g" % residuals[key]}
+        for key, (lhs, rhs) in identity_sides(gs).items()
+    ]
+    assert rows == expected
+
+
 def test_evolve_trace_csv(tmp_path):
     cfg = _write_config(
         tmp_path / "c.json",

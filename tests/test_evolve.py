@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inlslab.evolve import (
     BoundaryLeak,
@@ -34,8 +36,6 @@ def test_config_validation(params_330):
         _config(params_330, dt=1.0)  # blows the dt <= safety * h^2 budget
     with pytest.raises(ValueError):
         _config(params_330, virial_R=64.0)  # cutoff must fit inside r_max/2
-    with pytest.raises(ValueError):
-        _config(params_330, phi_kind="hat")
 
 
 def test_step_zero_field(params_330):
@@ -224,3 +224,54 @@ def test_soliton_stationary_short(params_330):
     dev = np.abs(trace.final_field.values) - gs.profile.values
     err = math.sqrt(float(np.sum(g.weights * dev**2)))
     assert err < 1e-4
+
+
+def test_run_zero_field(params_330):
+    # zero data has no mass to leak and stays zero under the flow
+    g = RadialGrid(J=256, h=1 / 16, N=3)
+    cfg = _config(params_330, J=256, h=1 / 16, dt=1e-3, t_end=0.02, record_every=5, virial_R=4.0)
+    trace = run(g.field(np.zeros(g.J)), cfg)
+    assert trace.times[-1] == pytest.approx(0.02)
+    for series in (
+        trace.mass_series,
+        trace.energy_series,
+        trace.grad_series,
+        trace.potential_series,
+        trace.gm_product_series,
+        trace.zR_series,
+        trace.zR_prime_series,
+        trace.zR_second_direct_series,
+        trace.ext_budget_series,
+        trace.final_field.values,
+    ):
+        assert np.all(series == 0)
+
+
+def test_initial_gm_product_matches_classify(params_330):
+    # the run checks the trace against the classifier's threshold, so both
+    # must measure the same gradient
+    g = RadialGrid(J=256, h=1 / 16, N=3)
+    gs = solve_fixedpoint(params_330, g)
+    u0 = gaussian_field(g, 0.5, 1.0)
+    rep = classify(u0, gs)
+    cfg = _config(params_330, J=256, h=1 / 16, dt=1e-3, t_end=1e-3)
+    trace = run(u0, cfg, threshold=rep)
+    assert trace.gm_product_series[0] == pytest.approx(rep.gm_product, rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    N=st.integers(1, 5),
+    J=st.integers(3, 300),
+    h=st.floats(1 / 256, 1.0),
+    dt_over_h2=st.floats(1e-3, 100.0),  # the EvolutionConfig accuracy budget
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_linear_step_is_unitary(N, J, h, dt_over_h2, seed):
+    g = RadialGrid(J=J, h=h, N=N)
+    ev = Evolver(g, ModelParams(N, 2.0, 0.3), dt_over_h2 * h**2, linear_only=True)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(J) + 1j * rng.standard_normal(J)
+    before = l2_norm(g.field(v))
+    after = l2_norm(g.field(ev.step_values(v)))
+    assert abs(after - before) <= 1e-12 * before

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from inlslab.grid import (
@@ -15,6 +17,7 @@ from inlslab.grid import (
     laplacian_diagonals,
     laplacian_radial,
     potential_term,
+    shifted_laplacian_solver,
     sphere_area,
     strauss_check,
     weighted_inner,
@@ -163,3 +166,26 @@ def test_field_csv_rejects_bad_header(tmp_path):
     path.write_text("x,y,z\n1,2,3\n")
     with pytest.raises(ValueError):
         field_from_csv(path, N=3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    N=st.integers(1, 5),
+    J=st.integers(3, 300),
+    h=st.floats(1 / 256, 1.0),
+    c=st.one_of(
+        st.floats(1e-3, 10.0),  # the fixed point uses c = 1
+        st.floats(1e-6, 0.1).map(lambda dt: 1j * dt / 2),  # Crank-Nicolson
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shifted_laplacian_solver_inverts(N, J, h, c, seed):
+    g = RadialGrid(J=J, h=h, N=N)
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal(J)
+    if isinstance(c, complex):
+        rhs = rhs + 1j * rng.standard_normal(J)
+    x = shifted_laplacian_solver(g, c)(rhs)
+    c_lap_x = c * laplacian_radial(g.field(x)).values
+    residual = np.linalg.norm(x - c_lap_x - rhs)
+    assert residual <= 1e-10 * (np.linalg.norm(rhs) + np.linalg.norm(c_lap_x))
