@@ -1,7 +1,9 @@
 """Command-line front end: JSON config in, deterministic CSV out.
 
 Exit codes: 0 success, 2 configuration/validation error (single-line
-diagnostic on stderr naming the violated precondition), 3 file I/O failure.
+diagnostic on stderr naming the violated precondition), 3 file I/O failure,
+4 numerical failure of an evolution (boundary leak, gradient-bound violation
+or linear-solve failure; single-line diagnostic on stderr).
 All numeric output is fixed-precision decimal text with a fixed row order,
 and every randomized probe takes an explicit seed, so identical invocations
 produce byte-identical files.
@@ -23,7 +25,7 @@ import numpy as np
 from . import evolve as evolve_mod
 from . import exponents, functionals, groundstate
 from .grid import RadialGrid, field_from_csv, field_to_csv, gaussian_field
-from .params import ModelParams, upper_exponents, validate_scope
+from .params import ModelParams, exact, upper_exponents, validate_scope
 
 
 class ConfigError(ValueError):
@@ -150,8 +152,7 @@ def cmd_params(cfg, args) -> int:
 def cmd_pairs(cfg, args) -> int:
     params = _model(cfg)
     sec = cfg.get("pairs", {})
-    alpha = Fraction(str(cfg["model"]["alpha"]))
-    b = Fraction(str(cfg["model"]["b"]))
+    alpha, b = exact(params.alpha), exact(params.b)
     theta = Fraction(str(sec["theta"])) if sec.get("theta") is not None else None
     eps = Fraction(str(sec.get("eps", "1/100")))
     prec = _precision(cfg)
@@ -374,6 +375,10 @@ def cmd_sweep(cfg, args) -> int:
             status = 2
             with open(os.path.join(sub_dir, "error.txt"), "w") as fh:
                 fh.write(f"{exc}\n")
+        except evolve_mod.NumericalFailure as exc:
+            status = 4
+            with open(os.path.join(sub_dir, "error.txt"), "w") as fh:
+                fh.write(f"numerical failure: {exc}\n")
         manifest.append([idx, sub, n_val, a_val, b_val, os.path.basename(sub_dir), status])
     _write_csv(
         os.path.join(out, "manifest.csv"),
@@ -414,6 +419,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
+    except evolve_mod.NumericalFailure as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,12 +1,19 @@
 """Time integration of i u_t + Lap u + r^{-b} |u|^alpha u = 0 on radial grids.
 
 Strang splitting: the pure nonlinear subflow conserves |u| pointwise, so its
-half-step is the exact phase rotation exp(i (dt/2) r^{-b} |u|^alpha); the
-linear step is trapezoidal (Crank-Nicolson) with the weighted-self-adjoint
-discrete Laplacian, which makes every step exactly unitary in the weighted
-inner product: it applies I + (i dt/2) Lap and solves with the grid's factored
-I - (i dt/2) Lap.  Mass is conserved to solver round-off and energy drift,
-measured with the Laplacian's quadratic form as gradient, is O(dt^2).
+flow over time tau is the exact phase rotation
+P_tau v = v exp(i tau r^{-b} |v|^alpha); the linear step L is trapezoidal
+(Crank-Nicolson) with the weighted-self-adjoint discrete Laplacian, which
+makes every step exactly unitary in the weighted inner product: it applies
+I + (i dt/2) Lap and solves with the grid's factored I - (i dt/2) Lap.  Mass
+is conserved to solver round-off and energy drift, measured with the
+Laplacian's quadratic form as gradient, is O(dt^2).
+
+Because P_tau keeps |v| fixed, P_{dt/2} P_{dt/2} = P_dt, so n Strang steps
+(P_{dt/2} L P_{dt/2})^n equal P_{-dt/2} (P_dt L)^n P_{dt/2}.  The run loop
+therefore advances the staggered field w = P_{dt/2} v with one phase
+rotation and one linear solve per step, and un-staggers with P_{-dt/2} only
+where the physical field v is needed: at the records and at the end.
 
 The module also evaluates the localized virial quantities z_R, z'_R and the
 four-term direct expression for z''_R, plus the rigidity lower bound
@@ -18,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +35,6 @@ from .grid import (
     _tridiag_apply,
     grad_norm_sq_form,
     laplacian_diagonals,
-    potential_term,
     radial_derivative,
     shifted_laplacian_solver,
 )
@@ -37,15 +44,19 @@ _DT_SAFETY = 100.0  # stability is unconditional; dt <= _DT_SAFETY h^2 caps the 
 _BOUNDARY_SHELL = 0.03  # outer fraction of the domain whose mass counts as leaked
 
 
-class LinearSolveFailure(RuntimeError):
-    pass
+class NumericalFailure(RuntimeError):
+    """A run stopped because a numerical check failed."""
 
 
-class BoundaryLeak(RuntimeError):
+class LinearSolveFailure(NumericalFailure):
+    """The linear step was singular or produced non-finite values."""
+
+
+class BoundaryLeak(NumericalFailure):
     """Mass reached the outer boundary beyond the configured budget."""
 
 
-class GradientBoundViolation(RuntimeError):
+class GradientBoundViolation(NumericalFailure):
     """A below-threshold run exceeded the uniform gradient bound."""
 
 
@@ -101,7 +112,12 @@ class EvolutionTrace:
 
 
 class Evolver:
-    """Factorized Strang stepper bound to one (grid, params, dt) triple."""
+    """Factorized Strang stepper bound to one (grid, params, dt) triple.
+
+    step_values advances the staggered field w = P_{dt/2} v; stagger and
+    unstagger convert between v and w.  For linear_only the phase rotation
+    P is the identity.
+    """
 
     def __init__(self, grid: RadialGrid, params: ModelParams, dt: float, linear_only=False):
         self.grid = grid
@@ -115,24 +131,40 @@ class Evolver:
             self._solve = shifted_laplacian_solver(grid, z)
         except np.linalg.LinAlgError as exc:
             raise LinearSolveFailure(str(exc)) from exc
-        self._half_phase = (dt / 2) * grid.nodes ** (-params.b)
+        rb = grid.nodes ** (-params.b)
+        self._phase = dt * rb
+        self._half_phase = (dt / 2) * rb
 
-    def step_values(self, v: np.ndarray) -> np.ndarray:
-        alpha = self.params.alpha
-        if not self.linear_only:
-            v = v * np.exp(1j * self._half_phase * np.abs(v) ** alpha)
-        v = self._solve(_tridiag_apply(*self._B, v))
-        if not np.all(np.isfinite(v)):
+    def _rotate(self, v: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """P_tau v for coef = tau r^{-b}."""
+        if self.linear_only:
+            return v
+        return v * np.exp(1j * coef * np.abs(v) ** self.params.alpha)
+
+    def stagger(self, v: np.ndarray) -> np.ndarray:
+        """w = P_{dt/2} v."""
+        return self._rotate(v, self._half_phase)
+
+    def unstagger(self, w: np.ndarray) -> np.ndarray:
+        """v = P_{-dt/2} w."""
+        return self._rotate(w, -self._half_phase)
+
+    def step_values(self, w: np.ndarray) -> np.ndarray:
+        """One step of the staggered field: P_dt(L w).
+
+        Raises LinearSolveFailure when L w holds a NaN or an infinity, or
+        when its squared norm overflows.
+        """
+        w = self._solve(_tridiag_apply(*self._B, w))
+        if not math.isfinite(np.vdot(w, w).real):
             raise LinearSolveFailure("linear step produced non-finite values")
-        if not self.linear_only:
-            v = v * np.exp(1j * self._half_phase * np.abs(v) ** alpha)
-        return v
+        return self._rotate(w, self._phase)
 
 
 def step(u: RadialField, dt: float, params: ModelParams, *, linear_only=False) -> RadialField:
-    """One Strang step; build an Evolver directly for repeated stepping."""
+    """One Strang step P_{dt/2} L P_{dt/2}; use run or an Evolver for repeated stepping."""
     ev = Evolver(u.grid, params, dt, linear_only=linear_only)
-    return u.grid.field(ev.step_values(u.values.astype(complex)))
+    return u.grid.field(ev.unstagger(ev.step_values(ev.stagger(u.values.astype(complex)))))
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +245,46 @@ def _phi_deviation_constants(N):
     return c_hess, c_bilap, c_lap, c_grad
 
 
-def virial_series(u: RadialField, params: ModelParams, R: float) -> dict:
+class _VirialTables(NamedTuple):
+    """Quadrature weight times each cutoff factor of virial_series, on one (grid, R)."""
+
+    phi: np.ndarray  # w phi(r/R)
+    d1: np.ndarray  # w phi'(r/R)
+    d2: np.ndarray  # w phi''(r/R)
+    bilap: np.ndarray  # w (Lap^2 phi)(r/R)
+    lap: np.ndarray  # w (Lap phi)(r/R)
+    t4: np.ndarray  # -b w r^{-b-1} phi'(r/R)
+    r_b: np.ndarray  # r^{-b}
+    ext: int  # first node with r > R
+
+
+@functools.lru_cache(maxsize=8)
+def _virial_tables(J: int, h: float, N: int, b: float, R: float) -> _VirialTables:
+    """The cutoff tables of one (grid, b, R); read-only, since the cache shares them."""
+    grid = RadialGrid(J=J, h=h, N=N)
+    r, w = grid.nodes, grid.weights
+    s = r / R
+    d1 = phi_d1(s)
+    tables = _VirialTables(
+        phi=w * phi(s),
+        d1=w * d1,
+        d2=w * phi_d2(s),
+        bilap=w * _phi_bilaplacian(s, N),
+        lap=w * _phi_laplacian(s, N),
+        t4=w * (-b) * r ** (-b - 1) * d1,
+        r_b=r ** (-b),
+        ext=int(np.searchsorted(r, R, side="right")),
+    )
+    for table in tables[:-1]:
+        table.setflags(write=False)
+    return tables
+
+
+def virial_series(u: RadialField, params: ModelParams, R: float, *, absv2=None, vpow=None) -> dict:
     """z_R, z'_R, the four-term direct z''_R and the exterior budget at one time slice.
+
+    absv2 and vpow, when given, are |u|^2 and |u|^{alpha+2} as the caller
+    already evaluated them; the cutoff tables are cached per (grid, b, R).
 
     The integrands use the centered radial_derivative, not the face
     differences of grad_norm_sq_form, so that z''_R stays the time derivative
@@ -228,29 +298,27 @@ def virial_series(u: RadialField, params: ModelParams, R: float) -> dict:
     """
     grid = u.grid
     N, alpha, b = params.N, params.alpha, params.b
-    r, w = grid.nodes, grid.weights
-    s = r / R
+    tab = _virial_tables(grid.J, grid.h, N, b, R)
     v = u.values
-    absv2 = np.abs(v) ** 2
-    pot_density = r ** (-b) * np.abs(v) ** (alpha + 2)
+    if absv2 is None or vpow is None:
+        absv = np.abs(v)
+        absv2, vpow = absv**2, absv ** (alpha + 2)
+    pot_density = tab.r_b * vpow
     du = radial_derivative(u)
     du2 = np.abs(du) ** 2
 
-    zR = R**2 * float(np.sum(w * phi(s) * absv2))
-    zR_prime = 2 * R * float(np.sum(w * phi_d1(s) * np.imag(du * np.conj(v))))
-    t1 = 4 * float(np.sum(w * phi_d2(s) * du2))
-    t2 = -(1 / R**2) * float(np.sum(w * _phi_bilaplacian(s, N) * absv2))
-    t3 = -(2 * alpha / (alpha + 2)) * float(np.sum(w * _phi_laplacian(s, N) * pot_density))
-    t4 = (4 * R / (alpha + 2)) * float(
-        np.sum(w * (-b) * r ** (-b - 1) * phi_d1(s) * np.abs(v) ** (alpha + 2))
-    )
+    zR = R**2 * float(np.sum(tab.phi * absv2))
+    zR_prime = 2 * R * float(np.sum(tab.d1 * np.imag(du * np.conj(v))))
+    t1 = 4 * float(np.sum(tab.d2 * du2))
+    t2 = -(1 / R**2) * float(np.sum(tab.bilap * absv2))
+    t3 = -(2 * alpha / (alpha + 2)) * float(np.sum(tab.lap * pot_density))
+    t4 = (4 * R / (alpha + 2)) * float(np.sum(tab.t4 * vpow))
 
     c_hess, c_bilap, c_lap, c_grad = _phi_deviation_constants(N)
-    mask = r > R
-    wm = w[mask]
-    ext_grad = float(np.sum(wm * du2[mask]))
-    ext_mass = float(np.sum(wm * absv2[mask]))
-    ext_pot = float(np.sum(wm * pot_density[mask]))
+    wm = grid.weights[tab.ext:]
+    ext_grad = float(np.sum(wm * du2[tab.ext:]))
+    ext_mass = float(np.sum(wm * absv2[tab.ext:]))
+    ext_pot = float(np.sum(wm * pot_density[tab.ext:]))
     ext_budget = (
         4 * c_hess * ext_grad
         + c_bilap * ext_mass / R**2
@@ -281,7 +349,8 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
     s_c = params.s_c
     ev = Evolver(grid, params, config.dt, linear_only=config.linear_only)
     n_steps = int(round(config.t_end / config.dt))
-    shell = grid.nodes >= (1 - _BOUNDARY_SHELL) * grid.r_max
+    if b >= grid.N:
+        raise ValueError(f"need b < N for integrability, got b={b}, N={grid.N}")
 
     enforce_gm = (
         threshold is not None
@@ -290,14 +359,19 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
     times, mass_s, energy_s, grad_s, pot_s, gm_s = [], [], [], [], [], []
     z_s, zp_s, zs_s, budget_s = [], [], [], []
 
+    weights = grid.weights
+    w_rb = weights * grid.nodes ** (-b)  # potential_term's weight
+    shell = int(np.searchsorted(grid.nodes, (1 - _BOUNDARY_SHELL) * grid.r_max))
     v = u0.values.astype(complex)
-    mass0 = float(np.sum(grid.weights * np.abs(v) ** 2))
+    mass0 = float(np.sum(weights * np.abs(v) ** 2))
 
     def record(t, v):
         u = grid.field(v)
-        m = float(np.sum(grid.weights * np.abs(v) ** 2))
+        absv = np.abs(v)
+        absv2, vpow = absv**2, absv ** (alpha + 2)
+        m = float(np.sum(weights * absv2))
         g2 = grad_norm_sq_form(u)
-        pot = potential_term(u, alpha, b)
+        pot = float(np.sum(w_rb * vpow))
         e = 0.5 * g2 - pot / (alpha + 2)
         times.append(t)
         mass_s.append(m)
@@ -306,7 +380,10 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
         pot_s.append(pot)
         gm = math.sqrt(g2) ** s_c * math.sqrt(m) ** (1 - s_c) if 0 < s_c < 1 else math.nan
         gm_s.append(gm)
-        vs = virial_series(u, params, config.virial_R) if config.virial_R is not None else {}
+        vs = (
+            virial_series(u, params, config.virial_R, absv2=absv2, vpow=vpow)
+            if config.virial_R is not None else {}
+        )
         for key, series in (("zR", z_s), ("zR_prime", zp_s), ("zR_second_direct", zs_s),
                             ("ext_budget", budget_s)):
             series.append(vs.get(key, math.nan))
@@ -314,7 +391,7 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
             raise GradientBoundViolation(
                 f"gm_product {gm} reached threshold {threshold.gm_threshold} at t={t}"
             )
-        shell_mass = float(np.sum(grid.weights[shell] * np.abs(v[shell]) ** 2))
+        shell_mass = float(np.sum(weights[shell:] * absv2[shell:]))
         leak = shell_mass / mass0 if mass0 > 0 else 0.0  # zero data leaks nothing
         if leak > config.boundary_budget:
             raise BoundaryLeak(
@@ -322,10 +399,13 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
                 f"{config.boundary_budget:.3e} at t={t}"
             )
 
+    # records un-stagger a copy of w; stepping always goes on from w itself
     record(0.0, v)
+    w = ev.stagger(v)
     for n in range(1, n_steps + 1):
-        v = ev.step_values(v)
+        w = ev.step_values(w)
         if n % config.record_every == 0 or n == n_steps:
+            v = ev.unstagger(w)
             record(n * config.dt, v)
 
     return EvolutionTrace(

@@ -17,7 +17,6 @@ from .evolve import Evolver
 from .grid import (
     RadialField,
     RadialGrid,
-    grad_norm,
     grad_norm_sq_form,
     l2_norm,
     potential_term,
@@ -43,13 +42,17 @@ def _signed_power(x: float, p: float) -> float:
     return -((-x) ** p)
 
 
-def _products(u: RadialField, params: ModelParams) -> tuple[float, float]:
-    s_c = params.s_c
-    m = mass(u)
-    e = energy(u, params)
-    gn = grad_norm(u)
+def _measures(u: RadialField, params: ModelParams) -> tuple[float, float, float, float]:
+    """(mass, energy, ||grad u||^2, potential), each full-grid sum evaluated once."""
+    grad2 = grad_norm_sq_form(u)
+    pot = potential_term(u, params.alpha, params.b)
+    return mass(u), 0.5 * grad2 - pot / (params.alpha + 2), grad2, pot
+
+
+def _products(m: float, e: float, grad2: float, s_c: float) -> tuple[float, float]:
+    """E^{s_c} M^{1-s_c} and ||grad u||^{s_c} ||u||^{1-s_c}."""
     em = _signed_power(e, s_c) * m ** (1 - s_c)
-    gm = gn**s_c * math.sqrt(m) ** (1 - s_c)
+    gm = math.sqrt(grad2) ** s_c * math.sqrt(m) ** (1 - s_c)
     return em, gm
 
 
@@ -64,6 +67,9 @@ def _coarsen(u: RadialField) -> RadialField:
 
 @dataclass(frozen=True)
 class ThresholdReport:
+    """Verdict and products of classify; grad2 and potential are the datum's
+    ||grad u||^2 and potential integral, carried for lgs_verify."""
+
     mass: float
     energy: float
     em_product: float
@@ -75,6 +81,8 @@ class ThresholdReport:
     verdict: str
     em_error: float
     gm_error: float
+    grad2: float
+    potential: float
 
 
 def classify(u0: RadialField, gs: GroundState) -> ThresholdReport:
@@ -86,10 +94,10 @@ def classify(u0: RadialField, gs: GroundState) -> ThresholdReport:
     """
     params = gs.params
     s_c = params.s_c
-    m = mass(u0)
-    e = energy(u0, params)
-    em, gm = _products(u0, params)
-    em_c, gm_c = _products(_coarsen(u0), params)
+    m, e, grad2, pot = _measures(u0, params)
+    em, gm = _products(m, e, grad2, s_c)
+    m_c, e_c, grad2_c, _ = _measures(_coarsen(u0), params)
+    em_c, gm_c = _products(m_c, e_c, grad2_c, s_c)
     em_err, gm_err = abs(em - em_c), abs(gm - gm_c)
 
     em_th = _signed_power(gs.energy, s_c) * gs.mass2 ** (1 - s_c)
@@ -123,6 +131,8 @@ def classify(u0: RadialField, gs: GroundState) -> ThresholdReport:
         verdict=verdict,
         em_error=em_err,
         gm_error=gm_err,
+        grad2=grad2,
+        potential=pot,
     )
 
 
@@ -157,9 +167,7 @@ def lgs_verify(u: RadialField, gs: GroundState) -> LgsReport:
     sigma = params.sigma
     rep = classify(u, gs)
     hyp = rep.em_product < rep.em_threshold and rep.gm_product <= rep.gm_threshold
-    e = rep.energy
-    grad2 = grad_norm_sq_form(u)
-    pot = potential_term(u, alpha, b)
+    e, grad2, pot = rep.energy, rep.grad2, rep.potential
     w, A = rep.w, rep.A
     if not hyp:
         return LgsReport(False, math.nan, math.nan, math.nan, w, A, e, e >= 0)

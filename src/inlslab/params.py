@@ -14,6 +14,17 @@ from fractions import Fraction
 from .extended import INF, XR, xr
 
 
+def exact(x) -> Fraction:
+    """x as an exact Fraction of the decimal it was written as.
+
+    A float becomes Fraction(repr(x)), so 0.9 is 9/10 and not the binary
+    double nearest to it; Fractions and integers pass through unchanged.
+    """
+    if isinstance(x, float):
+        return Fraction(repr(float(x)))
+    return Fraction(x)
+
+
 def critical_index(N: int, alpha: float, b: float) -> float:
     """Scaling-critical Sobolev index N/2 - (2-b)/alpha."""
     if alpha <= 0:
@@ -39,7 +50,7 @@ def upper_exponents(N: int, b: float) -> tuple[XR, XR]:
         raise ValueError(f"dimension must be >= 2, got {N}")
     if b < 0:
         raise ValueError(f"b must be nonnegative, got {b}")
-    bf = Fraction(b)
+    bf = exact(b)
     if N == 2:
         return INF, INF
     two_star = xr((4 - 2 * bf) / (N - 2))
@@ -102,19 +113,20 @@ def validate_scope(params: ModelParams) -> ScopeReport:
 
     theorem_scope: (4-2b)/N < alpha < 2_* , 0 < b < min(N/3, 1), 0 < s_c < 1.
     global_scope:  (4-2b)/N < alpha < 2*  , 0 < b < min(2, N).
-    All inequalities strict; N = 1 fails both (the ceilings need N >= 2).
+    All inequalities strict and decided exactly on the decimals alpha and b
+    were written as (see exact); N = 1 fails both (the ceilings need N >= 2).
     """
-    N, alpha, b = params.N, params.alpha, params.b
+    N = params.N
     if N < 2:
         return ScopeReport(False, False, False, False, False, False, False)
-    two_star, two_lower_star = upper_exponents(N, b)
-    af = Fraction(alpha)
-    mass_super = af > Fraction(4 - 2 * Fraction(b), N)
+    af, bf = exact(params.alpha), exact(params.b)
+    two_star, two_lower_star = upper_exponents(N, bf)
+    mass_super = af > (4 - 2 * bf) / N
     energy_sub = xr(af) < two_star
     scatter_sub = xr(af) < two_lower_star
-    b_theorem = 0 < b < min(N / 3, 1.0)
-    b_global = 0 < b < min(2, N)
-    sc_ok = 0 < params.s_c < 1
+    b_theorem = 0 < bf < min(Fraction(N, 3), 1)
+    b_global = 0 < bf < min(2, N)
+    sc_ok = 0 < critical_index_exact(N, af, bf) < 1
     return ScopeReport(
         mass_supercritical=mass_super,
         energy_subcritical=energy_sub,

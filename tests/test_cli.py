@@ -170,3 +170,75 @@ def test_sweep_manifest(tmp_path):
 def test_sweep_unknown_subcommand(tmp_path):
     cfg = _write_config(tmp_path / "c.json", sweep={"subcommand": "sweep"})
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+
+def _leaking_config(path, **overrides):
+    # a profile far wider than the domain puts mass in the outer shell at t = 0
+    return _write_config(
+        path,
+        grid={"J": 512, "h": 1 / 32},
+        classify={"field": "gaussian(0.5,8.0)"},
+        evolve={"dt": 0.002, "t_end": 0.02, "record_every": 5},
+        **overrides,
+    )
+
+
+def test_evolve_boundary_leak_exits_4(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import inlslab.cli
+
+    cfg = _leaking_config(tmp_path / "c.json")
+    src = os.path.dirname(os.path.dirname(inlslab.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "inlslab.cli", "evolve", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr
+    assert lines[0].startswith("error: numerical failure: outer-shell mass fraction")
+
+
+@pytest.mark.parametrize("name", ["BoundaryLeak", "GradientBoundViolation", "LinearSolveFailure"])
+def test_evolve_numerical_failures_exit_4(tmp_path, capsys, monkeypatch, name):
+    from inlslab import evolve
+
+    def failing_run(*args, **kwargs):
+        raise getattr(evolve, name)("reason")
+
+    monkeypatch.setattr(evolve, "run", failing_run)
+    cfg = _write_config(tmp_path / "c.json", grid={"J": 256, "h": 1 / 16},
+                        evolve={"dt": 0.002, "t_end": 0.01})
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == "error: numerical failure: reason\n"
+
+
+def test_evolve_factorisation_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # a singular Crank-Nicolson matrix is a numerical failure, not a config error
+    import numpy as np
+
+    from inlslab import evolve
+
+    def singular(grid, c):
+        raise np.linalg.LinAlgError("I - c Lap is singular (gttrf info 1)")
+
+    monkeypatch.setattr(evolve, "shifted_laplacian_solver", singular)
+    cfg = _write_config(tmp_path / "c.json", grid={"J": 256, "h": 1 / 16},
+                        evolve={"dt": 0.002, "t_end": 0.01})
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.startswith("error: numerical failure: I - c Lap is singular")
+
+
+def test_sweep_records_numerical_failure(tmp_path):
+    cfg = _leaking_config(tmp_path / "c.json", sweep={"subcommand": "evolve"})
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "manifest.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["4"]
+    error = (out / rows[0]["directory"] / "error.txt").read_text()
+    assert error.startswith("numerical failure: outer-shell mass fraction")

@@ -6,10 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inlslab.evolve import (
+    _DT_SAFETY,
     BoundaryLeak,
     EvolutionConfig,
     Evolver,
     GradientBoundViolation,
+    LinearSolveFailure,
+    _phi_bilaplacian,
+    _phi_deviation_constants,
+    _phi_laplacian,
+    _virial_tables,
     phi,
     phi_d1,
     phi_d2,
@@ -20,7 +26,18 @@ from inlslab.evolve import (
     virial_series,
 )
 from inlslab.functionals import classify
-from inlslab.grid import RadialGrid, gaussian_field, grad_norm, l2_norm, potential_term
+from inlslab.grid import (
+    RadialGrid,
+    _tridiag_apply,
+    gaussian_field,
+    grad_norm,
+    grad_norm_sq_form,
+    l2_norm,
+    laplacian_diagonals,
+    potential_term,
+    radial_derivative,
+    shifted_laplacian_solver,
+)
 from inlslab.groundstate import solve_fixedpoint
 from inlslab.params import ModelParams
 
@@ -275,3 +292,175 @@ def test_linear_step_is_unitary(N, J, h, dt_over_h2, seed):
     before = l2_norm(g.field(v))
     after = l2_norm(g.field(ev.step_values(v)))
     assert abs(after - before) <= 1e-12 * before
+
+
+def _classic_strang(v, grid, params, dt, steps):
+    """steps classic P_{dt/2} L P_{dt/2} Strang steps, built from the grid kernel."""
+    lower, diag, upper = laplacian_diagonals(grid)
+    z = 1j * dt / 2
+    solve = shifted_laplacian_solver(grid, z)
+    half = (dt / 2) * grid.nodes ** (-params.b)
+    for _ in range(steps):
+        v = v * np.exp(1j * half * np.abs(v) ** params.alpha)
+        v = solve(_tridiag_apply(z * lower, 1 + z * diag, z * upper, v))
+        v = v * np.exp(1j * half * np.abs(v) ** params.alpha)
+    return v
+
+
+@st.composite
+def _in_scope_params(draw):
+    n = draw(st.integers(2, 5))
+    b = draw(st.floats(0.01, 0.99)) * min(n / 3, 1.0)
+    lo = (4 - 2 * b) / n
+    hi = lo + 4 if n == 2 else (3 - 2 * b if n == 3 else (4 - 2 * b) / (n - 2))
+    alpha = lo + draw(st.floats(0.05, 0.95)) * (hi - lo)
+    return ModelParams(n, alpha, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    params=_in_scope_params(),
+    J=st.integers(8, 200),
+    h=st.floats(1 / 64, 1 / 4),
+    dt_over_h2=st.floats(1e-3, _DT_SAFETY),
+    n_steps=st.integers(1, 30),
+    record_every=st.integers(1, 10),
+    r_frac=st.floats(0.1, 0.9),
+    width_frac=st.floats(0.0, 1.0),
+    total_phase=st.floats(1e-3, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_matches_classic_strang(params, J, h, dt_over_h2, n_steps, record_every, r_frac,
+                                    width_frac, total_phase, seed):
+    # the staggered loop records the same fields as classic Strang steps
+    g = RadialGrid(J=J, h=h, N=params.N)
+    alpha, b = params.alpha, params.b
+    dt = dt_over_h2 * h**2
+    rng = np.random.default_rng(seed)
+    # a complex Gaussian with 1% noise, scaled so the nonlinear phase summed
+    # over the run stays below total_phase: data that focuses, or a larger
+    # phase, amplifies round-off in any two orderings of the same arithmetic
+    width = 2 * h + width_frac * (g.r_max / 4 - 2 * h)
+    noise = 0.01 * (rng.standard_normal(J) + 1j * rng.standard_normal(J))
+    v0 = (rng.standard_normal() + 1j * rng.standard_normal() + noise) * np.exp(-((g.nodes / width) ** 2))
+    peak = n_steps * dt * float(np.max(g.nodes ** (-b) * np.abs(v0) ** alpha))
+    v0 = v0 * (total_phase / peak) ** (1 / alpha)
+    R = r_frac * g.r_max / 2
+    cfg = EvolutionConfig(params=params, J=J, h=h, dt=dt, t_end=n_steps * dt,
+                          record_every=record_every, virial_R=R, boundary_budget=1.0)
+    trace = run(g.field(v0), cfg)
+
+    record_steps = [0] + [n for n in range(1, n_steps + 1) if n % record_every == 0 or n == n_steps]
+    assert len(trace.times) == len(record_steps)
+    v, done = v0, 0
+    keys = ("mass", "grad", "pot", "zR", "zp", "zs", "budget")
+    expected = {key: [] for key in keys}
+    zp_scale = 0.0  # the integrand of z'_R in absolute value: z'_R itself may cancel to ~0
+    for n in record_steps:
+        v = _classic_strang(v, g, params, dt, n - done)
+        done = n
+        u = g.field(v)
+        vs = virial_series(u, params, R)
+        for key, val in zip(keys, (l2_norm(u) ** 2, grad_norm_sq_form(u), potential_term(u, alpha, b),
+                                   vs["zR"], vs["zR_prime"], vs["zR_second_direct"], vs["ext_budget"])):
+            expected[key].append(val)
+        zp_scale = max(zp_scale, 2 * R * float(
+            np.sum(g.weights * np.abs(phi_d1(g.nodes / R) * radial_derivative(u) * v))))
+    diff = trace.final_field.values - v
+    assert l2_norm(g.field(diff)) <= 1e-12 * l2_norm(g.field(v))
+    for key, series in zip(keys, (trace.mass_series, trace.grad_series, trace.potential_series,
+                                  trace.zR_series, trace.zR_prime_series,
+                                  trace.zR_second_direct_series, trace.ext_budget_series)):
+        ref = np.asarray(expected[key])
+        scale = zp_scale if key == "zp" else np.max(np.abs(ref))
+        assert np.max(np.abs(series - ref)) <= 1e-12 * scale, key
+    grad2, pot = np.asarray(expected["grad"]), np.asarray(expected["pot"])
+    e_scale = np.max(0.5 * grad2 + pot / (alpha + 2))  # the energy's two terms may cancel
+    assert np.max(np.abs(trace.energy_series - (0.5 * grad2 - pot / (alpha + 2)))) <= 1e-12 * e_scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    J=st.integers(3, 300),
+    index=st.integers(0, 299),
+    imag_part=st.booleans(),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    linear_only=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_values_rejects_non_finite(J, index, imag_part, bad, linear_only, seed):
+    g = RadialGrid(J=J, h=1 / 32, N=3)
+    ev = Evolver(g, ModelParams(3, 2.0, 0.3), 1e-3, linear_only=linear_only)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(J) + 1j * rng.standard_normal(J)
+    if imag_part:
+        v.imag[index % J] = bad
+    else:
+        v.real[index % J] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(LinearSolveFailure):
+        ev.step_values(v)
+
+
+def _fresh_virial(u, params, R):
+    """virial_series evaluated term by term from the cutoff functions, nothing cached."""
+    grid = u.grid
+    N, alpha, b = params.N, params.alpha, params.b
+    r, w = grid.nodes, grid.weights
+    s = r / R
+    v = u.values
+    absv2 = np.abs(v) ** 2
+    pot_density = r ** (-b) * np.abs(v) ** (alpha + 2)
+    du = radial_derivative(u)
+    du2 = np.abs(du) ** 2
+    zR = R**2 * float(np.sum(w * phi(s) * absv2))
+    zR_prime = 2 * R * float(np.sum(w * phi_d1(s) * np.imag(du * np.conj(v))))
+    t1 = 4 * float(np.sum(w * phi_d2(s) * du2))
+    t2 = -(1 / R**2) * float(np.sum(w * _phi_bilaplacian(s, N) * absv2))
+    t3 = -(2 * alpha / (alpha + 2)) * float(np.sum(w * _phi_laplacian(s, N) * pot_density))
+    t4 = (4 * R / (alpha + 2)) * float(
+        np.sum(w * (-b) * r ** (-b - 1) * phi_d1(s) * np.abs(v) ** (alpha + 2))
+    )
+    c_hess, c_bilap, c_lap, c_grad = _phi_deviation_constants(N)
+    mask = r > R
+    wm = w[mask]
+    ext_pot = float(np.sum(wm * pot_density[mask]))
+    ext_budget = (
+        4 * c_hess * float(np.sum(wm * du2[mask]))
+        + c_bilap * float(np.sum(wm * absv2[mask])) / R**2
+        + (2 * alpha / (alpha + 2)) * c_lap * ext_pot
+        + (4 * b / (alpha + 2)) * c_grad * ext_pot
+    )
+    return {"zR": zR, "zR_prime": zR_prime, "zR_second_direct": t1 + t2 + t3 + t4,
+            "ext_budget": ext_budget}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    J1=st.integers(8, 400),
+    J2=st.integers(8, 400),
+    h1=st.floats(1 / 64, 1 / 4),
+    h2=st.floats(1 / 64, 1 / 4),
+    r_fracs=st.lists(st.floats(0.05, 0.95), min_size=2, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_virial_tables_cached_per_grid_and_radius(J1, J2, h1, h2, r_fracs, seed):
+    # alternating grids and radii reuse the cache and still give the fresh numbers
+    params = ModelParams(3, 2.0, 0.3)
+    rng = np.random.default_rng(seed)
+    fields = []
+    for J, h in ((J1, h1), (J2, h2)):
+        g = RadialGrid(J=J, h=h, N=3)
+        fields.append(g.field((rng.standard_normal(J) + 1j * rng.standard_normal(J))
+                              * np.exp(-g.nodes / g.r_max)))
+    for _ in range(2):
+        for frac in r_fracs:
+            for u in fields:
+                R = frac * u.grid.r_max / 2
+                assert virial_series(u, params, R) == _fresh_virial(u, params, R)
+                absv = np.abs(u.values)
+                assert virial_series(u, params, R, absv2=absv**2, vpow=absv**4.0) == _fresh_virial(u, params, R)
+    tables = _virial_tables(J1, h1, 3, 0.3, r_fracs[0] * J1 * h1 / 2)
+    for table in tables[:-1]:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0

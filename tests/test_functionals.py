@@ -5,14 +5,18 @@ import pytest
 from scipy.integrate import quad
 
 from inlslab.functionals import (
+    LgsReport,
+    ThresholdReport,
+    _coarsen,
+    _signed_power,
     classify,
     energy,
     lgs_verify,
     linear_decay_check,
     mass,
 )
-from inlslab.grid import RadialGrid, gaussian_field
-from inlslab.params import ModelParams
+from inlslab.grid import RadialGrid, gaussian_field, grad_norm, grad_norm_sq_form, potential_term
+from inlslab.params import ModelParams, validate_scope
 
 
 def test_mass_energy_zero_field(grid_330, params_330):
@@ -109,6 +113,57 @@ def test_lgs_above_threshold_skips(grid_330, gs_330):
     rep = lgs_verify(gaussian_field(grid_330, 4.0, 1.0), gs_330)
     assert not rep.hypotheses_ok
     assert math.isnan(rep.slack_coercivity)
+
+
+def _reference_reports(u, gs):
+    """ThresholdReport and LgsReport written out with a separate full-grid
+    evaluation for every quantity, as the formulas read."""
+    params = gs.params
+    N, alpha, b, s_c, sigma = params.N, params.alpha, params.b, params.s_c, params.sigma
+
+    def products(v):
+        em = _signed_power(energy(v, params), s_c) * mass(v) ** (1 - s_c)
+        return em, grad_norm(v) ** s_c * math.sqrt(mass(v)) ** (1 - s_c)
+
+    m, e = mass(u), energy(u, params)
+    em, gm = products(u)
+    em_c, gm_c = products(_coarsen(u))
+    em_th = _signed_power(gs.energy, s_c) * gs.mass2 ** (1 - s_c)
+    gm_th = math.sqrt(gs.grad2) ** s_c * math.sqrt(gs.mass2) ** (1 - s_c)
+    w = em / em_th if em_th > 0 else math.inf
+    A = 1 - _signed_power(w, alpha / 2)
+    em_err, gm_err = abs(em - em_c), abs(gm - gm_c)
+    scope = validate_scope(params)
+    if abs(em - em_th) <= 3 * em_err or abs(gm - gm_th) <= 3 * gm_err:
+        verdict = "AtThreshold"
+    elif em < em_th and gm < gm_th:
+        verdict = "GlobalScatters" if scope.theorem_scope else ("GlobalOnly" if scope.global_scope else "Unknown")
+    else:
+        verdict = "Unknown"
+    grad2, pot = grad_norm_sq_form(u), potential_term(u, alpha, b)
+    threshold = ThresholdReport(m, e, em, gm, em_th, gm_th, w, A, verdict, em_err, gm_err, grad2, pot)
+    if not (em < em_th and gm <= gm_th):
+        return threshold, LgsReport(False, math.nan, math.nan, math.nan, w, A, e, e >= 0)
+    c_low = alpha * s_c / (N * alpha + 2 * b)
+    slack_i = min(e - c_low * grad2, 0.5 * grad2 - e)
+    slack_ii = w * gs.grad2 * gs.mass2**sigma - grad2 * m**sigma
+    chain_hi = 8 * grad2 - 4 * (N * alpha + 2 * b) / (alpha + 2) * pot
+    slack_iii = min(8 * A * grad2 - 16 * A * e, chain_hi - 8 * A * grad2)
+    return threshold, LgsReport(True, slack_i, slack_ii, slack_iii, w, A, e, e >= 0)
+
+
+def test_reports_match_separate_evaluations(grid_330, gs_330):
+    # classify and lgs_verify evaluate each full-grid sum once; every field
+    # stays bit-identical to evaluating each quantity where the formula uses it
+    for amp in (0.0, 0.5, 4.0):
+        u = gaussian_field(grid_330, amp, 1.0)
+        ref_threshold, ref_lgs = _reference_reports(u, gs_330)
+        for got, ref in ((classify(u, gs_330), ref_threshold), (lgs_verify(u, gs_330), ref_lgs)):
+            for name, value in vars(ref).items():
+                actual = getattr(got, name)
+                assert actual == value or (math.isnan(actual) and math.isnan(value)), (amp, name)
+    u = grid_330.field(gs_330.profile.values)
+    assert classify(u, gs_330) == _reference_reports(u, gs_330)[0]
 
 
 def test_linear_decay_sup_norm(params_330):

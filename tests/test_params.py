@@ -1,3 +1,4 @@
+import csv
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from inlslab.params import (
     ModelParams,
     critical_index,
     critical_index_exact,
+    exact,
     scaling_exponents,
     upper_exponents,
     validate_scope,
@@ -89,3 +91,56 @@ def test_invalid_parameters_rejected():
         ModelParams(3, 0.0, 0.3)
     with pytest.raises(ValueError):
         ModelParams(3, 2.0, -0.1)
+
+
+def test_exact_reads_the_written_decimal():
+    assert exact(0.9) == Fraction(9, 10)
+    assert exact(0.1 + 0.2) == Fraction("0.30000000000000004")
+    assert exact(Fraction(2, 3)) == Fraction(2, 3)
+    assert exact(3) == 3
+
+
+def test_scope_decided_on_exact_decimals():
+    # alpha = 0.9 is exactly the mass-critical (4 - 2b)/N for N = 4, b = 0.2
+    rep = validate_scope(ModelParams(4, 0.9, 0.2))
+    assert not rep.mass_supercritical and not rep.theorem_scope and not rep.global_scope
+    # alpha = 2.4 is exactly the N = 3 scattering ceiling 3 - 2b for b = 0.3
+    rep = validate_scope(ModelParams(3, 2.4, 0.3))
+    assert not rep.scattering_subcritical and not rep.theorem_scope
+    assert rep.mass_supercritical and rep.energy_subcritical and rep.global_scope
+    # b = N/3 exactly for N = 2 fails the theorem's b window; just below passes
+    assert not validate_scope(ModelParams(2, Fraction(3), Fraction(2, 3))).b_theorem_ok
+    assert validate_scope(ModelParams(2, Fraction(3), Fraction(2, 3) - Fraction(1, 10**30))).b_theorem_ok
+    # Fractions pass through: the same points given exactly decide alike
+    assert validate_scope(ModelParams(4, Fraction(9, 10), Fraction(1, 5))) == validate_scope(ModelParams(4, 0.9, 0.2))
+
+
+@pytest.mark.parametrize("n, alpha, b", [(3, 2, 0.3), (4, 0.9, 0.2), (3, 2.4, 0.3), (2, 3, 0.2), (3, 1.5, 0.9)])
+def test_params_and_pairs_agree_on_scope(tmp_path, capsys, n, alpha, b):
+    # cmd_params decides scope on the exact exponents that cmd_pairs certifies
+    import json
+
+    from inlslab.cli import main
+
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": {"N": n, "alpha": alpha, "b": b}}))
+    assert main(["params", "--config", str(cfg)]) == 0
+    flags = dict(part.split("=") for part in capsys.readouterr().out.split())
+    a_ex, b_ex = Fraction(str(alpha)), Fraction(str(b))  # the config text, read exactly
+    lower = (4 - 2 * b_ex) / n
+    ceiling = 3 - 2 * b_ex if n == 3 else ((4 - 2 * b_ex) / (n - 2) if n > 2 else None)
+    s_c = Fraction(n, 2) - (2 - b_ex) / a_ex
+    expected_scatter = ceiling is None or a_ex < ceiling
+    theorem = a_ex > lower and expected_scatter and 0 < b_ex < min(Fraction(n, 3), 1) and 0 < s_c < 1
+    assert flags["mass_supercritical"] == str(a_ex > lower).lower()
+    assert flags["scattering_subcritical"] == str(expected_scatter).lower()
+    assert flags["theorem_scope"] == str(theorem).lower()
+    status = main(["pairs", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    if 0 < s_c < 1:
+        assert status == 0
+        with open(tmp_path / "out" / "pairs.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {(r["alpha"], r["b"]) for r in rows} == {(str(a_ex), str(b_ex))}
+    else:
+        assert status == 2
