@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 configuration/validation error (single-line
 diagnostic on stderr naming the violated precondition), 3 file I/O failure,
 4 numerical failure of an evolution (boundary leak, gradient-bound violation
-or linear-solve failure; single-line diagnostic on stderr).
+or linear-solve failure) or of a ground-state solver (groundstate.SolverFailure);
+single-line diagnostic on stderr.
 All numeric output is fixed-precision decimal text with a fixed row order,
 and every randomized probe takes an explicit seed, so identical invocations
 produce byte-identical files.
@@ -15,7 +16,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -30,6 +30,10 @@ from .params import ModelParams, exact, upper_exponents, validate_scope
 
 class ConfigError(ValueError):
     pass
+
+
+# failures of the numerics on a valid configuration: exit code 4
+_NUMERICAL_FAILURES = (evolve_mod.NumericalFailure, groundstate.SolverFailure)
 
 
 # allowed keys per config section; unknown keys are rejected
@@ -158,8 +162,7 @@ def cmd_pairs(cfg, args) -> int:
     prec = _precision(cfg)
     try:
         rows = exponents.certificate_rows(params.N, alpha, b, theta=theta, eps=eps)
-        th_used = rows[0]["theta"] if rows else (theta or Fraction(1, 20))
-        app = exponents.appendix_checks(params.N, alpha, b, th_used, eps=eps)
+        app = exponents.appendix_checks(params.N, alpha, b, rows[0]["theta"], eps=eps)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"pairs: {exc}") from exc
     out = _out_dir(cfg, args)
@@ -205,7 +208,7 @@ def cmd_groundstate(cfg, args) -> int:
     for m in methods:
         try:
             results[m] = _solve(cfg, params, grid, m)
-        except (ValueError, RuntimeError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"groundstate ({m}): {exc}") from exc
     primary = results.get("fixedpoint") or next(iter(results.values()))
     field_to_csv(primary.profile, os.path.join(out, "profile.csv"), precision=prec)
@@ -260,7 +263,7 @@ def cmd_classify(cfg, args) -> int:
     u0 = _load_field(cfg, args, params, grid)
     try:
         gs = _solve(cfg, params, grid, "fixedpoint")
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"classify: {exc}") from exc
     rep = functionals.classify(u0, gs)
     row = [getattr(rep, k) for k in _CLASSIFY_HEADER]
@@ -297,7 +300,7 @@ def cmd_evolve(cfg, args) -> int:
     try:
         gs = _solve(cfg, params, grid, "fixedpoint")
         rep = functionals.classify(u0, gs)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"evolve: {exc}") from exc
     exploratory = rep.verdict not in ("GlobalScatters", "GlobalOnly")
     trace = evolve_mod.run(u0, econf, threshold=rep)
@@ -375,7 +378,7 @@ def cmd_sweep(cfg, args) -> int:
             status = 2
             with open(os.path.join(sub_dir, "error.txt"), "w") as fh:
                 fh.write(f"{exc}\n")
-        except evolve_mod.NumericalFailure as exc:
+        except _NUMERICAL_FAILURES as exc:
             status = 4
             with open(os.path.join(sub_dir, "error.txt"), "w") as fh:
                 fh.write(f"numerical failure: {exc}\n")
@@ -419,7 +422,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except evolve_mod.NumericalFailure as exc:
+    except _NUMERICAL_FAILURES as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 4
 

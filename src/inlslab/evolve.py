@@ -42,6 +42,8 @@ from .params import ModelParams
 
 _DT_SAFETY = 100.0  # stability is unconditional; dt <= _DT_SAFETY h^2 caps the splitting error
 _BOUNDARY_SHELL = 0.03  # outer fraction of the domain whose mass counts as leaked
+_BUDGET_FRACTION = 0.5  # initial exterior budget share of the rigidity bound that makes R too small
+_DECAY_FRACTION = 0.05  # final/initial potential ratio below which a run counts as decayed
 
 
 class NumericalFailure(RuntimeError):
@@ -440,14 +442,14 @@ class RigidityReport:
     energy: float
 
 
-def rigidity_check(trace: EvolutionTrace, threshold, budget_fraction: float = 0.5) -> RigidityReport:
+def rigidity_check(trace: EvolutionTrace, threshold) -> RigidityReport:
     """z''_R >= 8 A E[u] - budget(t) pointwise, plus the integrated form.
 
     The budget grows once the dispersing solution crosses the cutoff, which
     is the estimate doing its job; vacuity is judged at t = 0 instead:
     r_too_small flags a cutoff whose initial exterior budget already eats
-    budget_fraction of the lower bound, and the check then refuses to
-    certify rather than pass trivially.
+    _BUDGET_FRACTION (one half) of the lower bound, and the check then
+    refuses to certify rather than pass trivially.
     """
     if threshold.verdict not in ("GlobalScatters", "GlobalOnly"):
         raise ValueError(
@@ -460,7 +462,7 @@ def rigidity_check(trace: EvolutionTrace, threshold, budget_fraction: float = 0.
     bound = 8 * A * e
     budget = trace.ext_budget_series
     max_budget = float(np.max(budget))
-    r_too_small = bool(budget[0] >= budget_fraction * bound > 0)
+    r_too_small = bool(budget[0] >= _BUDGET_FRACTION * bound > 0)
     slack = trace.zR_second_direct_series - (bound - budget)
     min_slack = float(np.min(slack))
     holds = bool(np.all(slack >= 0)) and not r_too_small
@@ -493,7 +495,7 @@ class DiagnosticReport:
     grad_flat: bool
 
 
-def scattering_diagnostic(trace: EvolutionTrace, decay_fraction: float = 0.05) -> DiagnosticReport:
+def scattering_diagnostic(trace: EvolutionTrace) -> DiagnosticReport:
     """Potential-decay proxy for scattering, with a power-law tail fit."""
     pot = trace.potential_series
     t = trace.times
@@ -508,7 +510,7 @@ def scattering_diagnostic(trace: EvolutionTrace, decay_fraction: float = 0.05) -
     grad_limit = float(np.mean(grad_tail))
     spread = float(np.ptp(grad_tail)) / max(grad_limit, 1e-300)
     return DiagnosticReport(
-        decayed=final_fraction < decay_fraction,
+        decayed=final_fraction < _DECAY_FRACTION,
         final_fraction=final_fraction,
         decay_exponent=float(slope),
         grad_limit=grad_limit,

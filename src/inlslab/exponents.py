@@ -1,61 +1,25 @@
 """Exact-rational engine for Strichartz admissible pairs.
 
 All predicates run on fractions.Fraction / XR values: the range checks and
-Hoelder-splitting identities asserted for the four explicit pair families are
-algebraic identities, and rounding must not blur them.  Endpoint markers of
-the form a+ / a- are realized as a + eps / a - eps through a single
-EpsilonPolicy so sweeps are reproducible; eps-shifted endpoints are treated
-as closed.
+Hoelder-splitting identities asserted for the pair families are algebraic
+identities, and rounding must not blur them.  Each family's pairs are stated
+once, in PAIR_ROWS.  Endpoint markers a+ / a- are realized as a +- eps with
+the fixed ENDPOINT_EPS so sweeps are reproducible; shifted endpoints are
+treated as closed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .extended import INF, XR, xr
+from .params import critical_index_exact
 
-__all__ = [
-    "EpsilonPolicy",
-    "StrichartzPair",
-    "dual_exponent",
-    "plus_conjugate",
-    "is_l2_admissible",
-    "is_hs_admissible",
-    "is_hneg_admissible",
-    "family_lemma43",
-    "family_claim1",
-    "family_claim2",
-    "default_theta",
-    "certificate_rows",
-]
-
-
-@dataclass(frozen=True)
-class EpsilonPolicy:
-    """Realization of the a+ / a- endpoint conventions as a +- eps shift."""
-
-    eps: Fraction = Fraction(1, 10**9)
-
-    def __post_init__(self):
-        if not (0 < self.eps < Fraction(1, 100)):
-            raise ValueError(f"eps must lie in (0, 1/100), got {self.eps}")
-
-
-DEFAULT_POLICY = EpsilonPolicy()
-
-
-@dataclass(frozen=True)
-class StrichartzPair:
-    """Exponent pair (q, r) tagged with its admissibility class."""
-
-    q: XR
-    r: XR
-    klass: str  # "L2", "Hs(+s)" or "Hs(-s)" rendered by the caller
-
-    def __post_init__(self):
-        if self.q < 1 or self.r < 1:
-            raise ValueError(f"exponents must be >= 1, got ({self.q}, {self.r})")
+# the a+ / a- endpoint shift of the admissibility ranges; well inside (0, 1/100)
+ENDPOINT_EPS = Fraction(1, 10**9)
+# Claim 2's epsilon (N = 2 family, A3 bounds); the default-theta search judges at it
+CLAIM2_EPS = Fraction(1, 100)
 
 
 def dual_exponent(a) -> XR:
@@ -106,7 +70,7 @@ def is_l2_admissible(q, r, N: int) -> bool:
     return XR(2) <= r  # N = 1, r = inf allowed
 
 
-def is_hs_admissible(q, r, N: int, s, policy: EpsilonPolicy = DEFAULT_POLICY) -> bool:
+def is_hs_admissible(q, r, N: int, s) -> bool:
     """H^s-level admissibility, 0 < s < 1: 2/q = N/2 - N/r - s plus range."""
     s = Fraction(s)
     if not (0 < s < 1):
@@ -116,21 +80,20 @@ def is_hs_admissible(q, r, N: int, s, policy: EpsilonPolicy = DEFAULT_POLICY) ->
         return False
     if not _scaling_holds(q, r, N, s):
         return False
-    eps = policy.eps
     if N >= 3:
         lo = Fraction(2 * N, N - 2 * s)  # denominator positive: s < 1 <= N/2
-        hi = Fraction(2 * N, N - 2) - eps
+        hi = Fraction(2 * N, N - 2) - ENDPOINT_EPS
         return XR(lo) < r <= XR(hi)
     if N == 2:
         lo = 2 / (1 - s)
-        hi = plus_conjugate(2 / (1 - s), eps)
+        hi = plus_conjugate(2 / (1 - s), ENDPOINT_EPS)
         return XR(lo) < r <= XR(hi)
     if 1 - 2 * s <= 0:
         return XR(1) <= r  # lower constraint vacuous when s >= 1/2 in 1D
     return XR(2 / (1 - 2 * s)) < r
 
 
-def is_hneg_admissible(q, r, N: int, s, policy: EpsilonPolicy = DEFAULT_POLICY) -> bool:
+def is_hneg_admissible(q, r, N: int, s) -> bool:
     """Dual-level admissibility, 0 < s < 1: 2/q = N/2 - N/r + s plus range."""
     s = Fraction(s)
     if not (0 < s < 1):
@@ -140,29 +103,17 @@ def is_hneg_admissible(q, r, N: int, s, policy: EpsilonPolicy = DEFAULT_POLICY) 
         return False
     if not _scaling_holds(q, r, N, -s):
         return False
-    eps = policy.eps
     if N >= 3:
-        lo = Fraction(2 * N, N - 2 * s) + eps
-        hi = Fraction(2 * N, N - 2) - eps
+        lo = Fraction(2 * N, N - 2 * s) + ENDPOINT_EPS
+        hi = Fraction(2 * N, N - 2) - ENDPOINT_EPS
         return XR(lo) <= r <= XR(hi)
     if N == 2:
-        lo = 2 / (1 - s) + eps
-        hi = plus_conjugate(2 / (1 + s), eps)
+        lo = 2 / (1 - s) + ENDPOINT_EPS
+        hi = plus_conjugate(2 / (1 + s), ENDPOINT_EPS)
         return XR(lo) <= r <= XR(hi)
     if 1 - 2 * s <= 0:
         return XR(1) <= r
-    return XR(2 / (1 - 2 * s) + eps) <= r
-
-
-def _require_fractions(**kwargs) -> dict:
-    out = {}
-    for name, value in kwargs.items():
-        out[name] = Fraction(value)
-    return out
-
-
-def _s_c(N: int, alpha: Fraction, b: Fraction) -> Fraction:
-    return Fraction(N, 2) - (2 - b) / alpha
+    return XR(2 / (1 - 2 * s) + ENDPOINT_EPS) <= r
 
 
 class DegenerateFamilyError(ValueError):
@@ -173,6 +124,20 @@ class ThetaWindowError(ValueError):
     """theta violates the admissible window for the requested family."""
 
 
+def _lemma43_p_terms(a: Fraction, b: Fraction, t: Fraction) -> tuple[Fraction, Fraction]:
+    """Numerator and denominator of Lemma 4.3's p = 6a(a+1-t)/((4-2b)(a-t)+a)."""
+    return 6 * a * (a + 1 - t), (4 - 2 * b) * (a - t) + a
+
+
+def _claim2_d_r(N: int, al: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    """Claim 2's D = 4 - 2b - alpha(N-2) and r = 2 alpha N(N+2)/((4-2b)(N+2) - N D), N >= 3.
+
+    The denominator of r, 2(4-2b) + N(N-2) alpha, is positive for b < 2.
+    """
+    D = 4 - 2 * b - al * (N - 2)
+    return D, 2 * al * N * (N + 2) / ((4 - 2 * b) * (N + 2) - N * D)
+
+
 def family_lemma43(alpha, b, theta) -> dict:
     """3D pair family used for the gradient estimate of the nonlinearity.
 
@@ -181,12 +146,11 @@ def family_lemma43(alpha, b, theta) -> dict:
     Asserts (l,p) L2-admissible, (k,p) H^{s_c}-admissible and the time
     Hoelder split 1/2' = (a-t)/k + 1/l.
     """
-    v = _require_fractions(alpha=alpha, b=b, theta=theta)
-    a, b_, t = v["alpha"], v["b"], v["theta"]
+    a, b_, t = Fraction(alpha), Fraction(b), Fraction(theta)
     if not (0 < t < a):
         raise ThetaWindowError(f"need 0 < theta < alpha, got theta={t}")
     d_k = 4 - 2 * b_ - a
-    d_p = (4 - 2 * b_) * (a - t) + a
+    p_num, d_p = _lemma43_p_terms(a, b_, t)
     d_l = a * (3 * a - 2 + 2 * b_) - t * (3 * a - 4 + 2 * b_)
     if d_k <= 0 or d_p <= 0 or d_l <= 0:
         raise DegenerateFamilyError(
@@ -194,9 +158,9 @@ def family_lemma43(alpha, b, theta) -> dict:
         )
     num = 4 * a * (a + 1 - t)
     k = num / d_k
-    p = 6 * a * (a + 1 - t) / d_p
+    p = p_num / d_p
     l = num / d_l
-    s_c = _s_c(3, a, b_)
+    s_c = critical_index_exact(3, a, b_)
     holder_residual = Fraction(1, 2) - (a - t) / k - 1 / l
     return {
         "k": k,
@@ -216,8 +180,7 @@ def family_claim1(alpha, b, theta, N: int) -> dict:
     (a_tilde, r_hat) H^{-s_c}-admissible and the time Hoelder split
     1/a_tilde' = (alpha - theta)/a_hat + 1/a_hat.
     """
-    v = _require_fractions(alpha=alpha, b=b, theta=theta)
-    a, b_, t = v["alpha"], v["b"], v["theta"]
+    a, b_, t = Fraction(alpha), Fraction(b), Fraction(theta)
     if not (0 < t < a):
         raise ThetaWindowError(f"need 0 < theta < alpha, got theta={t}")
     d_q = a * (N * a + 2 * b_) - t * (N * a - 4 + 2 * b_)
@@ -232,7 +195,7 @@ def family_claim1(alpha, b, theta, N: int) -> dict:
     r_hat = N * a * (a + 2 - t) / d_r
     a_tilde = 2 * a * (a + 2 - t) / d_at
     a_hat = 2 * a * (a + 2 - t) / d_ah
-    s_c = _s_c(N, a, b_)
+    s_c = critical_index_exact(N, a, b_)
     split_residual = (1 - 1 / a_tilde) - (a - t) / a_hat - 1 / a_hat
     return {
         "q_hat": q_hat,
@@ -257,27 +220,25 @@ def claim2_theta_window(N: int, alpha, b) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def family_claim2(alpha, b, theta, N: int, eps=Fraction(1, 100)) -> dict:
+def family_claim2(alpha, b, theta, N: int, eps=CLAIM2_EPS) -> dict:
     """Uniform-bound pair family; N >= 3 and N = 2 take different shapes.
 
     Asserts (a, r) H^{s_c}-admissible, (a_bar, r_bar) H^{-s_c}-admissible,
     the interior ranges 2N/(N-2s_c) < r, r_bar < 2N/(N-2) for N >= 3, and
     the split a = (alpha + 1 - theta) * a_bar'.
     """
-    v = _require_fractions(alpha=alpha, b=b, theta=theta, eps=eps)
-    al, b_, t, ep = v["alpha"], v["b"], v["theta"], v["eps"]
-    s_c = _s_c(N, al, b_)
+    al, b_, t, ep = Fraction(alpha), Fraction(b), Fraction(theta), Fraction(eps)
     if N >= 3:
         lo, hi = claim2_theta_window(N, al, b_)
         if not (lo < t < hi):
             raise ThetaWindowError(
                 f"theta={t} outside ({lo}, {hi}) for N={N}, alpha={al}, b={b_}"
             )
-        D = 4 - 2 * b_ - al * (N - 2)
+        s_c = critical_index_exact(N, al, b_)
+        D, r = _claim2_d_r(N, al, b_)
         if D <= 0:
             raise DegenerateFamilyError(f"energy-supercritical alpha={al} for N={N}")
         a = 4 * al * (N + 2) / (N * D)
-        r = 2 * al * N * (N + 2) / ((4 - 2 * b_) * (N + 2) - N * D)
         d_ab = 4 * al * (N + 2) - (al + 1 - t) * N * D
         d_rb = 2 * (N + 2) * (al * (N - 2) - (2 - b_)) + N * D * (al + 1 - t)
         if d_ab <= 0 or d_rb <= 0:
@@ -295,6 +256,7 @@ def family_claim2(alpha, b, theta, N: int, eps=Fraction(1, 100)) -> dict:
             raise ThetaWindowError(f"need 0 < theta < alpha, got theta={t}")
         if ep <= 0:
             raise ThetaWindowError(f"need eps > 0, got {ep}")
+        s_c = critical_index_exact(N, al, b_)
         d_r = (2 - b_) * (al - t) - ep
         d_ab = 2 * al - (2 - b_) - ep
         if d_r <= 0 or d_ab <= 0:
@@ -324,6 +286,72 @@ def family_claim2(alpha, b, theta, N: int, eps=Fraction(1, 100)) -> dict:
     }
 
 
+class PairRow(NamedTuple):
+    """One certified pair of a family: keys into the family's result dict."""
+
+    pair: str
+    q: str
+    r: str
+    klass: str  # "L2", "Hs" (H^{s_c} level) or "Hneg" (H^{-s_c} level)
+    admissible: str
+    residual: str
+
+
+# every pair each family certifies; lemma43 applies to N = 3 only
+PAIR_ROWS = {
+    "lemma43": (
+        PairRow("(l,p)", "l", "p", "L2", "l2_admissible", "holder_residual"),
+        PairRow("(k,p)", "k", "p", "Hs", "hs_admissible", "holder_residual"),
+    ),
+    "claim1": (
+        PairRow("(q^,r^)", "q_hat", "r_hat", "L2", "l2_admissible", "split_residual"),
+        PairRow("(a^,r^)", "a_hat", "r_hat", "Hs", "hs_admissible", "split_residual"),
+        PairRow("(a~,r^)", "a_tilde", "r_hat", "Hneg", "hneg_admissible", "split_residual"),
+    ),
+    "claim2": (
+        PairRow("(a,r)", "a", "r", "Hs", "hs_admissible", "split_residual"),
+        PairRow("(a-,r-)", "a_bar", "r_bar", "Hneg", "hneg_admissible", "split_residual"),
+    ),
+}
+
+
+def _evaluate(family: str, N: int, al: Fraction, b: Fraction, theta: Fraction, eps: Fraction) -> dict:
+    # the family functions are looked up at call time, so wrappers see every call
+    if family == "lemma43":
+        return family_lemma43(al, b, theta)
+    if family == "claim1":
+        return family_claim1(al, b, theta, N)
+    return family_claim2(al, b, theta, N, eps)
+
+
+def _theta_search(N: int, al: Fraction, b: Fraction, family: str) -> tuple[Fraction, dict | None]:
+    """default_theta and the family dict evaluated there at CLAIM2_EPS.
+
+    The dict is None for the claim2 window midpoint, chosen without evaluating.
+    """
+    if family == "claim2" and N >= 3:
+        lo, hi = claim2_theta_window(N, al, b)
+        if lo >= hi:
+            raise ThetaWindowError(f"empty theta window for N={N}, alpha={al}, b={b}")
+        return (lo + hi) / 2, None
+    theta = min(2 * (1 - b) / N, al) / 4
+    if theta <= 0:
+        theta = al / 8
+    if family not in PAIR_ROWS:
+        raise ValueError(f"unknown family {family!r}")
+    for _ in range(64):
+        try:
+            fam = _evaluate(family, N, al, b, theta, CLAIM2_EPS)
+        except (DegenerateFamilyError, ThetaWindowError):
+            fam = None
+        if fam is not None and all(fam[row.admissible] for row in PAIR_ROWS[family]):
+            return theta, fam
+        theta = theta / 2
+    raise ThetaWindowError(
+        f"no admissible theta found for family={family}, N={N}, alpha={al}, b={b}"
+    )
+
+
 def default_theta(N: int, alpha, b, family: str = "claim1") -> Fraction:
     """Deterministic in-window theta for a family at given (N, alpha, b).
 
@@ -331,92 +359,53 @@ def default_theta(N: int, alpha, b, family: str = "claim1") -> Fraction:
     explicit window, so any reproducible choice works.  For claim2 with
     N = 3 the window has a positive lower endpoint and the midpoint is used;
     otherwise start from min(2(1-b)/N, alpha)/4 and halve until every
-    admissibility assert of the family passes.
+    admissibility flag of the family's PAIR_ROWS holds.
     """
-    al, b_ = Fraction(alpha), Fraction(b)
-    if family == "claim2" and N >= 3:
-        lo, hi = claim2_theta_window(N, al, b_)
-        if lo >= hi:
-            raise ThetaWindowError(f"empty theta window for N={N}, alpha={al}, b={b_}")
-        return (lo + hi) / 2
-    theta = min(2 * (1 - b_) / N, al) / 4
-    if theta <= 0:
-        theta = al / 8
-    for _ in range(64):
-        try:
-            if family == "lemma43":
-                res = family_lemma43(al, b_, theta)
-                ok = res["l2_admissible"] and res["hs_admissible"]
-            elif family == "claim1":
-                res = family_claim1(al, b_, theta, N)
-                ok = (
-                    res["l2_admissible"]
-                    and res["hs_admissible"]
-                    and res["hneg_admissible"]
-                )
-            elif family == "claim2":  # N = 2 branch
-                res = family_claim2(al, b_, theta, N)
-                ok = res["hs_admissible"] and res["hneg_admissible"]
-            else:
-                raise ValueError(f"unknown family {family!r}")
-        except (DegenerateFamilyError, ThetaWindowError):
-            ok = False
-        if ok:
-            return theta
-        theta = theta / 2
-    raise ThetaWindowError(
-        f"no admissible theta found for family={family}, N={N}, alpha={al}, b={b_}"
-    )
+    return _theta_search(N, Fraction(alpha), Fraction(b), family)[0]
 
 
-def certificate_rows(N: int, alpha, b, theta=None, eps=Fraction(1, 100)) -> list[dict]:
+def certificate_rows(N: int, alpha, b, theta=None, eps=CLAIM2_EPS) -> list[dict]:
     """Certificate table for every family applicable at (N, alpha, b).
 
-    One row per generated pair with the admissibility verdict and the exact
-    residual of the family's splitting identity.
+    One row per PAIR_ROWS entry with the admissibility verdict and the exact
+    residual of the family's splitting identity.  Each family is evaluated
+    once per call: at the given theta, or at its default theta, where the
+    dict the search already evaluated is reused (except for claim2 at N = 2
+    when eps is not CLAIM2_EPS, the eps the search judges at).
     """
-    al, b_ = Fraction(alpha), Fraction(b)
+    al, b_, eps = Fraction(alpha), Fraction(b), Fraction(eps)
+    families = ("lemma43", "claim1", "claim2") if N == 3 else ("claim1", "claim2")
     rows = []
-
-    def add(family, pair_name, q, r, klass, admissible, residual, th):
-        rows.append(
-            {
-                "family": family,
-                "pair": pair_name,
-                "N": N,
-                "alpha": al,
-                "b": b_,
-                "theta": th,
-                "q": q,
-                "r": r,
-                "class": klass,
-                "admissible": admissible,
-                "identity_residual": residual,
-            }
-        )
-
-    if N == 3:
-        th = Fraction(theta) if theta is not None else default_theta(N, al, b_, "lemma43")
-        fam = family_lemma43(al, b_, th)
-        add("lemma43", "(l,p)", fam["l"], fam["p"], "L2", fam["l2_admissible"], fam["holder_residual"], th)
-        add("lemma43", "(k,p)", fam["k"], fam["p"], f"Hs({fam['s_c']})", fam["hs_admissible"], fam["holder_residual"], th)
-
-    th = Fraction(theta) if theta is not None else default_theta(N, al, b_, "claim1")
-    fam = family_claim1(al, b_, th, N)
-    add("claim1", "(q^,r^)", fam["q_hat"], fam["r_hat"], "L2", fam["l2_admissible"], fam["split_residual"], th)
-    add("claim1", "(a^,r^)", fam["a_hat"], fam["r_hat"], f"Hs({fam['s_c']})", fam["hs_admissible"], fam["split_residual"], th)
-    add("claim1", "(a~,r^)", fam["a_tilde"], fam["r_hat"], f"Hs(-{fam['s_c']})", fam["hneg_admissible"], fam["split_residual"], th)
-
-    th = Fraction(theta) if theta is not None else default_theta(N, al, b_, "claim2")
-    fam = family_claim2(al, b_, th, N, eps)
-    add("claim2", "(a,r)", fam["a"], fam["r"], f"Hs({fam['s_c']})", fam["hs_admissible"], fam["split_residual"], th)
-    add("claim2", "(a-,r-)", fam["a_bar"], fam["r_bar"], f"Hs(-{fam['s_c']})", fam["hneg_admissible"], fam["split_residual"], th)
+    for family in families:
+        if theta is None:
+            th, fam = _theta_search(N, al, b_, family)
+        else:
+            th, fam = Fraction(theta), None
+        # the search judged claim2 at CLAIM2_EPS; another eps re-evaluates it
+        if fam is None or (family == "claim2" and eps != CLAIM2_EPS):
+            fam = _evaluate(family, N, al, b_, th, eps)
+        s_c = fam["s_c"]
+        klass = {"L2": "L2", "Hs": f"Hs({s_c})", "Hneg": f"Hs(-{s_c})"}
+        for row in PAIR_ROWS[family]:
+            rows.append(
+                {
+                    "family": family,
+                    "pair": row.pair,
+                    "N": N,
+                    "alpha": al,
+                    "b": b_,
+                    "theta": th,
+                    "q": fam[row.q],
+                    "r": fam[row.r],
+                    "class": klass[row.klass],
+                    "admissible": fam[row.admissible],
+                    "identity_residual": fam[row.residual],
+                }
+            )
     return rows
 
 
-def appendix_checks(
-    N: int, alpha, b, theta, eps=Fraction(1, 100), policy: EpsilonPolicy = DEFAULT_POLICY
-) -> list[dict]:
+def appendix_checks(N: int, alpha, b, theta, eps=CLAIM2_EPS) -> list[dict]:
     """Range-bound equivalences behind the pair families, both directions.
 
     Each row records an exponent bound (evaluated on the exact formula) next
@@ -427,8 +416,8 @@ def appendix_checks(
       A1 (N = 3 only): 3a/(2-b) < p and p < 6  <=>  a < 4 - 2b;
       A2 (N >= 3): Na/(2-b) < r and r < 2N/(N-2)  <=>  a < (4-2b)/(N-2);
       A3 (N = 2): 2a/(2-b) < r_bar = 2a/eps  <=>  eps < 2 - b, and
-                  r_bar <= ((2/(1+s_c))+)'  <=>  the policy shift is small
-                  enough, eps_pol * (2a - a_conj * eps) <= a_conj^2 * eps.
+                  r_bar <= ((2/(1+s_c))+)'  <=>  the endpoint shift is small
+                  enough, ENDPOINT_EPS * (2a - a_conj * eps) <= a_conj^2 * eps.
     """
     al, b_, th = Fraction(alpha), Fraction(b), Fraction(theta)
     eps = Fraction(eps)
@@ -445,25 +434,25 @@ def appendix_checks(
         )
 
     if N == 3:
-        p = 6 * al * (al + 1 - th) / ((4 - 2 * b_) * (al - th) + al)
+        p_num, d_p = _lemma43_p_terms(al, b_, th)
+        p = p_num / d_p
         cond = al < 4 - 2 * b_
         add("A1_lower", 3 * al / (2 - b_) < p, cond)
         add("A1_upper", p < 6, cond)
     if N >= 3:
-        big_d = 4 - 2 * b_ - al * (N - 2)
-        r = 2 * al * N * (N + 2) / ((4 - 2 * b_) * (N + 2) - N * big_d)
+        r = _claim2_d_r(N, al, b_)[1]
         cond = al < Fraction(4 - 2 * b_, N - 2)
         add("A2_lower", Fraction(N, 1) * al / (2 - b_) < r, cond)
         add("A2_upper", r < Fraction(2 * N, N - 2), cond)
     if N == 2:
-        s_c = _s_c(N, al, b_)
+        s_c = critical_index_exact(N, al, b_)
         r_bar = 2 * al / eps
         add("A3_lower", 2 * al / (2 - b_) < r_bar, eps < 2 - b_)
         a_conj = 2 / (1 + s_c)
-        ceiling = plus_conjugate(a_conj, policy.eps)
+        ceiling = plus_conjugate(a_conj, ENDPOINT_EPS)
         add(
             "A3_upper",
             r_bar <= ceiling,
-            policy.eps * (2 * al - a_conj * eps) <= a_conj**2 * eps,
+            ENDPOINT_EPS * (2 * al - a_conj * eps) <= a_conj**2 * eps,
         )
     return rows

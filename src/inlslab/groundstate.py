@@ -34,11 +34,15 @@ from .grid import (
 from .params import ModelParams, validate_scope
 
 
-class NoBracket(RuntimeError):
+class SolverFailure(RuntimeError):
+    """A ground-state solver produced no valid profile."""
+
+
+class NoBracket(SolverFailure):
     """The shooting parameter could not be bracketed."""
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(SolverFailure):
     """Fixed-point iteration failed to converge; carries the distance trace."""
 
     def __init__(self, message, trace):
@@ -77,9 +81,9 @@ def _finalize(params, profile, method, residual) -> GroundState:
     cgn = weinstein_quotient(profile, params)
     vals = np.real(profile.values)
     if np.any(vals <= 0):
-        raise RuntimeError(f"{method}: profile is not strictly positive")
+        raise SolverFailure(f"{method}: profile is not strictly positive")
     if np.any(np.diff(vals) >= 0):
-        raise RuntimeError(f"{method}: profile is not strictly decreasing")
+        raise SolverFailure(f"{method}: profile is not strictly decreasing")
     return GroundState(
         params=params,
         profile=profile,

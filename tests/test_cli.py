@@ -183,20 +183,25 @@ def _leaking_config(path, **overrides):
     )
 
 
-def test_evolve_boundary_leak_exits_4(tmp_path):
+def _run_cli_process(*args):
+    """Run the command line in a fresh interpreter, as a user would."""
     import os
     import subprocess
     import sys
 
     import inlslab.cli
 
-    cfg = _leaking_config(tmp_path / "c.json")
     src = os.path.dirname(os.path.dirname(inlslab.cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "inlslab.cli", "evolve", "--config", str(cfg), "--out", str(tmp_path / "out")],
+    return subprocess.run(
+        [sys.executable, "-m", "inlslab.cli", *map(str, args)],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def test_evolve_boundary_leak_exits_4(tmp_path):
+    cfg = _leaking_config(tmp_path / "c.json")
+    proc = _run_cli_process("evolve", "--config", cfg, "--out", tmp_path / "out")
     assert proc.returncode == 4
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "Traceback" not in proc.stderr
@@ -242,3 +247,51 @@ def test_sweep_records_numerical_failure(tmp_path):
     assert [r["status"] for r in rows] == ["4"]
     error = (out / rows[0]["directory"] / "error.txt").read_text()
     assert error.startswith("numerical failure: outer-shell mass fraction")
+
+
+def _unconverged_config(path, **overrides):
+    # two fixed-point iterations cannot converge: a solver failure on a valid config
+    return _write_config(
+        path,
+        grid={"J": 512, "h": 1 / 16},
+        solver={"max_iter": 2},
+        evolve={"dt": 0.002, "t_end": 0.01},
+        **overrides,
+    )
+
+
+@pytest.mark.parametrize("subcommand", ["groundstate", "classify", "evolve"])
+def test_solver_non_convergence_exits_4(tmp_path, subcommand):
+    cfg = _unconverged_config(tmp_path / "c.json")
+    proc = _run_cli_process(subcommand, "--config", cfg, "--out", tmp_path / "out")
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: numerical failure: no convergence after 2 iterations"]
+
+
+@pytest.mark.parametrize("name, extra", [("NoBracket", ()), ("NoConvergence", ([],)), ("SolverFailure", ())])
+def test_solver_failures_exit_4(tmp_path, capsys, monkeypatch, name, extra):
+    from inlslab import groundstate
+
+    def failing_solve(*args, **kwargs):
+        raise getattr(groundstate, name)("reason", *extra)
+
+    monkeypatch.setattr(groundstate, "solve_shooting", failing_solve)
+    cfg = _write_config(tmp_path / "c.json", solver={"method": "shooting"})
+    assert main(["groundstate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == "error: numerical failure: reason\n"
+
+
+def test_sweep_records_solver_failure_and_scope_error(tmp_path):
+    # alpha = 4 lies beyond the N = 3 energy ceiling 3.4: a scope error stays exit 2
+    cfg = _unconverged_config(
+        tmp_path / "c.json", sweep={"subcommand": "groundstate", "alpha": [2, 4]},
+    )
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "manifest.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["4", "2"]
+    errors = [(out / r["directory"] / "error.txt").read_text() for r in rows]
+    assert errors[0] == "numerical failure: no convergence after 2 iterations\n"
+    assert "outside the global-existence scope" in errors[1]

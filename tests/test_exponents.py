@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from inlslab import exponents
 from inlslab.exponents import (
-    DEFAULT_POLICY,
+    ENDPOINT_EPS,
+    PAIR_ROWS,
     DegenerateFamilyError,
-    EpsilonPolicy,
     ThetaWindowError,
     appendix_checks,
     certificate_rows,
@@ -22,6 +26,7 @@ from inlslab.exponents import (
     plus_conjugate,
 )
 from inlslab.extended import INF, XR
+from inlslab.params import critical_index_exact
 
 
 def test_dual_exponent_involution():
@@ -43,11 +48,7 @@ def test_plus_conjugate_identity():
 
 
 def test_epsilon_policy_bounds():
-    with pytest.raises(ValueError):
-        EpsilonPolicy(Fraction(1, 50))
-    with pytest.raises(ValueError):
-        EpsilonPolicy(Fraction(0))
-    assert DEFAULT_POLICY.eps == Fraction(1, 10**9)
+    assert ENDPOINT_EPS == Fraction(1, 10**9)
 
 
 def test_l2_admissible_examples():
@@ -174,3 +175,71 @@ def test_random_sweep_admissibility_and_residuals():
             assert r["equivalent"]
         checked += 1
     assert checked > 150
+
+
+def _class_predicate(row, s_c):
+    """The admissibility predicate a certificate row's class names, on its (q, r)."""
+    q, r, n = row["q"], row["r"], row["N"]
+    if row["class"] == "L2":
+        return is_l2_admissible(q, r, n)
+    if row["class"] == f"Hs({s_c})":
+        return is_hs_admissible(q, r, n, s_c)
+    assert row["class"] == f"Hs(-{s_c})", row
+    return is_hneg_admissible(q, r, n, s_c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_certificate_rows_exact_residuals_and_classes(rng):
+    # exact splitting residuals, and every verdict re-derived from the row's
+    # own (q, r) through the predicate its class names: a swapped key in
+    # PAIR_ROWS certifies one pair under another pair's verdict and fails here
+    n, alpha, b = _random_scope_point(rng)
+    try:
+        rows = certificate_rows(n, alpha, b)
+    except (DegenerateFamilyError, ThetaWindowError):
+        return  # empty window at this sample
+    families = [f for f in PAIR_ROWS if f != "lemma43" or n == 3]
+    assert [(r["family"], r["pair"]) for r in rows] == [
+        (f, row.pair) for f in families for row in PAIR_ROWS[f]
+    ]
+    s_c = critical_index_exact(n, alpha, b)
+    for r in rows:
+        assert r["identity_residual"] == 0, r
+        assert r["admissible"] == _class_predicate(r, s_c), r
+
+
+def test_claim2_verdicts_follow_class_where_they_differ():
+    # beyond the N = 3 scattering ceiling 3 - 2b, (a, r) is still
+    # H^{s_c}-admissible and (a-, r-) no longer H^{-s_c}-admissible, so
+    # swapped admissibility keys in claim2's rows show here
+    n, alpha, b, theta = 3, Fraction(17, 5), Fraction(4, 25), Fraction(221, 500)
+    rows = [r for r in certificate_rows(n, alpha, b, theta=theta) if r["family"] == "claim2"]
+    assert [r["admissible"] for r in rows] == [True, False]
+    s_c = critical_index_exact(n, alpha, b)
+    for r in rows:
+        assert r["admissible"] == _class_predicate(r, s_c), r
+
+
+def test_certificate_rows_evaluates_each_family_once(monkeypatch):
+    calls = Counter()
+    for name in ("lemma43", "claim1", "claim2"):
+        original = getattr(exponents, f"family_{name}")
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(exponents, f"family_{name}", counted)
+    for n, alpha, b, theta in [
+        (2, Fraction(3), Fraction(1, 5), None),
+        (3, Fraction(2), Fraction(3, 10), None),
+        (3, Fraction(2), Fraction(3, 10), Fraction(1, 5)),
+        (4, Fraction(6, 5), Fraction(1, 4), None),
+        (5, Fraction(9, 10), Fraction(1, 4), None),
+    ]:
+        calls.clear()
+        rows = certificate_rows(n, alpha, b, theta=theta)
+        assert all(r["admissible"] for r in rows)
+        families = {"claim1", "claim2"} | ({"lemma43"} if n == 3 else set())
+        assert calls == Counter(families), (n, alpha, b, theta, calls)

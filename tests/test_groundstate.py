@@ -5,7 +5,10 @@ import pytest
 
 from inlslab.grid import RadialGrid, gaussian_field
 from inlslab.groundstate import (
+    NoBracket,
     NoConvergence,
+    SolverFailure,
+    _finalize,
     gn_maximality_probe,
     sharp_constant,
     solve_fixedpoint,
@@ -44,6 +47,16 @@ def test_stabilizer_exponent_one_diverges(params_330):
     g = RadialGrid(J=512, h=1 / 32, N=3)
     with pytest.raises((NoConvergence, RuntimeError)):
         solve_fixedpoint(params_330, g, stabilizer_exponent=1.0, max_iter=80)
+
+
+def test_solver_failures_share_one_class(params_330):
+    # the command line maps every SolverFailure to its numerical-failure exit code
+    assert issubclass(NoBracket, SolverFailure) and issubclass(NoConvergence, SolverFailure)
+    g = RadialGrid(J=64, h=1 / 8, N=3)
+    with pytest.raises(SolverFailure, match="not strictly positive"):
+        _finalize(params_330, g.field(np.linspace(1.0, -1.0, g.J)), "probe", 0.0)
+    with pytest.raises(SolverFailure, match="not strictly decreasing"):
+        _finalize(params_330, g.field(np.linspace(1.0, 2.0, g.J)), "probe", 0.0)
 
 
 def test_fixedpoint_profile_shape(gs_330):
