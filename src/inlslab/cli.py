@@ -218,6 +218,12 @@ def cmd_groundstate(cfg, args) -> int:
         for key, (lhs, rhs) in groundstate.identity_sides(gs).items():
             id_rows.append([f"{key}:{name}", lhs, rhs, residuals[key]])
     _write_csv(os.path.join(out, "identities.csv"), ["identity", "lhs", "rhs", "rel_residual"], id_rows, prec)
+    _write_csv(
+        os.path.join(out, "solver.csv"),
+        ["method", "iterations", "residual"],
+        [[name, gs.iterations, gs.residual] for name, gs in sorted(results.items())],
+        prec,
+    )
     sc = groundstate.sharp_constant(primary)
     probe = groundstate.gn_maximality_probe(primary, trials=200, seed=args.seed)
     _write_csv(

@@ -4,7 +4,10 @@ Two independent solvers:
 
 * shooting: integrate the radial ODE outward from a series start and bisect
   the center value on the dichotomy {crosses zero} vs {diverges}, then graft
-  the exact linearized decay tail (Bessel K) once the profile is small;
+  the exact linearized decay tail (Bessel K) once the profile is small.  The
+  bracket and bisection shots are classified from the step ends of a bare
+  DOP853 solver; only the final shot builds the dense solution the graft
+  samples;
 * fixedpoint: normalized fixed-point iteration on the grid operator,
   Q <- M^{(alpha+1)/alpha} (I - Lap)^{-1}[r^{-b} Q^{alpha+1}], whose
   stabilizer M tends to 1 exactly when Q solves the discrete equation.
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.special import kv, roots_jacobi, roots_legendre
 
 from .grid import (
@@ -61,6 +64,8 @@ class GroundState:
     cgn: float
     method: str
     residual: float
+    # classifying shots (bracket + bisection) or fixed-point iterations
+    iterations: int
 
 
 def _require_scope(params: ModelParams, test_mode: bool):
@@ -73,7 +78,7 @@ def _require_scope(params: ModelParams, test_mode: bool):
         )
 
 
-def _finalize(params, profile, method, residual) -> GroundState:
+def _finalize(params, profile, method, residual, iterations) -> GroundState:
     mass2 = l2_norm(profile) ** 2
     grad2 = grad_norm_sq_form(profile)
     pot = potential_term(profile, params.alpha, params.b)
@@ -94,6 +99,7 @@ def _finalize(params, profile, method, residual) -> GroundState:
         cgn=cgn,
         method=method,
         residual=residual,
+        iterations=iterations,
     )
 
 
@@ -120,17 +126,52 @@ def _rhs(params):
     N, alpha, b = params.N, params.alpha, params.b
 
     def rhs(r, y):
-        q, dq = y
-        force = q - (r**-b) * np.abs(q) ** alpha * q
+        # Python floats: the same operations in the same order as numpy
+        # scalars (so the same bits), without numpy's per-scalar dispatch
+        q, dq = y.tolist()
+        r = float(r)
+        force = q - (r**-b) * abs(q) ** alpha * q
         return [dq, force - (N - 1) / r * dq]
 
     return rhs
 
 
-def _classify_shot(a, params, r_end, r_start, rtol=1e-12):
-    """Integrate one shot; returns ('cross'|'diverge'|'end', solution)."""
-    q0, dq0 = _series_start(a, params, r_start)
-    cap = 2.0 * a
+_RTOL, _ATOL = 1e-12, 1e-14
+
+
+def _shot_start(a, params, r_start):
+    """Right-hand side, initial state and divergence cap 2a shared by every
+    shot, so the classifying shots and the final dense shot cannot drift."""
+    return _rhs(params), _series_start(a, params, r_start), 2.0 * a
+
+
+def _classify_shot(a, params, r_end, r_start):
+    """'cross' (q falls to 0), 'diverge' (q rises to 2a) or 'end' of one shot.
+
+    Steps a bare DOP853 solver and decides from the sign of q and q - 2a at
+    consecutive step ends, as solve_ivp's terminal events find them; it builds
+    no dense interpolant and calls no event function.  Both cannot hold in
+    one step because 2a > 0.
+    """
+    fun, y0, cap = _shot_start(a, params, r_start)
+    solver = DOP853(fun, r_start, y0, r_end, rtol=_RTOL, atol=_ATOL)
+    q_old = y0[0]
+    while solver.status == "running":
+        solver.step()
+        if solver.status == "failed":
+            break
+        q = solver.y[0]
+        if q_old >= 0 >= q:
+            return "cross"
+        if q_old <= cap <= q:
+            return "diverge"
+        q_old = q
+    return "end"
+
+
+def _final_shot(a, params, r_end, r_start):
+    """The shot at the bisected center value, with its dense solution."""
+    fun, y0, cap = _shot_start(a, params, r_start)
 
     def crossed(r, y):
         return y[0]
@@ -144,42 +185,40 @@ def _classify_shot(a, params, r_end, r_start, rtol=1e-12):
     diverged.terminal = True
     diverged.direction = 1
 
-    sol = solve_ivp(
-        _rhs(params),
+    return solve_ivp(
+        fun,
         (r_start, r_end),
-        [q0, dq0],
+        y0,
         method="DOP853",
-        rtol=rtol,
-        atol=1e-14,
+        rtol=_RTOL,
+        atol=_ATOL,
         events=(crossed, diverged),
         dense_output=True,
     )
-    if sol.t_events[0].size:
-        return "cross", sol
-    if sol.t_events[1].size:
-        return "diverge", sol
-    return "end", sol
 
 
 def _bracket(params, r_end, r_start):
-    """Find a_lo (diverges) < a_hi (crosses zero)."""
+    """Find a_lo (diverges) < a_hi (crosses zero); also returns the shot count."""
     a = 1.0
-    kind, _ = _classify_shot(a, params, r_end, r_start)
+    shots = 1
+    kind = _classify_shot(a, params, r_end, r_start)
     if kind == "cross":
         a_hi = a
         for _ in range(60):
             a /= 1.5
-            kind, _ = _classify_shot(a, params, r_end, r_start)
+            shots += 1
+            kind = _classify_shot(a, params, r_end, r_start)
             if kind != "cross":
-                return a, a_hi
+                return a, a_hi, shots
             a_hi = a
         raise NoBracket(f"no diverging shot found down to a={a}")
     a_lo = a
     for _ in range(60):
         a *= 1.5
-        kind, _ = _classify_shot(a, params, r_end, r_start)
+        shots += 1
+        kind = _classify_shot(a, params, r_end, r_start)
         if kind == "cross":
-            return a_lo, a
+            return a_lo, a, shots
         a_lo = a
     raise NoBracket(f"no zero-crossing shot found up to a={a}")
 
@@ -190,18 +229,17 @@ def solve_shooting(params: ModelParams, grid: RadialGrid, *, test_mode=False) ->
     N, alpha, b = params.N, params.alpha, params.b
     r_start = 1e-6
     r_end = grid.r_max + 1.0
-    a_lo, a_hi = _bracket(params, r_end, r_start)
+    a_lo, a_hi, shots = _bracket(params, r_end, r_start)
     for _ in range(200):
         mid = 0.5 * (a_lo + a_hi)
         if mid == a_lo or mid == a_hi:
             break
-        kind, _ = _classify_shot(mid, params, r_end, r_start)
-        if kind == "cross":
+        shots += 1
+        if _classify_shot(mid, params, r_end, r_start) == "cross":
             a_hi = mid
         else:
             a_lo = mid
-    a_star = 0.5 * (a_lo + a_hi)
-    kind, sol = _classify_shot(a_star, params, r_end, r_start)
+    sol = _final_shot(0.5 * (a_lo + a_hi), params, r_end, r_start)
 
     # Graft the linearized decay tail C r^{1-N/2} K_{N/2-1}(r) once the
     # trajectory drops below tail_cut; past that point the bisected shot is
@@ -242,7 +280,7 @@ def solve_shooting(params: ModelParams, grid: RadialGrid, *, test_mode=False) ->
     values[~inner] = c_tail * tail_shape(nodes[~inner])
     profile = grid.field(values)
     residual = shooting_residual(sol, params, grid, r_match, c_tail, tail_shape)
-    return _finalize(params, profile, "shooting", residual)
+    return _finalize(params, profile, "shooting", residual, shots)
 
 
 def shooting_residual(sol, params, grid, r_match, c_tail, tail_shape) -> float:
@@ -353,8 +391,7 @@ def solve_fixedpoint(
     profile = grid.field(q)
     res_vec = -q + laplacian_radial(profile).values + rb * np.abs(q) ** alpha * q
     residual = math.sqrt(float(np.sum(w * res_vec**2)))
-    gs = _finalize(params, profile, "fixedpoint", residual)
-    return gs
+    return _finalize(params, profile, "fixedpoint", residual, len(trace))
 
 
 # ---------------------------------------------------------------------------

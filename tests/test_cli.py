@@ -79,8 +79,12 @@ def test_groundstate_outputs_and_determinism(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["groundstate", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["groundstate", "--config", str(cfg), "--out", str(out2)]) == 0
-    for name in ("profile.csv", "identities.csv", "sharp.csv"):
+    for name in ("profile.csv", "identities.csv", "sharp.csv", "solver.csv"):
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+    with open(out1 / "solver.csv") as fh:
+        (solver,) = list(csv.DictReader(fh))
+    assert solver["method"] == "fixedpoint" and int(solver["iterations"]) > 1
+    assert float(solver["residual"]) >= 0
     with open(out1 / "identities.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert {r["identity"] for r in rows} == {

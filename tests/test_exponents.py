@@ -209,6 +209,20 @@ def test_certificate_rows_exact_residuals_and_classes(rng):
         assert r["admissible"] == _class_predicate(r, s_c), r
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_claim2_interior_ranges_hold_at_default_theta(rng):
+    # Claim 2 also needs 2N/(N - 2 s_c) < r, r_bar (and < 2N/(N - 2) for
+    # N >= 3), a condition no certificate row carries
+    n, alpha, b = _random_scope_point(rng)
+    try:
+        theta = default_theta(n, alpha, b, "claim2")
+    except (DegenerateFamilyError, ThetaWindowError):
+        return  # empty window at this sample
+    fam = family_claim2(alpha, b, theta, n)
+    assert fam["range_r_ok"] and fam["range_rbar_ok"], (n, alpha, b, theta, fam)
+
+
 def test_claim2_verdicts_follow_class_where_they_differ():
     # beyond the N = 3 scattering ceiling 3 - 2b, (a, r) is still
     # H^{s_c}-admissible and (a-, r-) no longer H^{-s_c}-admissible, so

@@ -118,6 +118,36 @@ def test_grad_form_matches_quadratic_form():
     assert grad_norm_sq_form(u) == pytest.approx(direct, rel=1e-12)
 
 
+def _random_field(g, rng):
+    return g.field(rng.standard_normal(g.J) + 1j * rng.standard_normal(g.J))
+
+
+@settings(max_examples=100, deadline=None)
+@given(N=st.integers(1, 5), J=st.integers(3, 2000), h=st.floats(1 / 512, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_laplacian_self_adjoint_property(N, J, h, seed):
+    g = RadialGrid(J=J, h=h, N=N)
+    rng = np.random.default_rng(seed)
+    u, v = _random_field(g, rng), _random_field(g, rng)
+    lap_u, lap_v = laplacian_radial(u), laplacian_radial(v)
+    lhs = weighted_inner(lap_u, v)
+    rhs = weighted_inner(u, lap_v)
+    # relative to the sum of the absolute terms: a random inner product can
+    # cancel to far below its round-off scale
+    scale = np.sum(g.weights * np.abs(lap_u.values * v.values))
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(N=st.integers(1, 5), J=st.integers(3, 2000), h=st.floats(1 / 512, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_grad_form_is_minus_real_inner_property(N, J, h, seed):
+    g = RadialGrid(J=J, h=h, N=N)
+    u = _random_field(g, np.random.default_rng(seed))
+    direct = -weighted_inner(laplacian_radial(u), u).real
+    assert grad_norm_sq_form(u) == pytest.approx(direct, rel=1e-12)
+
+
 def test_dirichlet_eigenvalue():
     # smallest eigenvalue of -Lap on a ball of radius 8 (N=3) is (pi/8)^2
     import scipy.sparse as sps

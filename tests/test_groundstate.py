@@ -1,14 +1,23 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
+from inlslab import groundstate
 from inlslab.grid import RadialGrid, gaussian_field
 from inlslab.groundstate import (
     NoBracket,
     NoConvergence,
     SolverFailure,
+    _bracket,
+    _classify_shot,
     _finalize,
+    _rhs,
+    _series_start,
     gn_maximality_probe,
     sharp_constant,
     solve_fixedpoint,
@@ -54,9 +63,9 @@ def test_solver_failures_share_one_class(params_330):
     assert issubclass(NoBracket, SolverFailure) and issubclass(NoConvergence, SolverFailure)
     g = RadialGrid(J=64, h=1 / 8, N=3)
     with pytest.raises(SolverFailure, match="not strictly positive"):
-        _finalize(params_330, g.field(np.linspace(1.0, -1.0, g.J)), "probe", 0.0)
+        _finalize(params_330, g.field(np.linspace(1.0, -1.0, g.J)), "probe", 0.0, 0)
     with pytest.raises(SolverFailure, match="not strictly decreasing"):
-        _finalize(params_330, g.field(np.linspace(1.0, 2.0, g.J)), "probe", 0.0)
+        _finalize(params_330, g.field(np.linspace(1.0, 2.0, g.J)), "probe", 0.0, 0)
 
 
 def test_fixedpoint_profile_shape(gs_330):
@@ -134,3 +143,94 @@ def test_other_scope_points_cross_method():
             assert abs(getattr(fp, f) - getattr(sh, f)) / getattr(fp, f) < 1e-4
         assert all(v <= 1e-4 for v in verify_identities(fp).values())
         assert sharp_constant(fp)["rel_gap"] <= 1e-3
+
+
+# the reference points, shot as solve_shooting shoots them on J = 4096, h = 1/256
+SHOT_POINTS = [(3, 2.0, 0.3), (2, 3.0, 0.2), (4, 1.2, 0.25)]
+R_START, R_END = 1e-6, 16.0 + 1.0
+
+
+@functools.cache
+def _bisected_center(point):
+    p = ModelParams(*point)
+    a_lo, a_hi, _ = _bracket(p, R_END, R_START)
+    while (mid := 0.5 * (a_lo + a_hi)) not in (a_lo, a_hi):
+        if _classify_shot(mid, p, R_END, R_START) == "cross":
+            a_hi = mid
+        else:
+            a_lo = mid
+    return 0.5 * (a_lo + a_hi)
+
+
+def _event_kind(a, p):
+    """The shot's kind from solve_ivp's terminal events q = 0 and q = 2a."""
+
+    def crossed(r, y):
+        return y[0]
+
+    def diverged(r, y):
+        return y[0] - 2.0 * a
+
+    crossed.terminal = diverged.terminal = True
+    crossed.direction, diverged.direction = -1, 1
+    sol = solve_ivp(_rhs(p), (R_START, R_END), list(_series_start(a, p, R_START)),
+                    method="DOP853", rtol=1e-12, atol=1e-14, events=(crossed, diverged))
+    if sol.t_events[0].size:
+        return "cross"
+    return "diverge" if sol.t_events[1].size else "end"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    point=st.sampled_from(SHOT_POINTS),
+    factor=st.one_of(
+        st.floats(0.5, 2.0),
+        st.floats(-1e-12, 1e-12).map(lambda e: 1.0 + e),  # on the separatrix
+    ),
+)
+def test_classify_shot_matches_terminal_events(point, factor):
+    p = ModelParams(*point)
+    a = _bisected_center(point) * factor
+    assert _classify_shot(a, p, R_END, R_START) == _event_kind(a, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    N=st.integers(1, 5),
+    alpha=st.floats(0.25, 4.0),
+    b=st.floats(0.0, 0.99),
+    r=st.floats(1e-7, 40.0),
+    q=st.floats(-20.0, 20.0),
+    dq=st.floats(-50.0, 50.0),
+)
+def test_rhs_is_bitwise_the_numpy_scalar_formula(N, alpha, b, r, q, dq):
+    y = np.array([q, dq])
+    r64 = np.float64(r)
+    force = y[0] - (r64**-b) * np.abs(y[0]) ** alpha * y[0]
+    expected = [y[1], force - (N - 1) / r64 * y[1]]
+    assert _rhs(ModelParams(N, alpha, b))(r64, y) == expected
+
+
+def test_iterations_count_shots_and_fixedpoint_steps(params_330, monkeypatch):
+    g = RadialGrid(J=1024, h=1 / 64, N=3)
+    calls = {"classify": 0, "solve_ivp": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(groundstate, "_classify_shot", counting("classify", _classify_shot))
+    monkeypatch.setattr(groundstate, "solve_ivp", counting("solve_ivp", solve_ivp))
+    sh = solve_shooting(params_330, g)
+    # every bracket and bisection shot is counted; only the final shot is dense
+    assert sh.iterations == calls["classify"] > 40
+    assert calls["solve_ivp"] == 1
+    fp = solve_fixedpoint(params_330, g)
+    again = solve_fixedpoint(params_330, g, max_iter=fp.iterations)
+    assert again.iterations == fp.iterations and again.residual == fp.residual
+    with pytest.raises(NoConvergence) as exc:
+        solve_fixedpoint(params_330, g, max_iter=fp.iterations - 1)
+    assert len(exc.value.trace) == fp.iterations - 1

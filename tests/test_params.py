@@ -2,8 +2,11 @@ import csv
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inlslab.extended import INF, XR
+from inlslab.grid import RadialGrid, gaussian_field, grad_norm, l2_norm, potential_term
 from inlslab.params import (
     ModelParams,
     critical_index,
@@ -82,6 +85,36 @@ def test_scaling_multipliers():
     assert rep.potential == pytest.approx(2.0**0.7)
     with pytest.raises(ValueError):
         scaling_exponents(p, 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    N=st.integers(1, 5),
+    alpha=st.floats(0.25, 4.0),
+    b_frac=st.floats(0.0, 0.99),
+    J=st.integers(3, 2000),
+    h=st.floats(1 / 512, 1 / 8),
+    delta=st.one_of(st.floats(0.5, 0.8), st.floats(1.25, 2.0)),
+    amp=st.floats(0.1, 3.0),
+    width=st.floats(0.25, 2.0),
+)
+def test_scaling_multipliers_match_grid_quadrature(N, alpha, b_frac, J, h, delta, amp, width):
+    # u_delta(r) = delta^{(2-b)/alpha} u(delta r) sampled on the grid of width
+    # h/delta has u's node values at nodes delta times closer to 0, so the grid
+    # sums obey the continuum scaling law up to round-off (on one fixed grid
+    # the singular r^{-b} weight alone leaves O(h^{N-b}) quadrature errors)
+    b = b_frac * min(N, 3) / 3
+    p = ModelParams(N, alpha, b)
+    rep = scaling_exponents(p, delta)
+    u = gaussian_field(RadialGrid(J=J, h=h, N=N), amp, width)
+    u_delta = gaussian_field(
+        RadialGrid(J=J, h=h / delta, N=N), delta ** ((2 - b) / alpha) * amp, width / delta
+    )
+    assert l2_norm(u_delta) / l2_norm(u) == pytest.approx(rep.L2, rel=1e-12)
+    assert grad_norm(u_delta) / grad_norm(u) == pytest.approx(rep.gradL2, rel=1e-12)
+    assert potential_term(u_delta, alpha, b) / potential_term(u, alpha, b) == pytest.approx(
+        rep.potential, rel=1e-12
+    )
 
 
 def test_invalid_parameters_rejected():
