@@ -79,8 +79,11 @@ def _model(cfg) -> ModelParams:
     for k in ("N", "alpha", "b"):
         if k not in sec:
             raise ConfigError(f"model.{k} is required")
+    N = sec["N"]
+    if isinstance(N, bool) or not (isinstance(N, int) or isinstance(N, float) and N.is_integer()):
+        raise ConfigError(f"model.N must be an integer, got {N!r}")
     try:
-        return ModelParams(int(sec["N"]), float(sec["alpha"]), float(sec["b"]))
+        return ModelParams(int(N), float(sec["alpha"]), float(sec["b"]))
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
@@ -156,11 +159,11 @@ def cmd_params(cfg, args) -> int:
 def cmd_pairs(cfg, args) -> int:
     params = _model(cfg)
     sec = cfg.get("pairs", {})
-    alpha, b = exact(params.alpha), exact(params.b)
-    theta = Fraction(str(sec["theta"])) if sec.get("theta") is not None else None
-    eps = Fraction(str(sec.get("eps", "1/100")))
     prec = _precision(cfg)
     try:
+        alpha, b = exact(params.alpha), exact(params.b)
+        theta = Fraction(str(sec["theta"])) if sec.get("theta") is not None else None
+        eps = Fraction(str(sec.get("eps", "1/100")))
         rows = exponents.certificate_rows(params.N, alpha, b, theta=theta, eps=eps)
         app = exponents.appendix_checks(params.N, alpha, b, rows[0]["theta"], eps=eps)
     except (ValueError, ZeroDivisionError) as exc:
@@ -244,6 +247,8 @@ def _load_field(cfg, args, params, grid):
     spec = cfg.get("classify", {}).get("field")
     if spec is None:
         raise ConfigError("no --field file and no classify.field profile given")
+    if not isinstance(spec, str):
+        raise ConfigError(f"classify.field must be a string, got {spec!r}")
     spec = spec.strip()
     if spec.startswith("gaussian(") and spec.endswith(")"):
         try:

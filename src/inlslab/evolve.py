@@ -30,10 +30,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (
+    Measures,
     RadialField,
     RadialGrid,
     _tridiag_apply,
-    grad_norm_sq_form,
     laplacian_diagonals,
     radial_derivative,
     shifted_laplacian_solver,
@@ -75,10 +75,12 @@ class EvolutionConfig:
     boundary_budget: float = 1e-6
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if self.n_steps < 1:
+            raise ValueError(f"t_end={self.t_end} rounds to zero steps of dt={self.dt}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         r_max = self.J * self.h
@@ -92,6 +94,10 @@ class EvolutionConfig:
                 f"dt={self.dt} exceeds the accuracy budget "
                 f"{_DT_SAFETY} * h^2 = {_DT_SAFETY * self.h**2}"
             )
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.dt))
 
     def grid(self) -> RadialGrid:
         return RadialGrid(J=self.J, h=self.h, N=self.params.N)
@@ -161,12 +167,6 @@ class Evolver:
         if not math.isfinite(np.vdot(w, w).real):
             raise LinearSolveFailure("linear step produced non-finite values")
         return self._rotate(w, self._phase)
-
-
-def step(u: RadialField, dt: float, params: ModelParams, *, linear_only=False) -> RadialField:
-    """One Strang step P_{dt/2} L P_{dt/2}; use run or an Evolver for repeated stepping."""
-    ev = Evolver(u.grid, params, dt, linear_only=linear_only)
-    return u.grid.field(ev.unstagger(ev.step_values(ev.stagger(u.values.astype(complex)))))
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +347,9 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
     grid = config.grid()
     if u0.grid.J != grid.J or u0.grid.h != grid.h or u0.grid.N != grid.N:
         raise ValueError("initial field grid does not match the configuration")
-    alpha, b = params.alpha, params.b
-    s_c = params.s_c
+    alpha, b, s_c = params.alpha, params.b, params.s_c
     ev = Evolver(grid, params, config.dt, linear_only=config.linear_only)
-    n_steps = int(round(config.t_end / config.dt))
-    if b >= grid.N:
-        raise ValueError(f"need b < N for integrability, got b={b}, N={grid.N}")
+    n_steps = config.n_steps
 
     enforce_gm = (
         threshold is not None
@@ -361,26 +358,20 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
     times, mass_s, energy_s, grad_s, pot_s, gm_s = [], [], [], [], [], []
     z_s, zp_s, zs_s, budget_s = [], [], [], []
 
-    weights = grid.weights
-    w_rb = weights * grid.nodes ** (-b)  # potential_term's weight
     shell = int(np.searchsorted(grid.nodes, (1 - _BOUNDARY_SHELL) * grid.r_max))
     v = u0.values.astype(complex)
-    mass0 = float(np.sum(weights * np.abs(v) ** 2))
 
     def record(t, v):
         u = grid.field(v)
         absv = np.abs(v)
         absv2, vpow = absv**2, absv ** (alpha + 2)
-        m = float(np.sum(weights * absv2))
-        g2 = grad_norm_sq_form(u)
-        pot = float(np.sum(w_rb * vpow))
-        e = 0.5 * g2 - pot / (alpha + 2)
+        me = Measures.of(u, alpha, b, absv2=absv2, vpow=vpow)
         times.append(t)
-        mass_s.append(m)
-        energy_s.append(e)
-        grad_s.append(g2)
-        pot_s.append(pot)
-        gm = math.sqrt(g2) ** s_c * math.sqrt(m) ** (1 - s_c) if 0 < s_c < 1 else math.nan
+        mass_s.append(me.mass)
+        energy_s.append(me.energy(alpha))
+        grad_s.append(me.grad2)
+        pot_s.append(me.potential)
+        gm = me.gm_product(s_c) if 0 < s_c < 1 else math.nan
         gm_s.append(gm)
         vs = (
             virial_series(u, params, config.virial_R, absv2=absv2, vpow=vpow)
@@ -393,8 +384,8 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
             raise GradientBoundViolation(
                 f"gm_product {gm} reached threshold {threshold.gm_threshold} at t={t}"
             )
-        shell_mass = float(np.sum(weights[shell:] * absv2[shell:]))
-        leak = shell_mass / mass0 if mass0 > 0 else 0.0  # zero data leaks nothing
+        shell_mass = float(np.sum(grid.weights[shell:] * absv2[shell:]))
+        leak = shell_mass / mass_s[0] if mass_s[0] > 0 else 0.0  # zero data leaks nothing
         if leak > config.boundary_budget:
             raise BoundaryLeak(
                 f"outer-shell mass fraction {leak:.3e} exceeds budget "

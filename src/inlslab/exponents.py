@@ -18,7 +18,7 @@ from .params import critical_index_exact
 
 # the a+ / a- endpoint shift of the admissibility ranges; well inside (0, 1/100)
 ENDPOINT_EPS = Fraction(1, 10**9)
-# Claim 2's epsilon (N = 2 family, A3 bounds); the default-theta search judges at it
+# Claim 2's default epsilon (N = 2 family, A3 bounds); default_theta judges at it
 CLAIM2_EPS = Fraction(1, 100)
 
 
@@ -324,8 +324,8 @@ def _evaluate(family: str, N: int, al: Fraction, b: Fraction, theta: Fraction, e
     return family_claim2(al, b, theta, N, eps)
 
 
-def _theta_search(N: int, al: Fraction, b: Fraction, family: str) -> tuple[Fraction, dict | None]:
-    """default_theta and the family dict evaluated there at CLAIM2_EPS.
+def _theta_search(N: int, al: Fraction, b: Fraction, family: str, eps: Fraction) -> tuple[Fraction, dict | None]:
+    """default_theta, with claim2 judged at eps, and the family dict evaluated there.
 
     The dict is None for the claim2 window midpoint, chosen without evaluating.
     """
@@ -341,7 +341,7 @@ def _theta_search(N: int, al: Fraction, b: Fraction, family: str) -> tuple[Fract
         raise ValueError(f"unknown family {family!r}")
     for _ in range(64):
         try:
-            fam = _evaluate(family, N, al, b, theta, CLAIM2_EPS)
+            fam = _evaluate(family, N, al, b, theta, eps)
         except (DegenerateFamilyError, ThetaWindowError):
             fam = None
         if fam is not None and all(fam[row.admissible] for row in PAIR_ROWS[family]):
@@ -361,7 +361,7 @@ def default_theta(N: int, alpha, b, family: str = "claim1") -> Fraction:
     otherwise start from min(2(1-b)/N, alpha)/4 and halve until every
     admissibility flag of the family's PAIR_ROWS holds.
     """
-    return _theta_search(N, Fraction(alpha), Fraction(b), family)[0]
+    return _theta_search(N, Fraction(alpha), Fraction(b), family, CLAIM2_EPS)[0]
 
 
 def certificate_rows(N: int, alpha, b, theta=None, eps=CLAIM2_EPS) -> list[dict]:
@@ -369,20 +369,18 @@ def certificate_rows(N: int, alpha, b, theta=None, eps=CLAIM2_EPS) -> list[dict]
 
     One row per PAIR_ROWS entry with the admissibility verdict and the exact
     residual of the family's splitting identity.  Each family is evaluated
-    once per call: at the given theta, or at its default theta, where the
-    dict the search already evaluated is reused (except for claim2 at N = 2
-    when eps is not CLAIM2_EPS, the eps the search judges at).
+    once per call: at the given theta, or at its default theta searched at
+    the given eps, where the dict the search already evaluated is reused.
     """
     al, b_, eps = Fraction(alpha), Fraction(b), Fraction(eps)
     families = ("lemma43", "claim1", "claim2") if N == 3 else ("claim1", "claim2")
     rows = []
     for family in families:
         if theta is None:
-            th, fam = _theta_search(N, al, b_, family)
+            th, fam = _theta_search(N, al, b_, family, eps)
         else:
             th, fam = Fraction(theta), None
-        # the search judged claim2 at CLAIM2_EPS; another eps re-evaluates it
-        if fam is None or (family == "claim2" and eps != CLAIM2_EPS):
+        if fam is None:
             fam = _evaluate(family, N, al, b_, th, eps)
         s_c = fam["s_c"]
         klass = {"L2": "L2", "Hs": f"Hs({s_c})", "Hneg": f"Hs(-{s_c})"}

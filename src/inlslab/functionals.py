@@ -1,4 +1,4 @@
-"""Mass, energy, scale-invariant products and the threshold classifier.
+"""Threshold classification, its energy bounds and the free-flow decay check.
 
 The classifier compares E[u]^{s_c} M[u]^{1-s_c} and |grad u|^{s_c} |u|^{1-s_c}
 against their values at the ground state Q.  Strict inequalities at machine
@@ -14,25 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import Evolver
-from .grid import (
-    RadialField,
-    RadialGrid,
-    grad_norm_sq_form,
-    l2_norm,
-    potential_term,
-)
+from .grid import Measures, RadialField, RadialGrid
 from .groundstate import GroundState
 from .params import ModelParams, validate_scope
-
-
-def mass(u: RadialField) -> float:
-    """M[u] = ||u||^2 in the weighted quadrature."""
-    return l2_norm(u) ** 2
-
-
-def energy(u: RadialField, params: ModelParams) -> float:
-    """E[u] = ||grad u||^2 / 2 - potential / (alpha + 2)."""
-    return 0.5 * grad_norm_sq_form(u) - potential_term(u, params.alpha, params.b) / (params.alpha + 2)
 
 
 def _signed_power(x: float, p: float) -> float:
@@ -42,18 +26,10 @@ def _signed_power(x: float, p: float) -> float:
     return -((-x) ** p)
 
 
-def _measures(u: RadialField, params: ModelParams) -> tuple[float, float, float, float]:
-    """(mass, energy, ||grad u||^2, potential), each full-grid sum evaluated once."""
-    grad2 = grad_norm_sq_form(u)
-    pot = potential_term(u, params.alpha, params.b)
-    return mass(u), 0.5 * grad2 - pot / (params.alpha + 2), grad2, pot
-
-
-def _products(m: float, e: float, grad2: float, s_c: float) -> tuple[float, float]:
+def _products(me: Measures, params: ModelParams) -> tuple[float, float]:
     """E^{s_c} M^{1-s_c} and ||grad u||^{s_c} ||u||^{1-s_c}."""
-    em = _signed_power(e, s_c) * m ** (1 - s_c)
-    gm = math.sqrt(grad2) ** s_c * math.sqrt(m) ** (1 - s_c)
-    return em, gm
+    s_c = params.s_c
+    return _signed_power(me.energy(params.alpha), s_c) * me.mass ** (1 - s_c), me.gm_product(s_c)
 
 
 def _coarsen(u: RadialField) -> RadialField:
@@ -93,15 +69,12 @@ def classify(u0: RadialField, gs: GroundState) -> ThresholdReport:
     AtThreshold when either product sits within the band; Unknown otherwise.
     """
     params = gs.params
-    s_c = params.s_c
-    m, e, grad2, pot = _measures(u0, params)
-    em, gm = _products(m, e, grad2, s_c)
-    m_c, e_c, grad2_c, _ = _measures(_coarsen(u0), params)
-    em_c, gm_c = _products(m_c, e_c, grad2_c, s_c)
+    me = Measures.of(u0, params.alpha, params.b)
+    em, gm = _products(me, params)
+    em_c, gm_c = _products(Measures.of(_coarsen(u0), params.alpha, params.b), params)
     em_err, gm_err = abs(em - em_c), abs(gm - gm_c)
 
-    em_th = _signed_power(gs.energy, s_c) * gs.mass2 ** (1 - s_c)
-    gm_th = math.sqrt(gs.grad2) ** s_c * math.sqrt(gs.mass2) ** (1 - s_c)
+    em_th, gm_th = _products(Measures(gs.mass2, gs.grad2, gs.potential), params)
     w = em / em_th if em_th > 0 else math.inf
     A = 1 - _signed_power(w, params.alpha / 2)
 
@@ -120,8 +93,8 @@ def classify(u0: RadialField, gs: GroundState) -> ThresholdReport:
     else:
         verdict = "Unknown"
     return ThresholdReport(
-        mass=m,
-        energy=e,
+        mass=me.mass,
+        energy=me.energy(params.alpha),
         em_product=em,
         gm_product=gm,
         em_threshold=em_th,
@@ -131,8 +104,8 @@ def classify(u0: RadialField, gs: GroundState) -> ThresholdReport:
         verdict=verdict,
         em_error=em_err,
         gm_error=gm_err,
-        grad2=grad2,
-        potential=pot,
+        grad2=me.grad2,
+        potential=me.potential,
     )
 
 

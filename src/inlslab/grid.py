@@ -8,13 +8,16 @@ weighted inner product by construction: zero-flux face at r = 0 (the
 reflection ghost u_{-1} = u_0) and a homogeneous Dirichlet ghost u_J = 0.
 Every linear solve factors I - c Lap once with LAPACK gttrf, and the one
 discrete ||grad u||^2 is this Laplacian's quadratic form <-Lap u, u>.
+Measures holds a field's three full-grid sums and the formulas built on them.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
@@ -122,10 +125,47 @@ def grad_norm_sq_form(u: RadialField) -> float:
 
 def potential_term(u: RadialField, alpha: float, b: float) -> float:
     """sum_j w_j r_j^{-b} |u_j|^{alpha+2}, the weighted potential integral."""
-    if b >= u.grid.N:
-        raise ValueError(f"need b < N for integrability, got b={b}, N={u.grid.N}")
-    r = u.grid.nodes
-    return float(np.sum(u.grid.weights * r ** (-b) * np.abs(u.values) ** (alpha + 2)))
+    return Measures.of(u, alpha, b).potential
+
+
+@functools.lru_cache(maxsize=8)
+def _potential_weights(J: int, h: float, N: int, b: float) -> np.ndarray:
+    """w_j r_j^{-b} on one grid; read-only, since the cache shares it."""
+    if b >= N:
+        raise ValueError(f"need b < N for integrability, got b={b}, N={N}")
+    grid = RadialGrid(J=J, h=h, N=N)
+    weights = grid.weights * grid.nodes ** (-b)
+    weights.setflags(write=False)
+    return weights
+
+
+class Measures(NamedTuple):
+    """M[u], ||grad u||^2 and the potential integral P[u] of one field."""
+
+    mass: float
+    grad2: float
+    potential: float
+
+    @classmethod
+    def of(cls, u: RadialField, alpha: float, b: float, *, absv2=None, vpow=None) -> "Measures":
+        """Each sum evaluated once; absv2 and vpow, when given, are |u|^2 and |u|^{alpha+2}."""
+        if absv2 is None or vpow is None:
+            absv = np.abs(u.values)
+            absv2, vpow = absv**2, absv ** (alpha + 2)
+        grid = u.grid
+        return cls(
+            mass=float(np.sum(grid.weights * absv2)),
+            grad2=grad_norm_sq_form(u),
+            potential=float(np.sum(_potential_weights(grid.J, grid.h, grid.N, b) * vpow)),
+        )
+
+    def energy(self, alpha: float) -> float:
+        """E = ||grad u||^2 / 2 - P / (alpha + 2)."""
+        return 0.5 * self.grad2 - self.potential / (alpha + 2)
+
+    def gm_product(self, s_c: float) -> float:
+        """||grad u||^{s_c} ||u||^{1-s_c}."""
+        return math.sqrt(self.grad2) ** s_c * math.sqrt(self.mass) ** (1 - s_c)
 
 
 def laplacian_diagonals(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -25,13 +25,10 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.special import kv, roots_jacobi, roots_legendre
 
 from .grid import (
+    Measures,
     RadialField,
     RadialGrid,
-    grad_norm,
-    grad_norm_sq_form,
-    l2_norm,
     laplacian_radial,
-    potential_term,
     shifted_laplacian_solver,
 )
 from .params import ModelParams, validate_scope
@@ -79,11 +76,7 @@ def _require_scope(params: ModelParams, test_mode: bool):
 
 
 def _finalize(params, profile, method, residual, iterations) -> GroundState:
-    mass2 = l2_norm(profile) ** 2
-    grad2 = grad_norm_sq_form(profile)
-    pot = potential_term(profile, params.alpha, params.b)
-    energy = 0.5 * grad2 - pot / (params.alpha + 2)
-    cgn = weinstein_quotient(profile, params)
+    me = Measures.of(profile, params.alpha, params.b)
     vals = np.real(profile.values)
     if np.any(vals <= 0):
         raise SolverFailure(f"{method}: profile is not strictly positive")
@@ -92,11 +85,13 @@ def _finalize(params, profile, method, residual, iterations) -> GroundState:
     return GroundState(
         params=params,
         profile=profile,
-        mass2=mass2,
-        grad2=grad2,
-        potential=pot,
-        energy=energy,
-        cgn=cgn,
+        # ||Q||^2 squared from the norm: GS1's residual and the sharp-constant gap cancel
+        # 4-5 digits, so the direct sum's last-bit difference would reach their 12th digit
+        mass2=math.sqrt(me.mass) ** 2,
+        grad2=me.grad2,
+        potential=me.potential,
+        energy=me.energy(params.alpha),
+        cgn=_quotient(me, params),
         method=method,
         residual=residual,
         iterations=iterations,
@@ -417,13 +412,16 @@ def verify_identities(gs: GroundState) -> dict:
 
 def weinstein_quotient(u: RadialField, params: ModelParams) -> float:
     """P(u) / (||grad u||^{(N a + 2b)/2} ||u||^{(4 - 2b - a(N-2))/2})."""
+    return _quotient(Measures.of(u, params.alpha, params.b), params)
+
+
+def _quotient(me: Measures, params: ModelParams) -> float:
+    """weinstein_quotient from the field's measures."""
     N, alpha, b = params.N, params.alpha, params.b
-    pot = potential_term(u, alpha, b)
-    gn = grad_norm(u)
-    l2 = l2_norm(u)
+    gn, l2 = math.sqrt(me.grad2), math.sqrt(me.mass)
     if gn == 0 or l2 == 0:
         return 0.0
-    return pot / (gn ** ((N * alpha + 2 * b) / 2) * l2 ** ((4 - 2 * b - alpha * (N - 2)) / 2))
+    return me.potential / (gn ** ((N * alpha + 2 * b) / 2) * l2 ** ((4 - 2 * b - alpha * (N - 2)) / 2))
 
 
 def sharp_constant(gs: GroundState) -> dict:

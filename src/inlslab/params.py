@@ -86,14 +86,6 @@ class ModelParams:
             return None
         return (1 - self.s_c) / self.s_c
 
-    @property
-    def theorem_scope(self) -> bool:
-        return validate_scope(self).theorem_scope
-
-    @property
-    def global_scope(self) -> bool:
-        return validate_scope(self).global_scope
-
 
 @dataclass(frozen=True)
 class ScopeReport:

@@ -42,6 +42,29 @@ def test_invalid_value_exits_2(tmp_path, capsys):
     assert main(["params", "--config", str(path)]) == 2
 
 
+_EVOLVE = {"dt": 0.002, "t_end": 0.02, "record_every": 5}
+
+
+@pytest.mark.parametrize(
+    "subcommand, overrides",
+    [
+        ("params", {"model": {"N": 3.7, "alpha": 2, "b": 0.3}}),
+        ("params", {"model": {"N": "3", "alpha": 2, "b": 0.3}}),
+        ("evolve", {"evolve": dict(_EVOLVE, dt=float("nan"))}),
+        ("evolve", {"evolve": dict(_EVOLVE, t_end=float("inf"))}),
+        ("evolve", {"evolve": dict(_EVOLVE, dt=1e-3, t_end=1e-4)}),
+        ("pairs", {"pairs": {"eps": "abc"}}),
+        ("pairs", {"pairs": {"theta": float("nan")}}),
+        ("classify", {"classify": {"field": 7}}),
+    ],
+)
+def test_bad_config_values_exit_2(tmp_path, capsys, subcommand, overrides):
+    cfg = _write_config(tmp_path / "c.json", **overrides)
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_missing_config_exits_3(tmp_path, capsys):
     assert main(["params", "--config", str(tmp_path / "nope.json")]) == 3
 

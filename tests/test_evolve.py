@@ -22,7 +22,6 @@ from inlslab.evolve import (
     rigidity_check,
     run,
     scattering_diagnostic,
-    step,
     virial_series,
 )
 from inlslab.functionals import classify
@@ -53,22 +52,45 @@ def test_config_validation(params_330):
         _config(params_330, dt=1.0)  # blows the dt <= safety * h^2 budget
     with pytest.raises(ValueError):
         _config(params_330, virial_R=64.0)  # cutoff must fit inside r_max/2
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            _config(params_330, dt=bad)
+        with pytest.raises(ValueError, match="finite"):
+            _config(params_330, t_end=bad)
+    with pytest.raises(ValueError, match="zero steps"):
+        _config(params_330, dt=1e-3, t_end=4e-4)
+    assert _config(params_330, dt=1e-3, t_end=6e-4).n_steps == 1
+
+
+def _strang_step(ev, v):
+    """One Strang step P_{dt/2} L P_{dt/2} of the physical field v."""
+    return ev.unstagger(ev.step_values(ev.stagger(v)))
 
 
 def test_step_zero_field(params_330):
     g = RadialGrid(J=256, h=1 / 32, N=3)
-    u = g.field(np.zeros(g.J, dtype=complex))
-    out = step(u, 1e-3, params_330)
-    assert np.all(out.values == 0)
+    ev = Evolver(g, params_330, 1e-3)
+    assert np.all(_strang_step(ev, np.zeros(g.J, dtype=complex)) == 0)
 
 
 def test_step_mass_unitary(params_330):
     g = RadialGrid(J=1024, h=1 / 64, N=3)
-    u = gaussian_field(g, 0.7, 1.0)
-    u = g.field(u.values.astype(complex))
-    before = l2_norm(u) ** 2
-    after = l2_norm(step(u, 1e-3, params_330)) ** 2
+    v = gaussian_field(g, 0.7, 1.0).values.astype(complex)
+    before = l2_norm(g.field(v)) ** 2
+    after = l2_norm(g.field(_strang_step(Evolver(g, params_330, 1e-3), v))) ** 2
     assert abs(after - before) / before < 1e-12
+
+
+def test_classify_and_run_record_read_the_same_measures(params_330):
+    g = RadialGrid(J=2048, h=1 / 128, N=3)
+    u0 = gaussian_field(g, 0.5, 1.0)
+    rep = classify(u0, solve_fixedpoint(params_330, g))
+    trace = run(u0, _config(params_330, J=g.J, h=g.h, dt=1e-3, t_end=1e-3))
+    assert rep.mass == trace.mass_series[0]
+    assert rep.energy == trace.energy_series[0]
+    assert rep.grad2 == trace.grad_series[0]
+    assert rep.potential == trace.potential_series[0]
+    assert rep.gm_product == trace.gm_product_series[0]
 
 
 def test_linear_step_matches_free_gaussian(params_330):

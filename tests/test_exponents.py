@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from inlslab import exponents
 from inlslab.exponents import (
+    CLAIM2_EPS,
     ENDPOINT_EPS,
     PAIR_ROWS,
     DegenerateFamilyError,
@@ -245,15 +246,17 @@ def test_certificate_rows_evaluates_each_family_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(exponents, f"family_{name}", counted)
-    for n, alpha, b, theta in [
-        (2, Fraction(3), Fraction(1, 5), None),
-        (3, Fraction(2), Fraction(3, 10), None),
-        (3, Fraction(2), Fraction(3, 10), Fraction(1, 5)),
-        (4, Fraction(6, 5), Fraction(1, 4), None),
-        (5, Fraction(9, 10), Fraction(1, 4), None),
+    for n, alpha, b, theta, eps in [
+        (2, Fraction(3), Fraction(1, 5), None, CLAIM2_EPS),
+        # the N = 2 claim2 search runs at the eps it certifies
+        (2, Fraction(3), Fraction(1, 5), None, Fraction(1, 50)),
+        (3, Fraction(2), Fraction(3, 10), None, CLAIM2_EPS),
+        (3, Fraction(2), Fraction(3, 10), Fraction(1, 5), CLAIM2_EPS),
+        (4, Fraction(6, 5), Fraction(1, 4), None, CLAIM2_EPS),
+        (5, Fraction(9, 10), Fraction(1, 4), None, CLAIM2_EPS),
     ]:
         calls.clear()
-        rows = certificate_rows(n, alpha, b, theta=theta)
+        rows = certificate_rows(n, alpha, b, theta=theta, eps=eps)
         assert all(r["admissible"] for r in rows)
         families = {"claim1", "claim2"} | ({"lemma43"} if n == 3 else set())
-        assert calls == Counter(families), (n, alpha, b, theta, calls)
+        assert calls == Counter(families), (n, alpha, b, theta, eps, calls)

@@ -10,19 +10,25 @@ from inlslab.functionals import (
     _coarsen,
     _signed_power,
     classify,
-    energy,
     lgs_verify,
     linear_decay_check,
-    mass,
 )
-from inlslab.grid import RadialGrid, gaussian_field, grad_norm, grad_norm_sq_form, potential_term
+from inlslab.grid import Measures, RadialGrid, gaussian_field, grad_norm, grad_norm_sq_form, potential_term
 from inlslab.params import ModelParams, validate_scope
 
 
+def _mass(u):
+    return float(np.sum(u.grid.weights * np.abs(u.values) ** 2))
+
+
+def _energy(u, params):
+    return 0.5 * grad_norm_sq_form(u) - potential_term(u, params.alpha, params.b) / (params.alpha + 2)
+
+
 def test_mass_energy_zero_field(grid_330, params_330):
-    u = grid_330.field(np.zeros(grid_330.J))
-    assert mass(u) == 0.0
-    assert energy(u, params_330) == 0.0
+    me = Measures.of(grid_330.field(np.zeros(grid_330.J)), params_330.alpha, params_330.b)
+    assert me.mass == 0.0
+    assert me.energy(params_330.alpha) == 0.0
 
 
 def test_energy_gaussian_quadrature_oracle():
@@ -33,13 +39,14 @@ def test_energy_gaussian_quadrature_oracle():
     grad_o, _ = quad(lambda r: 4 * math.pi * r**2 * (2 * r * math.exp(-(r**2))) ** 2, 0, 12)
     pot_o, _ = quad(lambda r: 4 * math.pi * r**2 * math.exp(-4 * r**2), 0, 12)
     oracle = 0.5 * grad_o - pot_o / 4
-    assert energy(u, p) == pytest.approx(oracle, abs=1e-5)
+    assert Measures.of(u, p.alpha, p.b).energy(p.alpha) == pytest.approx(oracle, abs=1e-5)
 
 
 def test_energy_at_q_matches_identity(gs_330, params_330):
     n, alpha, b = 3, 2.0, 0.3
     coef = alpha * params_330.s_c / (n * alpha + 2 * b)
-    assert energy(gs_330.profile, params_330) == pytest.approx(
+    assert _energy(gs_330.profile, params_330) == gs_330.energy
+    assert gs_330.energy == pytest.approx(
         coef * gs_330.grad2, rel=1e-4
     )
 
@@ -62,7 +69,8 @@ def test_classify_global_only_scope():
     # b = 0.9 > min(N/3, 1) for N = 3 breaks the scattering hypotheses but
     # not the global-existence ones
     p = ModelParams(3, 1.5, 0.9)
-    assert p.global_scope and not p.theorem_scope
+    scope = validate_scope(p)
+    assert scope.global_scope and not scope.theorem_scope
     g = RadialGrid(J=2048, h=1 / 128, N=3)
     from inlslab.groundstate import solve_fixedpoint
 
@@ -122,10 +130,10 @@ def _reference_reports(u, gs):
     N, alpha, b, s_c, sigma = params.N, params.alpha, params.b, params.s_c, params.sigma
 
     def products(v):
-        em = _signed_power(energy(v, params), s_c) * mass(v) ** (1 - s_c)
-        return em, grad_norm(v) ** s_c * math.sqrt(mass(v)) ** (1 - s_c)
+        em = _signed_power(_energy(v, params), s_c) * _mass(v) ** (1 - s_c)
+        return em, grad_norm(v) ** s_c * math.sqrt(_mass(v)) ** (1 - s_c)
 
-    m, e = mass(u), energy(u, params)
+    m, e = _mass(u), _energy(u, params)
     em, gm = products(u)
     em_c, gm_c = products(_coarsen(u))
     em_th = _signed_power(gs.energy, s_c) * gs.mass2 ** (1 - s_c)

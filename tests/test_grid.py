@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from inlslab.grid import (
+    Measures,
     RadialGrid,
     field_from_csv,
     field_to_csv,
@@ -219,3 +220,32 @@ def test_shifted_laplacian_solver_inverts(N, J, h, c, seed):
     c_lap_x = c * laplacian_radial(g.field(x)).values
     residual = np.linalg.norm(x - c_lap_x - rhs)
     assert residual <= 1e-10 * (np.linalg.norm(rhs) + np.linalg.norm(c_lap_x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(1, 5),
+    J=st.integers(3, 300),
+    h=st.floats(1 / 256, 1.0),
+    alpha=st.floats(0.1, 6.0),
+    b_frac=st.floats(0.0, 0.99),
+    s_c=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_measures_are_the_three_sums_property(N, J, h, alpha, b_frac, s_c, seed):
+    g = RadialGrid(J=J, h=h, N=N)
+    b = b_frac * N
+    rng = np.random.default_rng(seed)
+    u = g.field(rng.standard_normal(J) + 1j * rng.standard_normal(J))
+    absv = np.abs(u.values)
+    mass = float(np.sum(g.weights * absv**2))
+    grad2 = grad_norm_sq_form(u)
+    pot = float(np.sum(g.weights * g.nodes ** (-b) * absv ** (alpha + 2)))
+    given_powers = Measures.of(u, alpha, b, absv2=absv**2, vpow=absv ** (alpha + 2))
+    for me in (Measures.of(u, alpha, b), given_powers):
+        assert me == (mass, grad2, pot)
+        assert me.energy(alpha) == 0.5 * grad2 - pot / (alpha + 2)
+        assert me.gm_product(s_c) == math.sqrt(grad2) ** s_c * math.sqrt(mass) ** (1 - s_c)
+    assert potential_term(u, alpha, b) == pot
+    with pytest.raises(ValueError, match="b < N"):
+        Measures.of(u, alpha, N + b_frac)
