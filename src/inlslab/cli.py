@@ -253,9 +253,9 @@ def _load_field(cfg, args, params, grid):
     if spec.startswith("gaussian(") and spec.endswith(")"):
         try:
             amp, width = (float(x) for x in spec[len("gaussian(") : -1].split(","))
+            return gaussian_field(grid, amp, width)
         except ValueError as exc:
-            raise ConfigError(f"cannot parse field spec {spec!r}") from exc
-        return gaussian_field(grid, amp, width)
+            raise ConfigError(f"cannot use field spec {spec!r}: {exc}") from exc
     if spec == "zero":
         return grid.field(np.zeros(grid.J))
     raise ConfigError(f"unknown analytic field spec {spec!r}")

@@ -41,8 +41,8 @@ class RadialGrid:
     def __post_init__(self):
         if self.J < 3:
             raise ValueError(f"need at least 3 cells, got {self.J}")
-        if self.h <= 0:
-            raise ValueError(f"mesh width must be positive, got {self.h}")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"mesh width must be positive and finite, got {self.h}")
         if self.N < 1:
             raise ValueError(f"dimension must be >= 1, got {self.N}")
         nodes = (np.arange(self.J) + 0.5) * self.h
@@ -79,6 +79,11 @@ class RadialField:
 
 def gaussian_field(grid: RadialGrid, amplitude=1.0, width=1.0) -> RadialField:
     """amplitude * exp(-(r/width)^2) sampled on the grid."""
+    if not (math.isfinite(amplitude) and math.isfinite(width) and width > 0):
+        raise ValueError(
+            "gaussian needs a finite amplitude and a positive finite width, "
+            f"got ({amplitude}, {width})"
+        )
     return grid.field(amplitude * np.exp(-((grid.nodes / width) ** 2)))
 
 

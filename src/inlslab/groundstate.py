@@ -2,12 +2,19 @@
 
 Two independent solvers:
 
-* shooting: integrate the radial ODE outward from a series start and bisect
-  the center value on the dichotomy {crosses zero} vs {diverges}, then graft
-  the exact linearized decay tail (Bessel K) once the profile is small.  The
-  bracket and bisection shots are classified from the step ends of a bare
-  DOP853 solver; only the final shot builds the dense solution the graft
-  samples;
+* shooting: bisect the center value a on the dichotomy {crosses zero} vs
+  {stays positive}, then graft the exact linearized decay tail (Bessel K)
+  once the profile is small.  Every shot starts at r_s from the Frobenius
+  series of Q in x = r^2 and y = r^{2-b} through total degree 12; r_s is
+  read off the coefficients as the radius where the first omitted shell
+  falls to 1e-16 a, and profile nodes and residual quadrature points inside
+  r_s take the series values.  The bracket and bisection shots are
+  classified from the step ends of a bare DOP853 solver, and a shot stops as
+  "not cross" once its energy q'^2/2 - q^2/2 + r^{-b}q^{alpha+2}/(alpha+2),
+  which never increases along a shot and is >= 0 wherever q = 0, falls
+  below -1e-3 q^2.  Only the final shot builds the dense solution the graft
+  samples.  The shooting residual in solver.csv is taken over that piecewise
+  profile, so inside r_s it measures the series truncation;
 * fixedpoint: normalized fixed-point iteration on the grid operator,
   Q <- M^{(alpha+1)/alpha} (I - Lap)^{-1}[r^{-b} Q^{alpha+1}], whose
   stabilizer M tends to 1 exactly when Q solves the discrete equation.
@@ -17,8 +24,10 @@ Both return the same GroundState record with the Pohozaev bookkeeping.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
@@ -102,19 +111,82 @@ def _finalize(params, profile, method, residual, iterations) -> GroundState:
 # shooting solver
 
 
-def _series_start(a, params, r):
-    """Two-term expansion near r = 0.
+# Frobenius series of the shot near r = 0.  With x = r^2 and y = r^{2-b},
+# Q = sum c_ij x^i y^j solves Lap Q = Q - r^{-b} Q^{alpha+1} term by term.
+# The c_ij carry a^{1+alpha j}, so they are stored as a * g_ij and y is read as
+# z = a^alpha y: then every g_ij depends on (N, alpha, b) only and no power of
+# a can overflow.
+_SERIES_DEGREE = 12  # K: the series keeps the terms of total degree i + j <= K
+_SERIES_TOL = 1e-16  # the omitted shell i + j = K + 1 is below this times a at r_s
 
-    The ODE balance Lap Q = Q - r^{-b} Q^{alpha+1} forces
-    Q = a + a r^2/(2N) - a^{alpha+1} r^{2-b} / ((2-b)(N-b)) + h.o.t.;
-    the r^{2-b} term carries the integrable forcing singularity.
+
+@functools.lru_cache(maxsize=16)
+def _unit_series(N, alpha, b):
+    """(i, j, g) of Q/a = sum g_ij x^i z^j through total degree K + 1.
+
+    With e_ij = 2i + (2-b)j the exponent of r, Lap r^e = e(e+N-2) r^{e-2}
+    and r^{-b} y^j = y^{j+1}/r^2 give g_ij e(e+N-2) = g_{i-1,j} - p_{i,j-1},
+    where p are the coefficients of (Q/a)^{alpha+1}.  The Euler operator
+    r d/dr multiplies x^i z^j by e_ij, and (Q/a) r(P)' = (alpha+1) P r(Q/a)'
+    gives the power recurrence
+    p_m = sum_{0 < k <= m} g_k p_{m-k} ((alpha+1) e_k - e_{m-k}) / e_m.
+    A shell of degree d needs g of degree d - 1 and p of degree <= d, so the
+    shells are filled in order of degree.
     """
-    N, alpha, b = params.N, params.alpha, params.b
-    c2 = a / (2 * N)
-    cb = -(a ** (alpha + 1)) / ((2 - b) * (N - b))
-    q = a + c2 * r**2 + cb * r ** (2 - b)
-    dq = 2 * c2 * r + (2 - b) * cb * r ** (1 - b)
-    return q, dq
+    g, p, e = {(0, 0): 1.0}, {(0, 0): 1.0}, {(0, 0): 0.0}
+    for d in range(1, _SERIES_DEGREE + 2):
+        shell = [(i, d - i) for i in range(d, -1, -1)]
+        for i, j in shell:
+            e[i, j] = ei = 2 * i + (2 - b) * j
+            g[i, j] = (g.get((i - 1, j), 0.0) - p.get((i, j - 1), 0.0)) / (ei * (ei + N - 2))
+        for m1, m2 in shell:
+            total = 0.0
+            for k1 in range(m1 + 1):
+                for k2 in range(m2 + 1):
+                    if k1 or k2:
+                        rest = (m1 - k1, m2 - k2)
+                        total += g[k1, k2] * p[rest] * ((alpha + 1) * e[k1, k2] - e[rest])
+            p[m1, m2] = total / e[m1, m2]
+    tables = (*(np.array(idx) for idx in zip(*g)), np.array(list(g.values())))
+    for table in tables:
+        table.setflags(write=False)  # shared by every caller of the cache
+    return tables
+
+
+class _Series(NamedTuple):
+    """Q = sum a g_ij r^{2i} (lam r)^{(2-b)j} through degree K, lam = a^{alpha/(2-b)}."""
+
+    a: float
+    lam: float
+    g: np.ndarray
+    ex: np.ndarray  # 2i
+    ey: np.ndarray  # (2-b)j
+    r_s: float  # the shot starts here
+
+    def __call__(self, r):
+        """(Q, Q') at the radii r > 0."""
+        r = np.asarray(r, dtype=float)[..., None]
+        terms = self.a * self.g * r**self.ex * (self.lam * r) ** self.ey
+        return terms.sum(axis=-1), ((self.ex + self.ey) * terms).sum(axis=-1) / r[..., 0]
+
+
+def _series(a, params) -> _Series:
+    """The series of the shot with center value a, and its start radius r_s.
+
+    r_s is the largest radius at which each of the K + 2 omitted terms of
+    degree K + 1 is at most _SERIES_TOL * a / (K + 2), so the first omitted
+    shell is below _SERIES_TOL * a: a g r^{2i} (lam r)^{(2-b)j} <= that bound
+    solves for r in closed form, and r_s is the smallest of those radii.
+    """
+    b = params.b
+    i, j, g = _unit_series(params.N, params.alpha, b)
+    lam = a ** (params.alpha / (2 - b))
+    ex, ey = 2 * i, (2 - b) * j
+    kept, omitted = i + j <= _SERIES_DEGREE, i + j > _SERIES_DEGREE
+    bound = _SERIES_TOL / ((_SERIES_DEGREE + 2) * np.abs(g[omitted]))
+    e = ex[omitted] + ey[omitted]
+    r_s = float(np.min(bound ** (1 / e) * lam ** (-ey[omitted] / e)))
+    return _Series(a, lam, g[kept], ex[kept], ey[kept], r_s)
 
 
 def _rhs(params):
@@ -132,41 +204,58 @@ def _rhs(params):
 
 
 _RTOL, _ATOL = 1e-12, 1e-14
+# A classifying shot stops as "not cross" once E < -_ENERGY_MARGIN q^2 at
+# q > 0.  Where E < 0 each term of E is below q^2/2, and the integrator's
+# error in E is near _RTOL q^2 (_ATOL q where q is tiny), so the margin leaves
+# orders of magnitude of room.  It costs next to nothing: a shot that turns
+# back above the axis has E near -q^2/2 at its turn (E = -2AB for
+# q = A e^{-r} + B e^{r}), and margins from 1e-1 to 1e-9 stop the
+# reference-point bisections after the same DOP853 steps within 2%.
+_ENERGY_MARGIN = 1e-3
 
 
-def _shot_start(a, params, r_start):
-    """Right-hand side, initial state and divergence cap 2a shared by every
-    shot, so the classifying shots and the final dense shot cannot drift."""
-    return _rhs(params), _series_start(a, params, r_start), 2.0 * a
+def _shot_start(a, params):
+    """Right-hand side, series, initial state at r_s and divergence cap 2a
+    shared by every shot, so the classifying shots and the final dense shot
+    cannot drift."""
+    series = _series(a, params)
+    q, dq = series(series.r_s)
+    return _rhs(params), series, [float(q), float(dq)], 2.0 * a
 
 
-def _classify_shot(a, params, r_end, r_start):
-    """'cross' (q falls to 0), 'diverge' (q rises to 2a) or 'end' of one shot.
+def _crosses(a, params, r_end) -> bool:
+    """Whether the shot with center value a falls to q = 0 before r_end.
 
-    Steps a bare DOP853 solver and decides from the sign of q and q - 2a at
-    consecutive step ends, as solve_ivp's terminal events find them; it builds
-    no dense interpolant and calls no event function.  Both cannot hold in
-    one step because 2a > 0.
+    Steps a bare DOP853 solver from r_s and decides from the sign of q and
+    q - 2a at each step end, as solve_ivp's terminal events find them; it
+    builds no dense interpolant and calls no event function.  Along a shot
+    the energy E = q'^2/2 - q^2/2 + r^{-b}|q|^{alpha+2}/(alpha+2) has
+    dE/dr = -(N-1)q'^2/r - b r^{-b-1}|q|^{alpha+2}/(alpha+2) <= 0, and
+    E = q'^2/2 >= 0 wherever q = 0, so a shot whose E is negative at q > 0
+    never crosses: it stops there without integrating on to r_end.
     """
-    fun, y0, cap = _shot_start(a, params, r_start)
-    solver = DOP853(fun, r_start, y0, r_end, rtol=_RTOL, atol=_ATOL)
-    q_old = y0[0]
+    fun, series, y0, cap = _shot_start(a, params)
+    alpha, b = params.alpha, params.b
+    solver = DOP853(fun, series.r_s, y0, r_end, rtol=_RTOL, atol=_ATOL)
     while solver.status == "running":
         solver.step()
         if solver.status == "failed":
             break
-        q = solver.y[0]
-        if q_old >= 0 >= q:
-            return "cross"
-        if q_old <= cap <= q:
-            return "diverge"
-        q_old = q
-    return "end"
+        q, dq = solver.y.tolist()
+        if q <= 0:
+            return True
+        if q >= cap:
+            return False
+        energy = 0.5 * (dq * dq - q * q) + solver.t**-b * q ** (alpha + 2) / (alpha + 2)
+        if energy < -_ENERGY_MARGIN * q * q:
+            return False
+    return False
 
 
-def _final_shot(a, params, r_end, r_start):
-    """The shot at the bisected center value, with its dense solution."""
-    fun, y0, cap = _shot_start(a, params, r_start)
+def _final_shot(a, params, r_end):
+    """The shot at the bisected center value, with its dense solution, and
+    the series that stands in for it inside r_s."""
+    fun, series, y0, cap = _shot_start(a, params)
 
     def crossed(r, y):
         return y[0]
@@ -180,9 +269,9 @@ def _final_shot(a, params, r_end, r_start):
     diverged.terminal = True
     diverged.direction = 1
 
-    return solve_ivp(
+    sol = solve_ivp(
         fun,
-        (r_start, r_end),
+        (series.r_s, r_end),
         y0,
         method="DOP853",
         rtol=_RTOL,
@@ -190,29 +279,27 @@ def _final_shot(a, params, r_end, r_start):
         events=(crossed, diverged),
         dense_output=True,
     )
+    return sol, series
 
 
-def _bracket(params, r_end, r_start):
-    """Find a_lo (diverges) < a_hi (crosses zero); also returns the shot count."""
+def _bracket(params, r_end):
+    """Find a_lo (does not cross) < a_hi (crosses zero); also returns the shot count."""
     a = 1.0
     shots = 1
-    kind = _classify_shot(a, params, r_end, r_start)
-    if kind == "cross":
+    if _crosses(a, params, r_end):
         a_hi = a
         for _ in range(60):
             a /= 1.5
             shots += 1
-            kind = _classify_shot(a, params, r_end, r_start)
-            if kind != "cross":
+            if not _crosses(a, params, r_end):
                 return a, a_hi, shots
             a_hi = a
-        raise NoBracket(f"no diverging shot found down to a={a}")
+        raise NoBracket(f"no shot that stays positive found down to a={a}")
     a_lo = a
     for _ in range(60):
         a *= 1.5
         shots += 1
-        kind = _classify_shot(a, params, r_end, r_start)
-        if kind == "cross":
+        if _crosses(a, params, r_end):
             return a_lo, a, shots
         a_lo = a
     raise NoBracket(f"no zero-crossing shot found up to a={a}")
@@ -221,20 +308,19 @@ def _bracket(params, r_end, r_start):
 def solve_shooting(params: ModelParams, grid: RadialGrid, *, test_mode=False) -> GroundState:
     """Bisection shooting for the ground state, sampled onto `grid`."""
     _require_scope(params, test_mode)
-    N, alpha, b = params.N, params.alpha, params.b
-    r_start = 1e-6
+    N = params.N
     r_end = grid.r_max + 1.0
-    a_lo, a_hi, shots = _bracket(params, r_end, r_start)
+    a_lo, a_hi, shots = _bracket(params, r_end)
     for _ in range(200):
         mid = 0.5 * (a_lo + a_hi)
         if mid == a_lo or mid == a_hi:
             break
         shots += 1
-        if _classify_shot(mid, params, r_end, r_start) == "cross":
+        if _crosses(mid, params, r_end):
             a_hi = mid
         else:
             a_lo = mid
-    sol = _final_shot(0.5 * (a_lo + a_hi), params, r_end, r_start)
+    sol, series = _final_shot(0.5 * (a_lo + a_hi), params, r_end)
 
     # Graft the linearized decay tail C r^{1-N/2} K_{N/2-1}(r) once the
     # trajectory drops below tail_cut; past that point the bisected shot is
@@ -250,13 +336,11 @@ def solve_shooting(params: ModelParams, grid: RadialGrid, *, test_mode=False) ->
         return r ** (1 - N / 2) * kv(nu, r)
 
     r_match = None
-    rs = np.linspace(r_start, min(r_reach, r_end), 4000)
+    rs = np.linspace(series.r_s, min(r_reach, r_end), 4000)
     qs = sol.sol(rs)[0]
     small = np.nonzero(qs < tail_cut)[0]
     if small.size:
         r_match = rs[small[0]]
-    nodes = grid.nodes
-    values = np.empty(grid.J)
     if r_match is None:
         if q_of(min(r_reach, grid.r_max)) > 1e-3:
             raise NoBracket(
@@ -270,63 +354,55 @@ def solve_shooting(params: ModelParams, grid: RadialGrid, *, test_mode=False) ->
             "not in (-1.5, -0.5); the shot left the decaying separatrix"
         )
     c_tail = q_of(r_match) / tail_shape(r_match)
-    inner = nodes < r_match
-    values[inner] = sol.sol(nodes[inner])[0]
-    values[~inner] = c_tail * tail_shape(nodes[~inner])
-    profile = grid.field(values)
-    residual = shooting_residual(sol, params, grid, r_match, c_tail, tail_shape)
+
+    def shot(r, k):
+        """Q (k = 0) or Q' (k = 1) at the radii r > 0: the series inside r_s,
+        the dense shot up to r_match and the grafted tail beyond."""
+        r = np.asarray(r, dtype=float)
+        out = np.empty_like(r)
+        near, tail = r < series.r_s, r >= r_match
+        body = ~(near | tail)
+        out[near] = series(r[near])[k]
+        if np.any(body):
+            out[body] = sol.sol(r[body])[k]
+        rt = r[tail]
+        if k == 0:
+            out[tail] = c_tail * tail_shape(rt)
+        else:
+            eps = 1e-6
+            out[tail] = c_tail * (tail_shape(rt + eps) - tail_shape(rt - eps)) / (2 * eps)
+        return out
+
+    profile = grid.field(shot(grid.nodes, 0))
+    residual = shooting_residual(shot, params, grid, r_reach)
     return _finalize(params, profile, "shooting", residual, shots)
 
 
-def shooting_residual(sol, params, grid, r_match, c_tail, tail_shape) -> float:
+def shooting_residual(shot, params, grid, r_reach) -> float:
     """Finite-volume defect of the shot, weighted l2 over the grid cells.
 
-    Per cell: flux difference of F = r^{N-1} Q' minus the cell integral of
+    shot(r, k) is Q (k = 0) or Q' (k = 1) on (0, r_reach].  Per cell: flux
+    difference of F = r^{N-1} Q' minus the cell integral of
     r^{N-1} (Q - r^{-b} Q^{alpha+1}), evaluated with Gauss quadrature and a
     Gauss-Jacobi rule for the r^{-b}-weighted part on the innermost cells,
     normalized by the cell weight.  For the exact solution this is zero; it
-    measures the integrator defect, not the grid truncation error.
+    measures the integrator defect (and inside r_s the series truncation),
+    not the grid truncation error.
     """
     N, alpha, b = params.N, params.alpha, params.b
-
-    def q_val(r):
-        r = np.asarray(r)
-        out = np.empty_like(r)
-        inner = r < r_match
-        if np.any(inner):
-            out[inner] = sol.sol(r[inner])[0]
-        if np.any(~inner):
-            out[~inner] = c_tail * tail_shape(r[~inner])
-        return out
-
-    def dq_val(r):
-        r = np.asarray(r)
-        out = np.empty_like(r)
-        inner = r < r_match
-        if np.any(inner):
-            out[inner] = sol.sol(r[inner])[1]
-        if np.any(~inner):
-            eps = 1e-6
-            out[~inner] = (
-                c_tail
-                * (tail_shape(r[~inner] + eps) - tail_shape(r[~inner] - eps))
-                / (2 * eps)
-            )
-        return out
-
     faces = grid.faces
     # tail cells contribute residual only through the (tiny) mismatch of the
     # grafted tail; restrict to cells fully inside the integrated region
-    j_max = min(grid.J, int(math.floor(sol.t[-1] / grid.h)))
+    j_max = min(grid.J, int(math.floor(r_reach / grid.h)))
     xg, wg = roots_legendre(6)
     res = np.zeros(grid.J)
-    flux = faces ** (N - 1) * dq_val(np.maximum(faces, 1e-12))
+    flux = faces ** (N - 1) * shot(np.maximum(faces, 1e-12), 1)
     if N >= 2:
         flux[0] = 0.0
     mid = grid.nodes[:j_max]
     half = grid.h / 2
     rq = mid[:, None] + half * xg[None, :]
-    qq = q_val(rq.ravel()).reshape(rq.shape)
+    qq = shot(rq, 0)
     s_lin = (wg[None, :] * rq ** (N - 1) * qq).sum(axis=1) * half
     s_pot = (wg[None, :] * rq ** (N - 1 - b) * qq ** (alpha + 1)).sum(axis=1) * half
     # first cell touches r = 0 where the r^{-b} weight is singular; redo its
@@ -334,7 +410,7 @@ def shooting_residual(sol, params, grid, r_match, c_tail, tail_shape) -> float:
     hi = faces[1]
     xj, wj = roots_jacobi(6, 0.0, float(N - 1 - b))  # weight (1+x)^{N-1-b}
     rj = hi * (1 + xj) / 2
-    s_pot[0] = (hi / 2) ** (N - b) * np.sum(wj * q_val(rj) ** (alpha + 1))
+    s_pot[0] = (hi / 2) ** (N - b) * np.sum(wj * shot(rj, 0) ** (alpha + 1))
     res[:j_max] = (flux[1 : j_max + 1] - flux[:j_max] - (s_lin - s_pot)) / (
         mid ** (N - 1) * grid.h
     )

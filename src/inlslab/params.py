@@ -8,6 +8,7 @@ mass-critical exponent (4-2b)/N and the energy-critical ceilings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,8 +20,11 @@ def exact(x) -> Fraction:
 
     A float becomes Fraction(repr(x)), so 0.9 is 9/10 and not the binary
     double nearest to it; Fractions and integers pass through unchanged.
+    NaN and the infinities have no exact value and raise ValueError.
     """
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"{x} is not a finite number")
         return Fraction(repr(float(x)))
     return Fraction(x)
 
@@ -73,10 +77,10 @@ class ModelParams:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"dimension must be >= 1, got {self.N}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.b < 0:
-            raise ValueError(f"b must be nonnegative, got {self.b}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not (math.isfinite(self.b) and self.b >= 0):
+            raise ValueError(f"b must be nonnegative and finite, got {self.b}")
         object.__setattr__(self, "s_c", critical_index(self.N, self.alpha, self.b))
 
     @property

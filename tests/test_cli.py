@@ -210,7 +210,7 @@ def _leaking_config(path, **overrides):
     )
 
 
-def _run_cli_process(*args):
+def _run_cli_process(*args, timeout=300):
     """Run the command line in a fresh interpreter, as a user would."""
     import os
     import subprocess
@@ -222,7 +222,7 @@ def _run_cli_process(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "inlslab.cli", *map(str, args)],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -322,3 +322,35 @@ def test_sweep_records_solver_failure_and_scope_error(tmp_path):
     errors = [(out / r["directory"] / "error.txt").read_text() for r in rows]
     assert errors[0] == "numerical failure: no convergence after 2 iterations\n"
     assert "outside the global-existence scope" in errors[1]
+
+
+@pytest.mark.parametrize(
+    "subcommand, overrides",
+    [
+        # NaN passed the h <= 0 check, and groundstate then never returned
+        ("groundstate", {"grid": {"J": 1024, "h": float("nan")}}),
+        ("params", {"model": {"N": 3, "alpha": float("nan"), "b": 0.3}}),
+        ("params", {"model": {"N": 3, "alpha": float("inf"), "b": 0.3}}),
+        ("classify", {"classify": {"field": "gaussian(NaN,1)"}}),
+        ("classify", {"classify": {"field": "gaussian(1,0)"}}),
+    ],
+)
+def test_non_finite_inputs_exit_2(tmp_path, subcommand, overrides):
+    cfg = _write_config(tmp_path / "c.json", **overrides)
+    proc = _run_cli_process(subcommand, "--config", cfg, "--out", tmp_path / "out", timeout=60)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_sweep_records_non_finite_model_as_config_error(tmp_path):
+    cfg = _write_config(
+        tmp_path / "c.json",
+        sweep={"subcommand": "params", "alpha": [2, float("nan"), float("inf")]},
+    )
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "manifest.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["0", "2", "2"]
+    assert "alpha must be positive and finite" in (out / rows[1]["directory"] / "error.txt").read_text()

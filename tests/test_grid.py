@@ -45,11 +45,17 @@ def test_grid_validation():
         RadialGrid(J=2, h=0.1, N=3)
     with pytest.raises(ValueError):
         RadialGrid(J=8, h=-0.1, N=3)
+    for h in (math.nan, math.inf):  # NaN passes h <= 0
+        with pytest.raises(ValueError, match="mesh width"):
+            RadialGrid(J=8, h=h, N=3)
     g = RadialGrid(J=8, h=0.5, N=3)
     with pytest.raises(ValueError):
         g.field(np.zeros(7))
     with pytest.raises(ValueError):
         g.field(np.full(8, np.nan))
+    for amplitude, width in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, 0.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="gaussian needs"):
+            gaussian_field(g, amplitude, width)
 
 
 def test_gaussian_l2_closed_form():

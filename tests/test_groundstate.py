@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from inlslab import groundstate
 from inlslab.grid import RadialGrid, gaussian_field
@@ -14,10 +14,12 @@ from inlslab.groundstate import (
     NoConvergence,
     SolverFailure,
     _bracket,
-    _classify_shot,
+    _crosses,
+    _ENERGY_MARGIN,
     _finalize,
     _rhs,
-    _series_start,
+    _series,
+    _shot_start,
     gn_maximality_probe,
     sharp_constant,
     solve_fixedpoint,
@@ -25,7 +27,7 @@ from inlslab.groundstate import (
     verify_identities,
     weinstein_quotient,
 )
-from inlslab.params import ModelParams
+from inlslab.params import ModelParams, validate_scope
 
 
 def test_sech_oracle_fixedpoint(sech_pair):
@@ -147,15 +149,19 @@ def test_other_scope_points_cross_method():
 
 # the reference points, shot as solve_shooting shoots them on J = 4096, h = 1/256
 SHOT_POINTS = [(3, 2.0, 0.3), (2, 3.0, 0.2), (4, 1.2, 0.25)]
-R_START, R_END = 1e-6, 16.0 + 1.0
+R_END = 16.0 + 1.0
+SHOT_FACTORS = st.one_of(
+    st.floats(0.5, 2.0),
+    st.floats(-1e-12, 1e-12).map(lambda e: 1.0 + e),  # on the separatrix
+)
 
 
 @functools.cache
 def _bisected_center(point):
     p = ModelParams(*point)
-    a_lo, a_hi, _ = _bracket(p, R_END, R_START)
+    a_lo, a_hi, _ = _bracket(p, R_END)
     while (mid := 0.5 * (a_lo + a_hi)) not in (a_lo, a_hi):
-        if _classify_shot(mid, p, R_END, R_START) == "cross":
+        if _crosses(mid, p, R_END):
             a_hi = mid
         else:
             a_lo = mid
@@ -163,35 +169,116 @@ def _bisected_center(point):
 
 
 def _event_kind(a, p):
-    """The shot's kind from solve_ivp's terminal events q = 0 and q = 2a."""
+    """The shot's kind from solve_ivp's terminal events q = 0 and q = 2a,
+    started where the package starts it."""
+    fun, series, y0, cap = _shot_start(a, p)
 
     def crossed(r, y):
         return y[0]
 
     def diverged(r, y):
-        return y[0] - 2.0 * a
+        return y[0] - cap
 
     crossed.terminal = diverged.terminal = True
     crossed.direction, diverged.direction = -1, 1
-    sol = solve_ivp(_rhs(p), (R_START, R_END), list(_series_start(a, p, R_START)),
-                    method="DOP853", rtol=1e-12, atol=1e-14, events=(crossed, diverged))
+    sol = solve_ivp(fun, (series.r_s, R_END), y0, method="DOP853", rtol=1e-12, atol=1e-14,
+                    events=(crossed, diverged))
     if sol.t_events[0].size:
         return "cross"
     return "diverge" if sol.t_events[1].size else "end"
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    point=st.sampled_from(SHOT_POINTS),
-    factor=st.one_of(
-        st.floats(0.5, 2.0),
-        st.floats(-1e-12, 1e-12).map(lambda e: 1.0 + e),  # on the separatrix
-    ),
-)
+@given(point=st.sampled_from(SHOT_POINTS), factor=SHOT_FACTORS)
 def test_classify_shot_matches_terminal_events(point, factor):
     p = ModelParams(*point)
     a = _bisected_center(point) * factor
-    assert _classify_shot(a, p, R_END, R_START) == _event_kind(a, p)
+    assert _crosses(a, p, R_END) == (_event_kind(a, p) == "cross")
+
+
+def _uncertified_steps(a, p):
+    """Bare DOP853 steps to R_END with no energy stop: the radius of the
+    first step end with q <= 0, with q >= 2a and with E < -margin q^2 (inf
+    where none occurs)."""
+    fun, series, y0, cap = _shot_start(a, p)
+    solver = DOP853(fun, series.r_s, y0, R_END, rtol=1e-12, atol=1e-14)
+    first = {"cross": math.inf, "cap": math.inf, "certified": math.inf}
+    while solver.status == "running":
+        solver.step()
+        if solver.status == "failed":
+            break
+        q, dq = solver.y.tolist()
+        r = solver.t
+        if q <= 0:
+            first["cross"] = r
+            break
+        energy = 0.5 * (dq * dq - q * q) + r**-p.b * q ** (p.alpha + 2) / (p.alpha + 2)
+        for key, hit in (("cap", q >= cap), ("certified", energy < -_ENERGY_MARGIN * q * q)):
+            if hit:
+                first[key] = min(first[key], r)
+    return first
+
+
+@settings(max_examples=40, deadline=None)
+@given(point=st.sampled_from(SHOT_POINTS), factor=SHOT_FACTORS)
+def test_energy_certificate_never_disagrees(point, factor):
+    p = ModelParams(*point)
+    a = _bisected_center(point) * factor
+    first = _uncertified_steps(a, p)
+    # a certified shot never crosses later, even when stepped on past the cap
+    assert first["certified"] == math.inf or first["cross"] == math.inf
+    # the uncertified classification: crossing before the cap or the end
+    assert _crosses(a, p, R_END) == (first["cross"] < first["cap"])
+
+
+@pytest.mark.parametrize("point", SHOT_POINTS)
+def test_energy_certificate_stops_shots_below_the_center(point):
+    # just below the separatrix the shot never reaches the cap: without the
+    # certificate it would be stepped to R_END
+    first = _uncertified_steps(_bisected_center(point) * (1 - 1e-9), ModelParams(*point))
+    assert first["certified"] < R_END - 1
+    assert first["cap"] == first["cross"] == math.inf
+
+
+@st.composite
+def scope_points(draw):
+    """(N, alpha, b) inside the theorem scope, alpha strictly between its bounds."""
+    N = draw(st.integers(2, 5))
+    b = draw(st.floats(0.01, 0.99)) * min(N / 3, 1.0)
+    lo = (4 - 2 * b) / N
+    hi = lo + 4 if N == 2 else 3 - 2 * b if N == 3 else (4 - 2 * b) / (N - 2)
+    return N, lo + draw(st.floats(0.05, 0.95)) * (hi - lo), b
+
+
+@settings(max_examples=60, deadline=None)
+@given(point=scope_points(), a=st.floats(0.1, 200.0))
+def test_series_matches_tight_integration(point, a):
+    p = ModelParams(*point)
+    assert validate_scope(p).theorem_scope
+    series = _series(a, p)
+    N, b = p.N, p.b
+    # the two leading coefficients in closed form:
+    # Q = a + a r^2/(2N) - a^{alpha+1} r^{2-b}/((2-b)(N-b)) + ...
+    lead = dict(zip(zip(series.ex, series.ey), series.g))
+    assert lead[2, 0] == pytest.approx(1 / (2 * N), rel=1e-15)
+    assert lead[0, 2 - b] == pytest.approx(-1 / ((2 - b) * (N - b)), rel=1e-15)
+    # from deep inside r_s, where the state is its leading terms, a tight
+    # integration reaches the truncated series at r_s.  It runs in t = ln r on
+    # (q, r q') near DOP853's rtol floor: in r, the integrator's own error
+    # across the r^{1-b} singularity of q' reaches 1e-12 of a at rtol 1e-13,
+    # and in t it is 7e-14 at rtol 1e-13 but below 1e-14 at 3e-14
+    r0 = min(1e-8, 1e-3 * series.r_s)
+
+    def rhs_log(t, y):
+        r = math.exp(t)
+        return [y[1], (2 - N) * y[1] + r * r * y[0] - r ** (2 - b) * abs(y[0]) ** p.alpha * y[0]]
+
+    q0, dq0 = series(r0)
+    sol = solve_ivp(rhs_log, (math.log(r0), math.log(series.r_s)), [float(q0), float(r0 * dq0)],
+                    method="DOP853", rtol=3e-14, atol=1e-30)
+    q, dq = series(series.r_s)
+    assert abs(q - sol.y[0, -1]) <= 1e-13 * a
+    assert abs(series.r_s * dq - sol.y[1, -1]) <= 1e-13 * max(a, abs(series.r_s * dq))
 
 
 @settings(max_examples=300, deadline=None)
@@ -222,7 +309,7 @@ def test_iterations_count_shots_and_fixedpoint_steps(params_330, monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(groundstate, "_classify_shot", counting("classify", _classify_shot))
+    monkeypatch.setattr(groundstate, "_crosses", counting("classify", _crosses))
     monkeypatch.setattr(groundstate, "solve_ivp", counting("solve_ivp", solve_ivp))
     sh = solve_shooting(params_330, g)
     # every bracket and bisection shot is counted; only the final shot is dense

@@ -126,6 +126,16 @@ def test_invalid_parameters_rejected():
         ModelParams(3, 2.0, -0.1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_parameters_rejected(bad):
+    with pytest.raises(ValueError, match="not a finite number"):
+        exact(bad)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        ModelParams(3, bad, 0.3)
+    with pytest.raises(ValueError, match="b must be nonnegative and finite"):
+        ModelParams(3, 2.0, bad)
+
+
 def test_exact_reads_the_written_decimal():
     assert exact(0.9) == Fraction(9, 10)
     assert exact(0.1 + 0.2) == Fraction("0.30000000000000004")
