@@ -25,7 +25,7 @@ import numpy as np
 from . import evolve as evolve_mod
 from . import exponents, functionals, groundstate
 from .grid import RadialGrid, field_from_csv, field_to_csv, gaussian_field
-from .params import ModelParams, exact, upper_exponents, validate_scope
+from .params import ModelParams, upper_exponents, validate_scope
 
 
 class ConfigError(ValueError):
@@ -160,13 +160,11 @@ def cmd_pairs(cfg, args) -> int:
     params = _model(cfg)
     sec = cfg.get("pairs", {})
     prec = _precision(cfg)
+    theta, eps = sec.get("theta"), sec.get("eps", exponents.CLAIM2_EPS)
     try:
-        alpha, b = exact(params.alpha), exact(params.b)
-        theta = Fraction(str(sec["theta"])) if sec.get("theta") is not None else None
-        eps = Fraction(str(sec.get("eps", "1/100")))
-        rows = exponents.certificate_rows(params.N, alpha, b, theta=theta, eps=eps)
-        app = exponents.appendix_checks(params.N, alpha, b, rows[0]["theta"], eps=eps)
-    except (ValueError, ZeroDivisionError) as exc:
+        rows = exponents.certificate_rows(params.N, params.alpha, params.b, theta=theta, eps=eps)
+        app = exponents.appendix_checks(params.N, params.alpha, params.b, rows[0]["theta"], eps=eps)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"pairs: {exc}") from exc
     out = _out_dir(cfg, args)
     header = ["family", "pair", "N", "alpha", "b", "theta", "q", "r", "class", "admissible", "identity_residual"]

@@ -1,20 +1,22 @@
 """Exact-rational engine for Strichartz admissible pairs.
 
-All predicates run on fractions.Fraction / XR values: the range checks and
-Hoelder-splitting identities asserted for the pair families are algebraic
-identities, and rounding must not blur them.  Each family's pairs are stated
-once, in PAIR_ROWS.  Endpoint markers a+ / a- are realized as a +- eps with
-the fixed ENDPOINT_EPS so sweeps are reproducible; shifted endpoints are
-treated as closed.
+Finite exponents are fractions.Fraction values and the one infinite exponent,
+r = infinity, is math.inf, which a Fraction compares with exactly: the range
+checks and Hoelder-splitting identities asserted for the pair families are
+algebraic identities, and rounding must not blur them.  Every entry point
+reads its inputs with params.exact, so a float means the decimal it was
+written as.  Each family's pairs are stated once, in PAIR_ROWS.  Endpoint
+markers a+ / a- are realized as a +- eps with the fixed ENDPOINT_EPS so sweeps
+are reproducible; shifted endpoints are treated as closed.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .extended import INF, XR, xr
-from .params import critical_index_exact
+from .params import critical_index, exact
 
 # the a+ / a- endpoint shift of the admissibility ranges; well inside (0, 1/100)
 ENDPOINT_EPS = Fraction(1, 10**9)
@@ -22,60 +24,60 @@ ENDPOINT_EPS = Fraction(1, 10**9)
 CLAIM2_EPS = Fraction(1, 100)
 
 
-def dual_exponent(a) -> XR:
-    """Hoelder conjugate a' with 1/a + 1/a' = 1; dual of 1 is infinity."""
-    a = xr(a)
+def _exponent(a) -> Fraction | float:
+    """An exponent as an exact Fraction (see params.exact), math.inf as is."""
+    return a if a == math.inf else exact(a)
+
+
+def _inv(a) -> Fraction:
+    """1/a for a positive exponent, with 1/inf = 0."""
+    return Fraction(0) if a == math.inf else 1 / a
+
+
+def dual_exponent(a) -> Fraction | float:
+    """Hoelder conjugate a' with 1/a + 1/a' = 1; dual of 1 is math.inf."""
+    a = _exponent(a)
     if a < 1:
         raise ValueError(f"exponent must be >= 1, got {a}")
-    if a.is_infinite:
-        return XR(1)
     if a == 1:
-        return INF
-    f = a.fraction
-    return XR(f / (f - 1))
+        return math.inf
+    return 1 / (1 - _inv(a))
 
 
-def plus_conjugate(a: Fraction, eps: Fraction) -> Fraction:
+def plus_conjugate(a, eps) -> Fraction:
     """(a+)' = a+ . a / (a+ - a) with a+ = a + eps.
 
     Satisfies 1/a = 1/(a+)' + 1/a+ exactly.
     """
-    a = Fraction(a)
+    a, eps = exact(a), exact(eps)
     return (a + eps) * a / eps
 
 
-def _scaling_holds(q: XR, r: XR, N: int, s: Fraction) -> bool:
-    # 2/q = N/2 - N/r - s, with 1/inf = 0.
-    lhs = q.reciprocal() * 2
-    rhs_inv = r.reciprocal() * N
-    if rhs_inv.is_infinite:
-        return False
-    target = Fraction(N, 2) - rhs_inv.fraction - s
-    if lhs.is_infinite:
-        return False
-    return lhs.fraction == target
+def _scaling_holds(q, r, N: int, s: Fraction) -> bool:
+    # 2/q = N/2 - N/r - s, with 1/inf = 0
+    return 2 * _inv(q) == Fraction(N, 2) - N * _inv(r) - s
 
 
 def is_l2_admissible(q, r, N: int) -> bool:
     """Mass-level admissibility: 2/q = N/2 - N/r with r in the N-range."""
-    q, r = xr(q), xr(r)
+    q, r = _exponent(q), _exponent(r)
     if q < 1 or r < 1:
         return False
-    if not _scaling_holds(q, r, N, Fraction(0)):
+    if not _scaling_holds(q, r, N, 0):
         return False
     if N >= 3:
-        return XR(2) <= r <= XR(Fraction(2 * N, N - 2))
+        return 2 <= r <= Fraction(2 * N, N - 2)
     if N == 2:
-        return XR(2) <= r and not r.is_infinite
-    return XR(2) <= r  # N = 1, r = inf allowed
+        return 2 <= r < math.inf
+    return 2 <= r  # N = 1, r = inf allowed
 
 
 def is_hs_admissible(q, r, N: int, s) -> bool:
     """H^s-level admissibility, 0 < s < 1: 2/q = N/2 - N/r - s plus range."""
-    s = Fraction(s)
+    s = exact(s)
     if not (0 < s < 1):
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    q, r = xr(q), xr(r)
+    q, r = _exponent(q), _exponent(r)
     if q < 1 or r < 1:
         return False
     if not _scaling_holds(q, r, N, s):
@@ -83,22 +85,22 @@ def is_hs_admissible(q, r, N: int, s) -> bool:
     if N >= 3:
         lo = Fraction(2 * N, N - 2 * s)  # denominator positive: s < 1 <= N/2
         hi = Fraction(2 * N, N - 2) - ENDPOINT_EPS
-        return XR(lo) < r <= XR(hi)
+        return lo < r <= hi
     if N == 2:
         lo = 2 / (1 - s)
         hi = plus_conjugate(2 / (1 - s), ENDPOINT_EPS)
-        return XR(lo) < r <= XR(hi)
+        return lo < r <= hi
     if 1 - 2 * s <= 0:
-        return XR(1) <= r  # lower constraint vacuous when s >= 1/2 in 1D
-    return XR(2 / (1 - 2 * s)) < r
+        return 1 <= r  # lower constraint vacuous when s >= 1/2 in 1D
+    return 2 / (1 - 2 * s) < r
 
 
 def is_hneg_admissible(q, r, N: int, s) -> bool:
     """Dual-level admissibility, 0 < s < 1: 2/q = N/2 - N/r + s plus range."""
-    s = Fraction(s)
+    s = exact(s)
     if not (0 < s < 1):
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    q, r = xr(q), xr(r)
+    q, r = _exponent(q), _exponent(r)
     if q < 1 or r < 1:
         return False
     if not _scaling_holds(q, r, N, -s):
@@ -106,14 +108,14 @@ def is_hneg_admissible(q, r, N: int, s) -> bool:
     if N >= 3:
         lo = Fraction(2 * N, N - 2 * s) + ENDPOINT_EPS
         hi = Fraction(2 * N, N - 2) - ENDPOINT_EPS
-        return XR(lo) <= r <= XR(hi)
+        return lo <= r <= hi
     if N == 2:
         lo = 2 / (1 - s) + ENDPOINT_EPS
         hi = plus_conjugate(2 / (1 + s), ENDPOINT_EPS)
-        return XR(lo) <= r <= XR(hi)
+        return lo <= r <= hi
     if 1 - 2 * s <= 0:
-        return XR(1) <= r
-    return XR(2 / (1 - 2 * s) + ENDPOINT_EPS) <= r
+        return 1 <= r
+    return 2 / (1 - 2 * s) + ENDPOINT_EPS <= r
 
 
 class DegenerateFamilyError(ValueError):
@@ -146,7 +148,7 @@ def family_lemma43(alpha, b, theta) -> dict:
     Asserts (l,p) L2-admissible, (k,p) H^{s_c}-admissible and the time
     Hoelder split 1/2' = (a-t)/k + 1/l.
     """
-    a, b_, t = Fraction(alpha), Fraction(b), Fraction(theta)
+    a, b_, t = exact(alpha), exact(b), exact(theta)
     if not (0 < t < a):
         raise ThetaWindowError(f"need 0 < theta < alpha, got theta={t}")
     d_k = 4 - 2 * b_ - a
@@ -160,7 +162,7 @@ def family_lemma43(alpha, b, theta) -> dict:
     k = num / d_k
     p = p_num / d_p
     l = num / d_l
-    s_c = critical_index_exact(3, a, b_)
+    s_c = critical_index(3, a, b_)
     holder_residual = Fraction(1, 2) - (a - t) / k - 1 / l
     return {
         "k": k,
@@ -180,7 +182,7 @@ def family_claim1(alpha, b, theta, N: int) -> dict:
     (a_tilde, r_hat) H^{-s_c}-admissible and the time Hoelder split
     1/a_tilde' = (alpha - theta)/a_hat + 1/a_hat.
     """
-    a, b_, t = Fraction(alpha), Fraction(b), Fraction(theta)
+    a, b_, t = exact(alpha), exact(b), exact(theta)
     if not (0 < t < a):
         raise ThetaWindowError(f"need 0 < theta < alpha, got theta={t}")
     d_q = a * (N * a + 2 * b_) - t * (N * a - 4 + 2 * b_)
@@ -195,7 +197,7 @@ def family_claim1(alpha, b, theta, N: int) -> dict:
     r_hat = N * a * (a + 2 - t) / d_r
     a_tilde = 2 * a * (a + 2 - t) / d_at
     a_hat = 2 * a * (a + 2 - t) / d_ah
-    s_c = critical_index_exact(N, a, b_)
+    s_c = critical_index(N, a, b_)
     split_residual = (1 - 1 / a_tilde) - (a - t) / a_hat - 1 / a_hat
     return {
         "q_hat": q_hat,
@@ -212,7 +214,7 @@ def family_claim1(alpha, b, theta, N: int) -> dict:
 
 def claim2_theta_window(N: int, alpha, b) -> tuple[Fraction, Fraction]:
     """Open window (lo, hi) that theta must occupy for the N >= 3 family."""
-    a, b_ = Fraction(alpha), Fraction(b)
+    a, b_ = exact(alpha), exact(b)
     hi = min(2 * (1 - b_) / N, a)
     lo = Fraction(0)
     if N == 3:
@@ -227,14 +229,14 @@ def family_claim2(alpha, b, theta, N: int, eps=CLAIM2_EPS) -> dict:
     the interior ranges 2N/(N-2s_c) < r, r_bar < 2N/(N-2) for N >= 3, and
     the split a = (alpha + 1 - theta) * a_bar'.
     """
-    al, b_, t, ep = Fraction(alpha), Fraction(b), Fraction(theta), Fraction(eps)
+    al, b_, t, ep = exact(alpha), exact(b), exact(theta), exact(eps)
     if N >= 3:
         lo, hi = claim2_theta_window(N, al, b_)
         if not (lo < t < hi):
             raise ThetaWindowError(
                 f"theta={t} outside ({lo}, {hi}) for N={N}, alpha={al}, b={b_}"
             )
-        s_c = critical_index_exact(N, al, b_)
+        s_c = critical_index(N, al, b_)
         D, r = _claim2_d_r(N, al, b_)
         if D <= 0:
             raise DegenerateFamilyError(f"energy-supercritical alpha={al} for N={N}")
@@ -256,7 +258,7 @@ def family_claim2(alpha, b, theta, N: int, eps=CLAIM2_EPS) -> dict:
             raise ThetaWindowError(f"need 0 < theta < alpha, got theta={t}")
         if ep <= 0:
             raise ThetaWindowError(f"need eps > 0, got {ep}")
-        s_c = critical_index_exact(N, al, b_)
+        s_c = critical_index(N, al, b_)
         d_r = (2 - b_) * (al - t) - ep
         d_ab = 2 * al - (2 - b_) - ep
         if d_r <= 0 or d_ab <= 0:
@@ -271,7 +273,7 @@ def family_claim2(alpha, b, theta, N: int, eps=CLAIM2_EPS) -> dict:
         range_lo = 2 / (1 - s_c)
         range_r_ok = r > range_lo
         range_rbar_ok = r_bar > range_lo
-    split_residual = a - (al + 1 - t) * dual_exponent(a_bar).fraction
+    split_residual = a - (al + 1 - t) * dual_exponent(a_bar)
     return {
         "a": a,
         "r": r,
@@ -361,7 +363,7 @@ def default_theta(N: int, alpha, b, family: str = "claim1") -> Fraction:
     otherwise start from min(2(1-b)/N, alpha)/4 and halve until every
     admissibility flag of the family's PAIR_ROWS holds.
     """
-    return _theta_search(N, Fraction(alpha), Fraction(b), family, CLAIM2_EPS)[0]
+    return _theta_search(N, exact(alpha), exact(b), family, CLAIM2_EPS)[0]
 
 
 def certificate_rows(N: int, alpha, b, theta=None, eps=CLAIM2_EPS) -> list[dict]:
@@ -372,14 +374,14 @@ def certificate_rows(N: int, alpha, b, theta=None, eps=CLAIM2_EPS) -> list[dict]
     once per call: at the given theta, or at its default theta searched at
     the given eps, where the dict the search already evaluated is reused.
     """
-    al, b_, eps = Fraction(alpha), Fraction(b), Fraction(eps)
+    al, b_, eps = exact(alpha), exact(b), exact(eps)
     families = ("lemma43", "claim1", "claim2") if N == 3 else ("claim1", "claim2")
     rows = []
     for family in families:
         if theta is None:
             th, fam = _theta_search(N, al, b_, family, eps)
         else:
-            th, fam = Fraction(theta), None
+            th, fam = exact(theta), None
         if fam is None:
             fam = _evaluate(family, N, al, b_, th, eps)
         s_c = fam["s_c"]
@@ -417,8 +419,7 @@ def appendix_checks(N: int, alpha, b, theta, eps=CLAIM2_EPS) -> list[dict]:
                   r_bar <= ((2/(1+s_c))+)'  <=>  the endpoint shift is small
                   enough, ENDPOINT_EPS * (2a - a_conj * eps) <= a_conj^2 * eps.
     """
-    al, b_, th = Fraction(alpha), Fraction(b), Fraction(theta)
-    eps = Fraction(eps)
+    al, b_, th, eps = exact(alpha), exact(b), exact(theta), exact(eps)
     rows = []
 
     def add(check, bound_holds, condition_holds):
@@ -443,7 +444,7 @@ def appendix_checks(N: int, alpha, b, theta, eps=CLAIM2_EPS) -> list[dict]:
         add("A2_lower", Fraction(N, 1) * al / (2 - b_) < r, cond)
         add("A2_upper", r < Fraction(2 * N, N - 2), cond)
     if N == 2:
-        s_c = critical_index_exact(N, al, b_)
+        s_c = critical_index(N, al, b_)
         r_bar = 2 * al / eps
         add("A3_lower", 2 * al / (2 - b_) < r_bar, eps < 2 - b_)
         a_conj = 2 / (1 + s_c)

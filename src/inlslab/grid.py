@@ -128,11 +128,6 @@ def grad_norm_sq_form(u: RadialField) -> float:
     return float(omega * total / grid.h)
 
 
-def potential_term(u: RadialField, alpha: float, b: float) -> float:
-    """sum_j w_j r_j^{-b} |u_j|^{alpha+2}, the weighted potential integral."""
-    return Measures.of(u, alpha, b).potential
-
-
 @functools.lru_cache(maxsize=8)
 def _potential_weights(J: int, h: float, N: int, b: float) -> np.ndarray:
     """w_j r_j^{-b} on one grid; read-only, since the cache shares it."""

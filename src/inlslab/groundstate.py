@@ -12,9 +12,12 @@ Two independent solvers:
   classified from the step ends of a bare DOP853 solver, and a shot stops as
   "not cross" once its energy q'^2/2 - q^2/2 + r^{-b}q^{alpha+2}/(alpha+2),
   which never increases along a shot and is >= 0 wherever q = 0, falls
-  below -1e-3 q^2.  Only the final shot builds the dense solution the graft
-  samples.  The shooting residual in solver.csv is taken over that piecewise
-  profile, so inside r_s it measures the series truncation;
+  below -1e-3 q^2.  Only the final shot builds a dense solution, and a
+  terminal event stops it where q falls to 1e-5: the tail is grafted at that
+  radius r_match, matching q, with its derivative in closed form.  The
+  shooting residual in solver.csv is the finite-volume defect of the profile
+  over the grid cells inside r_match, so it measures the series truncation
+  inside r_s and the integrator defect beyond it, not the graft;
 * fixedpoint: normalized fixed-point iteration on the grid operator,
   Q <- M^{(alpha+1)/alpha} (I - Lap)^{-1}[r^{-b} Q^{alpha+1}], whose
   stabilizer M tends to 1 exactly when Q solves the discrete equation.
@@ -252,16 +255,17 @@ def _crosses(a, params, r_end) -> bool:
     return False
 
 
-def _final_shot(a, params, r_end):
+def _final_shot(a, params, r_end, q_graft):
     """The shot at the bisected center value, with its dense solution, and
-    the series that stands in for it inside r_s."""
+    the series that stands in for it inside r_s.  It stops where q falls to
+    q_graft, which every crossing shot passes first."""
     fun, series, y0, cap = _shot_start(a, params)
 
-    def crossed(r, y):
-        return y[0]
+    def grafted(r, y):
+        return y[0] - q_graft
 
-    crossed.terminal = True
-    crossed.direction = -1
+    grafted.terminal = True
+    grafted.direction = -1
 
     def diverged(r, y):
         return y[0] - cap
@@ -276,7 +280,7 @@ def _final_shot(a, params, r_end):
         method="DOP853",
         rtol=_RTOL,
         atol=_ATOL,
-        events=(crossed, diverged),
+        events=(grafted, diverged),
         dense_output=True,
     )
     return sol, series
@@ -320,33 +324,26 @@ def solve_shooting(params: ModelParams, grid: RadialGrid, *, test_mode=False) ->
             a_hi = mid
         else:
             a_lo = mid
-    sol, series = _final_shot(0.5 * (a_lo + a_hi), params, r_end)
-
-    # Graft the linearized decay tail C r^{1-N/2} K_{N/2-1}(r) once the
-    # trajectory drops below tail_cut; past that point the bisected shot is
+    # Graft the linearized decay tail C r^{-nu} K_nu(r), nu = N/2 - 1, where
+    # the trajectory falls to tail_cut; past that point the bisected shot is
     # dominated by the separatrix error growing like e^{+r}.
     tail_cut = 1e-5
-    r_reach = sol.t[-1]
+    nu = N / 2 - 1
+    sol, series = _final_shot(0.5 * (a_lo + a_hi), params, r_end, tail_cut)
+    r_match = sol.t[-1]
 
     def q_of(r):
         return sol.sol(r)[0]
 
     def tail_shape(r):
-        nu = N / 2 - 1
         return r ** (1 - N / 2) * kv(nu, r)
 
-    r_match = None
-    rs = np.linspace(series.r_s, min(r_reach, r_end), 4000)
-    qs = sol.sol(rs)[0]
-    small = np.nonzero(qs < tail_cut)[0]
-    if small.size:
-        r_match = rs[small[0]]
-    if r_match is None:
-        if q_of(min(r_reach, grid.r_max)) > 1e-3:
+    if sol.t_events[0].size == 0:
+        if q_of(min(r_match, grid.r_max)) > 1e-3:
             raise NoBracket(
                 f"profile did not decay inside the domain (bracket [{a_lo}, {a_hi}])"
             )
-        r_match = min(r_reach, grid.r_max) * 0.999
+        r_match = min(r_match, grid.r_max) * 0.999
     logder = sol.sol(r_match)[1] / q_of(r_match)
     if not (-1.5 < logder < -0.5):
         raise NoBracket(
@@ -368,32 +365,32 @@ def solve_shooting(params: ModelParams, grid: RadialGrid, *, test_mode=False) ->
         rt = r[tail]
         if k == 0:
             out[tail] = c_tail * tail_shape(rt)
-        else:
-            eps = 1e-6
-            out[tail] = c_tail * (tail_shape(rt + eps) - tail_shape(rt - eps)) / (2 * eps)
+        else:  # (r^{-nu} K_nu)' = -r^{-nu} K_{nu+1}
+            out[tail] = -c_tail * rt ** (1 - N / 2) * kv(nu + 1, rt)
         return out
 
     profile = grid.field(shot(grid.nodes, 0))
-    residual = shooting_residual(shot, params, grid, r_reach)
+    residual = shooting_residual(shot, params, grid, r_match)
     return _finalize(params, profile, "shooting", residual, shots)
 
 
-def shooting_residual(shot, params, grid, r_reach) -> float:
-    """Finite-volume defect of the shot, weighted l2 over the grid cells.
+def shooting_residual(shot, params, grid, r_match) -> float:
+    """Finite-volume defect of the shot, weighted l2 over the grid cells
+    inside r_match.
 
-    shot(r, k) is Q (k = 0) or Q' (k = 1) on (0, r_reach].  Per cell: flux
+    shot(r, k) is Q (k = 0) or Q' (k = 1) on (0, r_match].  Per cell: flux
     difference of F = r^{N-1} Q' minus the cell integral of
     r^{N-1} (Q - r^{-b} Q^{alpha+1}), evaluated with Gauss quadrature and a
     Gauss-Jacobi rule for the r^{-b}-weighted part on the innermost cells,
     normalized by the cell weight.  For the exact solution this is zero; it
     measures the integrator defect (and inside r_s the series truncation),
-    not the grid truncation error.
+    not the grid truncation error.  Cells past r_match hold the grafted
+    linear tail, whose defect is the neglected r^{-b} Q^{alpha+1}, and are
+    left out.
     """
     N, alpha, b = params.N, params.alpha, params.b
-    faces = grid.faces
-    # tail cells contribute residual only through the (tiny) mismatch of the
-    # grafted tail; restrict to cells fully inside the integrated region
-    j_max = min(grid.J, int(math.floor(r_reach / grid.h)))
+    j_max = min(grid.J, int(math.floor(r_match / grid.h)))
+    faces = grid.faces[: j_max + 1]
     xg, wg = roots_legendre(6)
     res = np.zeros(grid.J)
     flux = faces ** (N - 1) * shot(np.maximum(faces, 1e-12), 1)
@@ -428,16 +425,14 @@ def solve_fixedpoint(
     tol: float = 1e-12,
     max_iter: int = 500,
     test_mode: bool = False,
-    stabilizer_exponent: float | None = None,
 ) -> GroundState:
-    """Normalized fixed-point iteration on the discrete operator.
-
-    stabilizer_exponent defaults to (alpha+1)/alpha, the unique power that
-    neutralizes the homogeneity of the nonlinearity; exponent 1 diverges.
-    """
+    """Normalized fixed-point iteration on the discrete operator."""
     _require_scope(params, test_mode)
     N, alpha, b = params.N, params.alpha, params.b
-    gamma = (alpha + 1) / alpha if stabilizer_exponent is None else stabilizer_exponent
+    # m scales like |Q|^{-alpha} and the source like |Q|^{alpha+1}, so the
+    # power (alpha+1)/alpha is the one that makes the update homogeneous of
+    # degree 0 in Q; power 1 leaves the amplitude free and diverges
+    gamma = (alpha + 1) / alpha
     solve = shifted_laplacian_solver(grid, 1.0)  # (I - Lap)^{-1}
     r = grid.nodes
     w = grid.weights

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .extended import INF, XR, xr
-
 
 def exact(x) -> Fraction:
     """x as an exact Fraction of the decimal it was written as.
@@ -29,26 +27,24 @@ def exact(x) -> Fraction:
     return Fraction(x)
 
 
-def critical_index(N: int, alpha: float, b: float) -> float:
-    """Scaling-critical Sobolev index N/2 - (2-b)/alpha."""
+def critical_index(N: int, alpha, b):
+    """Scaling-critical Sobolev index N/2 - (2-b)/alpha.
+
+    A float for float alpha or b (N/2 is exact in binary), a Fraction for
+    Fraction alpha and b.
+    """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return N / 2 - (2 - b) / alpha
+    return Fraction(N, 2) - (2 - b) / alpha
 
 
-def critical_index_exact(N: int, alpha: Fraction, b: Fraction) -> Fraction:
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return Fraction(N, 2) - (2 - Fraction(b)) / Fraction(alpha)
-
-
-def upper_exponents(N: int, b: float) -> tuple[XR, XR]:
+def upper_exponents(N: int, b) -> tuple[Fraction | float, Fraction | float]:
     """Energy-subcritical ceiling and the stricter scattering ceiling.
 
-    Returns (two_star, two_lower_star):
-      two_star       = (4-2b)/(N-2) for N >= 3, infinity for N = 2;
+    Returns (two_star, two_lower_star), exact Fractions of the decimal b:
+      two_star       = (4-2b)/(N-2) for N >= 3, math.inf for N = 2;
       two_lower_star = (4-2b)/(N-2) for N >= 4, 3-2b for N = 3,
-                       infinity for N = 2.
+                       math.inf for N = 2.
     """
     if N < 2:
         raise ValueError(f"dimension must be >= 2, got {N}")
@@ -56,10 +52,10 @@ def upper_exponents(N: int, b: float) -> tuple[XR, XR]:
         raise ValueError(f"b must be nonnegative, got {b}")
     bf = exact(b)
     if N == 2:
-        return INF, INF
-    two_star = xr((4 - 2 * bf) / (N - 2))
+        return math.inf, math.inf
+    two_star = (4 - 2 * bf) / (N - 2)
     if N == 3:
-        two_lower_star = xr(3 - 2 * bf)
+        two_lower_star = 3 - 2 * bf
     else:
         two_lower_star = two_star
     return two_star, two_lower_star
@@ -118,11 +114,11 @@ def validate_scope(params: ModelParams) -> ScopeReport:
     af, bf = exact(params.alpha), exact(params.b)
     two_star, two_lower_star = upper_exponents(N, bf)
     mass_super = af > (4 - 2 * bf) / N
-    energy_sub = xr(af) < two_star
-    scatter_sub = xr(af) < two_lower_star
+    energy_sub = af < two_star
+    scatter_sub = af < two_lower_star
     b_theorem = 0 < bf < min(Fraction(N, 3), 1)
     b_global = 0 < bf < min(2, N)
-    sc_ok = 0 < critical_index_exact(N, af, bf) < 1
+    sc_ok = 0 < critical_index(N, af, bf) < 1
     return ScopeReport(
         mass_supercritical=mass_super,
         energy_subcritical=energy_sub,

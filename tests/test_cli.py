@@ -56,6 +56,7 @@ _EVOLVE = {"dt": 0.002, "t_end": 0.02, "record_every": 5}
         ("pairs", {"pairs": {"eps": "abc"}}),
         ("pairs", {"pairs": {"theta": float("nan")}}),
         ("classify", {"classify": {"field": 7}}),
+        ("pairs", {"pairs": {"theta": [1, 20]}}),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, subcommand, overrides):

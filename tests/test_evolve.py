@@ -26,6 +26,7 @@ from inlslab.evolve import (
 )
 from inlslab.functionals import classify
 from inlslab.grid import (
+    Measures,
     RadialGrid,
     _tridiag_apply,
     gaussian_field,
@@ -33,7 +34,6 @@ from inlslab.grid import (
     grad_norm_sq_form,
     l2_norm,
     laplacian_diagonals,
-    potential_term,
     radial_derivative,
     shifted_laplacian_solver,
 )
@@ -134,7 +134,7 @@ def test_virial_far_r_identity(params_330):
     u = gaussian_field(g, 0.5, 1.0)
     vs = virial_series(u, params_330, 14.0)
     n, alpha, b = 3, 2.0, 0.3
-    rhs = 8 * grad_norm(u) ** 2 - 4 * (n * alpha + 2 * b) / (alpha + 2) * potential_term(u, alpha, b)
+    rhs = 8 * grad_norm(u) ** 2 - 4 * (n * alpha + 2 * b) / (alpha + 2) * Measures.of(u, alpha, b).potential
     assert vs["zR_second_direct"] == pytest.approx(rhs, rel=1e-4)
 
 
@@ -383,7 +383,7 @@ def test_run_matches_classic_strang(params, J, h, dt_over_h2, n_steps, record_ev
         done = n
         u = g.field(v)
         vs = virial_series(u, params, R)
-        for key, val in zip(keys, (l2_norm(u) ** 2, grad_norm_sq_form(u), potential_term(u, alpha, b),
+        for key, val in zip(keys, (l2_norm(u) ** 2, grad_norm_sq_form(u), Measures.of(u, alpha, b).potential,
                                    vs["zR"], vs["zR_prime"], vs["zR_second_direct"], vs["ext_budget"])):
             expected[key].append(val)
         zp_scale = max(zp_scale, 2 * R * float(

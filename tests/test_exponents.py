@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -26,18 +27,18 @@ from inlslab.exponents import (
     is_l2_admissible,
     plus_conjugate,
 )
-from inlslab.extended import INF, XR
-from inlslab.params import critical_index_exact
+from inlslab.params import critical_index
 
 
 def test_dual_exponent_involution():
     for a in [Fraction(3, 2), 2, Fraction(7, 3), 10, Fraction(101, 100)]:
         d = dual_exponent(a)
-        assert dual_exponent(d) == XR(a)
+        assert isinstance(d, Fraction) and isinstance(dual_exponent(d), Fraction)
+        assert dual_exponent(d) == a
         # 1/a + 1/a' = 1 exactly
-        assert XR(a).reciprocal() + d.reciprocal() == XR(1)
-    assert dual_exponent(1) is INF or dual_exponent(1).is_infinite
-    assert dual_exponent(INF) == XR(1)
+        assert 1 / Fraction(a) + 1 / d == 1
+    assert dual_exponent(1) == math.inf
+    assert dual_exponent(math.inf) == 1 and isinstance(dual_exponent(math.inf), Fraction)
 
 
 def test_plus_conjugate_identity():
@@ -57,12 +58,12 @@ def test_l2_admissible_examples():
     for n in (1, 2, 3, 4):
         d = Fraction(2 * (n + 2), n)
         assert is_l2_admissible(d, d, n)
-    assert is_l2_admissible(INF, 2, 3)
+    assert is_l2_admissible(math.inf, 2, 3)
     assert is_l2_admissible(2, Fraction(6), 3)  # endpoint r = 2N/(N-2)
     assert not is_l2_admissible(2, 7, 3)  # past the ceiling
     assert not is_l2_admissible(3, 3, 3)  # scaling violated
-    assert is_l2_admissible(4, INF, 1)  # r = inf allowed only for N = 1
-    assert not is_l2_admissible(4, INF, 2)
+    assert is_l2_admissible(4, math.inf, 1)  # r = inf allowed only for N = 1
+    assert not is_l2_admissible(4, math.inf, 2)
 
 
 def test_family_lemma43_reference_point():
@@ -204,7 +205,7 @@ def test_certificate_rows_exact_residuals_and_classes(rng):
     assert [(r["family"], r["pair"]) for r in rows] == [
         (f, row.pair) for f in families for row in PAIR_ROWS[f]
     ]
-    s_c = critical_index_exact(n, alpha, b)
+    s_c = critical_index(n, alpha, b)
     for r in rows:
         assert r["identity_residual"] == 0, r
         assert r["admissible"] == _class_predicate(r, s_c), r
@@ -231,7 +232,7 @@ def test_claim2_verdicts_follow_class_where_they_differ():
     n, alpha, b, theta = 3, Fraction(17, 5), Fraction(4, 25), Fraction(221, 500)
     rows = [r for r in certificate_rows(n, alpha, b, theta=theta) if r["family"] == "claim2"]
     assert [r["admissible"] for r in rows] == [True, False]
-    s_c = critical_index_exact(n, alpha, b)
+    s_c = critical_index(n, alpha, b)
     for r in rows:
         assert r["admissible"] == _class_predicate(r, s_c), r
 
@@ -260,3 +261,37 @@ def test_certificate_rows_evaluates_each_family_once(monkeypatch):
         assert all(r["admissible"] for r in rows)
         families = {"claim1", "claim2"} | ({"lemma43"} if n == 3 else set())
         assert calls == Counter(families), (n, alpha, b, theta, eps, calls)
+
+
+@st.composite
+def _decimal_scope_point(draw):
+    # an in-scope (N, alpha, b) with alpha and b two-place decimals k/100
+    n = draw(st.sampled_from([2, 3, 4, 5]))
+    b_k = draw(st.integers(1, 66 if n == 2 else 99))  # b < min(N/3, 1)
+    b = Fraction(b_k, 100)
+    lo = Fraction(4 - 2 * b, n)
+    hi = lo + 4 if n == 2 else (3 - 2 * b if n == 3 else Fraction(4 - 2 * b, n - 2))
+    a_k = draw(st.integers(math.floor(100 * lo) + 1, math.ceil(100 * hi) - 1))
+    return n, a_k, b_k
+
+
+@settings(max_examples=100, deadline=None)
+@given(_decimal_scope_point())
+def test_float_inputs_mean_their_decimals(point):
+    # a float alpha or b is the decimal it was written as, at every entry point
+    n, a_k, b_k = point
+    alpha, b = Fraction(a_k, 100), Fraction(b_k, 100)
+    try:
+        rows = certificate_rows(n, alpha, b)
+    except (DegenerateFamilyError, ThetaWindowError) as exc:
+        with pytest.raises(type(exc)):
+            certificate_rows(n, a_k / 100, b_k / 100)
+        return
+    assert certificate_rows(n, a_k / 100, b_k / 100) == rows
+    for r in rows:
+        assert all(type(r[k]) is Fraction for k in ("q", "r", "theta", "identity_residual")), r
+        assert r["identity_residual"] == 0, r
+    theta = rows[-1]["theta"]
+    assert appendix_checks(n, a_k / 100, b_k / 100, theta) == appendix_checks(n, alpha, b, theta)
+    assert default_theta(n, a_k / 100, b_k / 100) == default_theta(n, alpha, b)
+    assert claim2_theta_window(n, a_k / 100, b_k / 100) == claim2_theta_window(n, alpha, b)

@@ -13,7 +13,7 @@ from inlslab.functionals import (
     lgs_verify,
     linear_decay_check,
 )
-from inlslab.grid import Measures, RadialGrid, gaussian_field, grad_norm, grad_norm_sq_form, potential_term
+from inlslab.grid import Measures, RadialGrid, gaussian_field, grad_norm, grad_norm_sq_form
 from inlslab.params import ModelParams, validate_scope
 
 
@@ -22,7 +22,7 @@ def _mass(u):
 
 
 def _energy(u, params):
-    return 0.5 * grad_norm_sq_form(u) - potential_term(u, params.alpha, params.b) / (params.alpha + 2)
+    return 0.5 * grad_norm_sq_form(u) - Measures.of(u, params.alpha, params.b).potential / (params.alpha + 2)
 
 
 def test_mass_energy_zero_field(grid_330, params_330):
@@ -148,7 +148,7 @@ def _reference_reports(u, gs):
         verdict = "GlobalScatters" if scope.theorem_scope else ("GlobalOnly" if scope.global_scope else "Unknown")
     else:
         verdict = "Unknown"
-    grad2, pot = grad_norm_sq_form(u), potential_term(u, alpha, b)
+    grad2, pot = grad_norm_sq_form(u), Measures.of(u, alpha, b).potential
     threshold = ThresholdReport(m, e, em, gm, em_th, gm_th, w, A, verdict, em_err, gm_err, grad2, pot)
     if not (em < em_th and gm <= gm_th):
         return threshold, LgsReport(False, math.nan, math.nan, math.nan, w, A, e, e >= 0)

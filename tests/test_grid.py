@@ -17,7 +17,6 @@ from inlslab.grid import (
     l2_norm,
     laplacian_diagonals,
     laplacian_radial,
-    potential_term,
     shifted_laplacian_solver,
     sphere_area,
     strauss_check,
@@ -78,7 +77,7 @@ def test_gaussian_potential_closed_form():
     # int |e^{-r^2}|^4 over R^3 = (pi/4)^{3/2}  (alpha = 2, b = 0)
     g = RadialGrid(J=4096, h=1 / 256, N=3)
     u = gaussian_field(g)
-    assert potential_term(u, 2.0, 0.0) == pytest.approx((math.pi / 4) ** 1.5, rel=1e-10)
+    assert Measures.of(u, 2.0, 0.0).potential == pytest.approx((math.pi / 4) ** 1.5, rel=1e-10)
 
 
 def test_weighted_potential_vs_quadrature_oracle():
@@ -86,9 +85,9 @@ def test_weighted_potential_vs_quadrature_oracle():
     alpha, b = 2.0, 0.3
     oracle, _ = quad(lambda r: 4 * math.pi * r ** (2 - b) * math.exp(-4 * r**2), 0, 12)
     g = RadialGrid(J=4096, h=1 / 256, N=3)
-    assert potential_term(gaussian_field(g), alpha, b) == pytest.approx(oracle, rel=1e-6)
+    assert Measures.of(gaussian_field(g), alpha, b).potential == pytest.approx(oracle, rel=1e-6)
     with pytest.raises(ValueError):
-        potential_term(gaussian_field(g), 2.0, 3.0)
+        Measures.of(gaussian_field(g), 2.0, 3.0)
 
 
 def test_laplacian_polynomial_and_gaussian():
@@ -252,6 +251,5 @@ def test_measures_are_the_three_sums_property(N, J, h, alpha, b_frac, s_c, seed)
         assert me == (mass, grad2, pot)
         assert me.energy(alpha) == 0.5 * grad2 - pot / (alpha + 2)
         assert me.gm_product(s_c) == math.sqrt(grad2) ** s_c * math.sqrt(mass) ** (1 - s_c)
-    assert potential_term(u, alpha, b) == pot
     with pytest.raises(ValueError, match="b < N"):
         Measures.of(u, alpha, N + b_frac)

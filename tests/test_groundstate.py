@@ -54,12 +54,6 @@ def test_scope_gate_without_test_mode(sech_pair):
         solve_fixedpoint(p, g)
 
 
-def test_stabilizer_exponent_one_diverges(params_330):
-    g = RadialGrid(J=512, h=1 / 32, N=3)
-    with pytest.raises((NoConvergence, RuntimeError)):
-        solve_fixedpoint(params_330, g, stabilizer_exponent=1.0, max_iter=80)
-
-
 def test_solver_failures_share_one_class(params_330):
     # the command line maps every SolverFailure to its numerical-failure exit code
     assert issubclass(NoBracket, SolverFailure) and issubclass(NoConvergence, SolverFailure)

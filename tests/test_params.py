@@ -1,16 +1,15 @@
 import csv
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inlslab.extended import INF, XR
-from inlslab.grid import RadialGrid, gaussian_field, grad_norm, l2_norm, potential_term
+from inlslab.grid import Measures, RadialGrid, gaussian_field, grad_norm, l2_norm
 from inlslab.params import (
     ModelParams,
     critical_index,
-    critical_index_exact,
     exact,
     scaling_exponents,
     upper_exponents,
@@ -27,21 +26,39 @@ def test_critical_index_values():
 
 
 def test_critical_index_exact_is_rational():
-    s = critical_index_exact(3, Fraction(2), Fraction(3, 10))
-    assert s == Fraction(13, 20)
+    s = critical_index(3, Fraction(2), Fraction(3, 10))
+    assert isinstance(s, Fraction) and s == Fraction(13, 20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    N=st.integers(1, 64),
+    alpha=st.floats(1e-3, 1e3, allow_nan=False),
+    b=st.floats(0.0, 10.0, allow_nan=False),
+)
+def test_critical_index_float_is_the_float_formula(N, alpha, b):
+    # float inputs give a float with the bits of N/2 - (2-b)/alpha
+    s = critical_index(N, alpha, b)
+    assert type(s) is float and s == N / 2 - (2 - b) / alpha
 
 
 def test_upper_exponents():
     # exact rationals in, exact rationals out
     two_star, two_lower = upper_exponents(3, Fraction(3, 10))
-    assert two_star == XR(Fraction(17, 5))
-    assert two_lower == XR(Fraction(12, 5))
+    assert isinstance(two_star, Fraction) and two_star == Fraction(17, 5)
+    assert isinstance(two_lower, Fraction) and two_lower == Fraction(12, 5)
     two_star, two_lower = upper_exponents(4, 0.25)
-    assert two_star == two_lower == XR(Fraction(7, 4))
+    assert isinstance(two_star, Fraction) and two_star == two_lower == Fraction(7, 4)
     two_star, two_lower = upper_exponents(2, 0.5)
-    assert two_star is INF and two_lower is INF
+    assert two_star == math.inf and two_lower == math.inf
     with pytest.raises(ValueError):
         upper_exponents(1, 0.0)
+
+
+def test_two_dimensional_ceilings_are_infinite():
+    # alpha < 2* = inf holds for every finite alpha, however large
+    rep = validate_scope(ModelParams(2, 1e300, 0.5))
+    assert rep.energy_subcritical and rep.scattering_subcritical
 
 
 def test_scope_flags_at_reference_points():
@@ -112,7 +129,7 @@ def test_scaling_multipliers_match_grid_quadrature(N, alpha, b_frac, J, h, delta
     )
     assert l2_norm(u_delta) / l2_norm(u) == pytest.approx(rep.L2, rel=1e-12)
     assert grad_norm(u_delta) / grad_norm(u) == pytest.approx(rep.gradL2, rel=1e-12)
-    assert potential_term(u_delta, alpha, b) / potential_term(u, alpha, b) == pytest.approx(
+    assert Measures.of(u_delta, alpha, b).potential / Measures.of(u, alpha, b).potential == pytest.approx(
         rep.potential, rel=1e-12
     )
 
