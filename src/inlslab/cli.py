@@ -317,12 +317,14 @@ def cmd_evolve(cfg, args) -> int:
         [trace.times[i], trace.mass_series[i], trace.energy_series[i],
          trace.grad_series[i], trace.potential_series[i],
          trace.gm_product_series[i], trace.zR_series[i],
-         trace.zR_prime_series[i], trace.zR_second_direct_series[i]]
+         trace.zR_prime_series[i], trace.zR_second_direct_series[i],
+         trace.ext_budget_series[i]]
         for i in range(len(trace.times))
     ]
     _write_csv(
         os.path.join(out, "trace.csv"),
-        ["t", "mass", "energy", "grad2", "potential", "gm_product", "zR", "zR_prime", "zR_second"],
+        ["t", "mass", "energy", "grad2", "potential", "gm_product", "zR", "zR_prime", "zR_second",
+         "ext_budget"],
         rows,
         prec,
     )

@@ -2,14 +2,16 @@
 
 Two independent solvers:
 
-* shooting: bisect the center value a on the dichotomy {crosses zero} vs
-  {stays positive}, then graft the exact linearized decay tail (Bessel K)
-  once the profile is small.  Every shot starts at r_s from the Frobenius
-  series of Q in x = r^2 and y = r^{2-b} through total degree 12; r_s is
-  read off the coefficients as the radius where the first omitted shell
-  falls to 1e-16 a, and profile nodes and residual quadrature points inside
-  r_s take the series values.  The bracket and bisection shots are
-  classified from the step ends of a bare DOP853 solver, and a shot stops as
+* shooting: find the center value a* between {crosses zero} and
+  {stays positive} by Brent's method on a signed exit margin, then graft the
+  exact linearized decay tail (Bessel K) once the profile is small.  Every
+  shot starts at r_s from the Frobenius series of Q in x = r^2 and
+  y = r^{2-b} through total degree 12; r_s is read off the coefficients as
+  the radius where the first omitted shell falls to 1e-16 a, and profile
+  nodes and residual quadrature points inside r_s take the series values.
+  The bracket and Brent shots are stepped by a bare DOP853 solver and return
+  +exp(-2 r) at the radius r where q crosses zero, or -exp(-2 r) where they
+  stop otherwise; e^{-2 r} is near-linear in a - a* there.  A shot stops as
   "not cross" once its energy q'^2/2 - q^2/2 + r^{-b}q^{alpha+2}/(alpha+2),
   which never increases along a shot and is >= 0 wherever q = 0, falls
   below -1e-3 q^2.  Only the final shot builds a dense solution, and a
@@ -34,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
+from scipy.optimize import brentq
 from scipy.special import kv, roots_jacobi, roots_legendre
 
 from .grid import (
@@ -73,7 +76,7 @@ class GroundState:
     cgn: float
     method: str
     residual: float
-    # classifying shots (bracket + bisection) or fixed-point iterations
+    # classifying shots (bracket + Brent) or fixed-point iterations
     iterations: int
 
 
@@ -212,8 +215,8 @@ _RTOL, _ATOL = 1e-12, 1e-14
 # error in E is near _RTOL q^2 (_ATOL q where q is tiny), so the margin leaves
 # orders of magnitude of room.  It costs next to nothing: a shot that turns
 # back above the axis has E near -q^2/2 at its turn (E = -2AB for
-# q = A e^{-r} + B e^{r}), and margins from 1e-1 to 1e-9 stop the
-# reference-point bisections after the same DOP853 steps within 2%.
+# q = A e^{-r} + B e^{r}), and margins from 1e-1 to 1e-9 stopped a one-ulp
+# bisection at each reference point after the same DOP853 steps within 2%.
 _ENERGY_MARGIN = 1e-3
 
 
@@ -226,37 +229,51 @@ def _shot_start(a, params):
     return _rhs(params), series, [float(q), float(dq)], 2.0 * a
 
 
-def _crosses(a, params, r_end) -> bool:
-    """Whether the shot with center value a falls to q = 0 before r_end.
+def _exit_margin(a, params, r_end) -> float:
+    """Signed exit margin of the shot with center value a: +exp(-2 r_x) if it
+    falls to q = 0 at r_x < r_end, else -exp(-2 r) at the radius r where it
+    stopped.
 
-    Steps a bare DOP853 solver from r_s and decides from the sign of q and
-    q - 2a at each step end, as solve_ivp's terminal events find them; it
-    builds no dense interpolant and calls no event function.  Along a shot
-    the energy E = q'^2/2 - q^2/2 + r^{-b}|q|^{alpha+2}/(alpha+2) has
+    Steps a bare DOP853 solver from r_s and stops at the first step end with
+    q <= 0 (crossing; r_x interpolates q = 0 linearly between the last two
+    step ends), with q >= 2a (the divergence cap), with a negative energy
+    certificate, at r_end or at a failed step; it builds no dense
+    interpolant and calls no event function.  Along a shot the energy
+    E = q'^2/2 - q^2/2 + r^{-b}|q|^{alpha+2}/(alpha+2) has
     dE/dr = -(N-1)q'^2/r - b r^{-b-1}|q|^{alpha+2}/(alpha+2) <= 0, and
     E = q'^2/2 >= 0 wherever q = 0, so a shot whose E is negative at q > 0
     never crosses: it stops there without integrating on to r_end.
+
+    The sign is the shot's kind, so the margin brackets the center a* where
+    it changes sign.  Its size makes the margin near-linear in a - a*: near
+    a* the shot leaves the decaying Q ~ r^{-(N-1)/2} e^{-r} along the growing
+    mode (a - a*) r^{-(N-1)/2} e^{r}, and it exits where the two are
+    comparable, so e^{-2 r_exit} is proportional to |a - a*|.  Brent's
+    interpolation steps rely on that; far from a*, where they would not
+    help, brentq falls back to bisection steps and keeps the bracket.
     """
     fun, series, y0, cap = _shot_start(a, params)
     alpha, b = params.alpha, params.b
     solver = DOP853(fun, series.r_s, y0, r_end, rtol=_RTOL, atol=_ATOL)
     while solver.status == "running":
+        r_old, q_old = solver.t, float(solver.y[0])
         solver.step()
         if solver.status == "failed":
             break
         q, dq = solver.y.tolist()
+        r = solver.t
         if q <= 0:
-            return True
+            return math.exp(-2.0 * (r_old + (r - r_old) * q_old / (q_old - q)))
         if q >= cap:
-            return False
-        energy = 0.5 * (dq * dq - q * q) + solver.t**-b * q ** (alpha + 2) / (alpha + 2)
+            break
+        energy = 0.5 * (dq * dq - q * q) + r**-b * q ** (alpha + 2) / (alpha + 2)
         if energy < -_ENERGY_MARGIN * q * q:
-            return False
-    return False
+            break
+    return -math.exp(-2.0 * solver.t)
 
 
 def _final_shot(a, params, r_end, q_graft):
-    """The shot at the bisected center value, with its dense solution, and
+    """The shot at the center value a*, with its dense solution, and
     the series that stands in for it inside r_s.  It stops where q falls to
     q_graft, which every crossing shot passes first."""
     fun, series, y0, cap = _shot_start(a, params)
@@ -290,12 +307,12 @@ def _bracket(params, r_end):
     """Find a_lo (does not cross) < a_hi (crosses zero); also returns the shot count."""
     a = 1.0
     shots = 1
-    if _crosses(a, params, r_end):
+    if _exit_margin(a, params, r_end) > 0:
         a_hi = a
         for _ in range(60):
             a /= 1.5
             shots += 1
-            if not _crosses(a, params, r_end):
+            if _exit_margin(a, params, r_end) <= 0:
                 return a, a_hi, shots
             a_hi = a
         raise NoBracket(f"no shot that stays positive found down to a={a}")
@@ -303,33 +320,52 @@ def _bracket(params, r_end):
     for _ in range(60):
         a *= 1.5
         shots += 1
-        if _crosses(a, params, r_end):
+        if _exit_margin(a, params, r_end) > 0:
             return a_lo, a, shots
         a_lo = a
     raise NoBracket(f"no zero-crossing shot found up to a={a}")
 
 
+# brentq's iteration cap, far above the 15-26 shots it takes at the reference points
+_BRENT_MAXITER = 200
+
+
+def _center(params, r_end):
+    """The center value a* where the exit margin changes sign, by Brent's
+    method on the bracket, and the number of shots taken to find it."""
+    a_lo, a_hi, shots = _bracket(params, r_end)
+    try:
+        center, info = brentq(
+            _exit_margin,
+            a_lo,
+            a_hi,
+            args=(params, r_end),
+            # stop within a few ulps of a*: the tightest rtol brentq accepts,
+            # and an xtol that only has to be positive
+            xtol=1e-300,
+            rtol=4 * np.finfo(float).eps,
+            maxiter=_BRENT_MAXITER,
+            full_output=True,
+        )
+    except RuntimeError as exc:
+        raise SolverFailure(
+            f"shooting: no center value in [{a_lo}, {a_hi}] after {_BRENT_MAXITER} Brent steps"
+        ) from exc
+    return center, shots + info.function_calls
+
+
 def solve_shooting(params: ModelParams, grid: RadialGrid, *, test_mode=False) -> GroundState:
-    """Bisection shooting for the ground state, sampled onto `grid`."""
+    """Shooting for the ground state, sampled onto `grid`."""
     _require_scope(params, test_mode)
     N = params.N
     r_end = grid.r_max + 1.0
-    a_lo, a_hi, shots = _bracket(params, r_end)
-    for _ in range(200):
-        mid = 0.5 * (a_lo + a_hi)
-        if mid == a_lo or mid == a_hi:
-            break
-        shots += 1
-        if _crosses(mid, params, r_end):
-            a_hi = mid
-        else:
-            a_lo = mid
+    center, shots = _center(params, r_end)
     # Graft the linearized decay tail C r^{-nu} K_nu(r), nu = N/2 - 1, where
-    # the trajectory falls to tail_cut; past that point the bisected shot is
-    # dominated by the separatrix error growing like e^{+r}.
+    # the trajectory falls to tail_cut; past that point the shot at the center
+    # is dominated by the separatrix error growing like e^{+r}.
     tail_cut = 1e-5
     nu = N / 2 - 1
-    sol, series = _final_shot(0.5 * (a_lo + a_hi), params, r_end, tail_cut)
+    sol, series = _final_shot(center, params, r_end, tail_cut)
     r_match = sol.t[-1]
 
     def q_of(r):
@@ -341,7 +377,7 @@ def solve_shooting(params: ModelParams, grid: RadialGrid, *, test_mode=False) ->
     if sol.t_events[0].size == 0:
         if q_of(min(r_match, grid.r_max)) > 1e-3:
             raise NoBracket(
-                f"profile did not decay inside the domain (bracket [{a_lo}, {a_hi}])"
+                f"profile did not decay inside the domain (center value {center})"
             )
         r_match = min(r_match, grid.r_max) * 0.999
     logder = sol.sol(r_match)[1] / q_of(r_match)

@@ -139,7 +139,16 @@ def test_identities_csv_matches_library(tmp_path):
     assert rows == expected
 
 
-def test_evolve_trace_csv(tmp_path):
+def test_evolve_trace_csv(tmp_path, monkeypatch):
+    from inlslab import evolve
+
+    run, traces = evolve.run, []
+
+    def recording_run(*args, **kwargs):
+        traces.append(run(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(evolve, "run", recording_run)
     cfg = _write_config(
         tmp_path / "c.json",
         grid={"J": 1024, "h": 1 / 32},
@@ -153,8 +162,12 @@ def test_evolve_trace_csv(tmp_path):
         rows = list(reader)
     assert header == [
         "t", "mass", "energy", "grad2", "potential", "gm_product", "zR", "zR_prime", "zR_second",
+        "ext_budget",
     ]
     assert len(rows) >= 6
+    budget = traces[0].ext_budget_series
+    assert len(budget) == len(rows) and all(budget > 0)
+    assert [r[9] for r in rows] == ["%.12g" % x for x in budget]
     masses = [float(r[1]) for r in rows]
     assert abs(masses[-1] - masses[0]) / masses[0] < 1e-10
     assert (out / "rigidity.csv").exists()
@@ -308,6 +321,19 @@ def test_solver_failures_exit_4(tmp_path, capsys, monkeypatch, name, extra):
     cfg = _write_config(tmp_path / "c.json", solver={"method": "shooting"})
     assert main(["groundstate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
     assert capsys.readouterr().err == "error: numerical failure: reason\n"
+
+
+def test_shooting_without_a_center_exits_4(tmp_path, capsys, monkeypatch):
+    from inlslab import groundstate
+
+    # three Brent steps cannot close the bracket: the real failure, not a stand-in
+    monkeypatch.setattr(groundstate, "_BRENT_MAXITER", 3)
+    cfg = _write_config(tmp_path / "c.json", solver={"method": "shooting"})
+    assert main(["groundstate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: numerical failure: shooting: no center value in [")
+    assert err[0].endswith("after 3 Brent steps")
 
 
 def test_sweep_records_solver_failure_and_scope_error(tmp_path):

@@ -14,8 +14,9 @@ from inlslab.groundstate import (
     NoConvergence,
     SolverFailure,
     _bracket,
-    _crosses,
+    _center,
     _ENERGY_MARGIN,
+    _exit_margin,
     _finalize,
     _rhs,
     _series,
@@ -152,10 +153,11 @@ SHOT_FACTORS = st.one_of(
 
 @functools.cache
 def _bisected_center(point):
+    """The center bisected on the exit margin's sign to a one-ulp bracket."""
     p = ModelParams(*point)
     a_lo, a_hi, _ = _bracket(p, R_END)
     while (mid := 0.5 * (a_lo + a_hi)) not in (a_lo, a_hi):
-        if _crosses(mid, p, R_END):
+        if _exit_margin(mid, p, R_END) > 0:
             a_hi = mid
         else:
             a_lo = mid
@@ -187,7 +189,7 @@ def _event_kind(a, p):
 def test_classify_shot_matches_terminal_events(point, factor):
     p = ModelParams(*point)
     a = _bisected_center(point) * factor
-    assert _crosses(a, p, R_END) == (_event_kind(a, p) == "cross")
+    assert (_exit_margin(a, p, R_END) > 0) == (_event_kind(a, p) == "cross")
 
 
 def _uncertified_steps(a, p):
@@ -222,7 +224,7 @@ def test_energy_certificate_never_disagrees(point, factor):
     # a certified shot never crosses later, even when stepped on past the cap
     assert first["certified"] == math.inf or first["cross"] == math.inf
     # the uncertified classification: crossing before the cap or the end
-    assert _crosses(a, p, R_END) == (first["cross"] < first["cap"])
+    assert (_exit_margin(a, p, R_END) > 0) == (first["cross"] < first["cap"])
 
 
 @pytest.mark.parametrize("point", SHOT_POINTS)
@@ -232,6 +234,26 @@ def test_energy_certificate_stops_shots_below_the_center(point):
     first = _uncertified_steps(_bisected_center(point) * (1 - 1e-9), ModelParams(*point))
     assert first["certified"] < R_END - 1
     assert first["cap"] == first["cross"] == math.inf
+
+
+@pytest.mark.parametrize("point", SHOT_POINTS)
+def test_center_matches_bisection(point):
+    center, shots = _center(ModelParams(*point), R_END)
+    assert center == pytest.approx(_bisected_center(point), rel=1e-13, abs=0)
+    # the one-ulp bisection took 55, 54 and 59 shots here
+    assert shots <= 35
+
+
+def test_center_at_the_sech_oracle():
+    # N = 1, alpha = 2, b = 0: Q = sqrt(2) sech r, so a* = sqrt(2)
+    center, _ = _center(ModelParams(1, 2.0, 0.0), 21.0)
+    assert center == pytest.approx(math.sqrt(2), rel=1e-13, abs=0)
+
+
+def test_center_without_convergence_is_a_solver_failure(params_330, monkeypatch):
+    monkeypatch.setattr(groundstate, "_BRENT_MAXITER", 3)
+    with pytest.raises(SolverFailure, match="no center value"):
+        solve_shooting(params_330, RadialGrid(J=1024, h=1 / 64, N=3))
 
 
 @st.composite
@@ -303,11 +325,11 @@ def test_iterations_count_shots_and_fixedpoint_steps(params_330, monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(groundstate, "_crosses", counting("classify", _crosses))
+    monkeypatch.setattr(groundstate, "_exit_margin", counting("classify", _exit_margin))
     monkeypatch.setattr(groundstate, "solve_ivp", counting("solve_ivp", solve_ivp))
     sh = solve_shooting(params_330, g)
-    # every bracket and bisection shot is counted; only the final shot is dense
-    assert sh.iterations == calls["classify"] > 40
+    # every bracket and Brent shot is counted; only the final shot is dense
+    assert sh.iterations == calls["classify"] < 30
     assert calls["solve_ivp"] == 1
     fp = solve_fixedpoint(params_330, g)
     again = solve_fixedpoint(params_330, g, max_iter=fp.iterations)
