@@ -16,6 +16,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -46,7 +47,6 @@ _SCHEMA = {
     "classify": {"field"},
     "sweep": {"subcommand", "N", "alpha", "b"},
     "output": {"directory", "precision"},
-    "seed": None,
 }
 
 
@@ -61,50 +61,70 @@ def load_config(path) -> dict:
     for key, val in cfg.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config section {key!r}")
-        allowed = _SCHEMA[key]
-        if allowed is None:
-            continue
         if not isinstance(val, dict):
             raise ConfigError(f"section {key!r} must be an object")
         for sub in val:
-            if sub not in allowed:
+            if sub not in _SCHEMA[key]:
                 raise ConfigError(f"unknown key {key}.{sub}")
     return cfg
 
 
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_REQUIRED = object()
+
+
+def _typed(name, value, kind):
+    """value as `kind` (int, float, bool or str), or a ConfigError naming
+    `name`.  Numbers are JSON numbers only, never bools or strings, and an
+    int must be integral and finite; range checks are left to the caller."""
+    if kind in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is float:
+            try:
+                return float(value)
+            except OverflowError:  # an integer past the float range, as 1e400 reads as inf
+                return math.copysign(math.inf, value)
+        if isinstance(value, int) or math.isfinite(value) and value.is_integer():
+            return int(value)
+    elif kind in (bool, str) and isinstance(value, kind):
+        return value
+    raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+
+
+def _read(cfg, name, kind, default=_REQUIRED, valid=None):
+    """The config value `name` ("section.key") as `kind`; `default` where the
+    key is absent, or null where the default is None; valid = (description,
+    predicate) bounds the value."""
+    section, key = name.split(".")
+    value = cfg.get(section, {}).get(key, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"{name} is required")
+    if value is None and default is None:
+        return None
+    value = _typed(name, value, kind)
+    if valid is not None and not valid[1](value):
+        raise ConfigError(f"{name} must be {valid[0]}, got {value!r}")
+    return value
+
+
 def _model(cfg) -> ModelParams:
-    sec = cfg.get("model")
-    if not sec:
-        raise ConfigError("config needs a model section {N, alpha, b}")
-    for k in ("N", "alpha", "b"):
-        if k not in sec:
-            raise ConfigError(f"model.{k} is required")
-    N = sec["N"]
-    if isinstance(N, bool) or not (isinstance(N, int) or isinstance(N, float) and N.is_integer()):
-        raise ConfigError(f"model.N must be an integer, got {N!r}")
+    N = _read(cfg, "model.N", int)
+    alpha, b = _read(cfg, "model.alpha", float), _read(cfg, "model.b", float)
     try:
-        return ModelParams(int(N), float(sec["alpha"]), float(sec["b"]))
+        return ModelParams(N, alpha, b)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
 
 def _grid(cfg, params) -> RadialGrid:
-    sec = cfg.get("grid")
-    if not sec:
-        raise ConfigError("config needs a grid section {J, h}")
+    J, h = _read(cfg, "grid.J", int), _read(cfg, "grid.h", float)
     try:
-        return RadialGrid(J=int(sec["J"]), h=float(sec["h"]), N=params.N)
-    except KeyError as exc:
-        raise ConfigError(f"grid.{exc.args[0]} is required") from exc
+        return RadialGrid(J=J, h=h, N=params.N)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 
 def _precision(cfg) -> int:
-    prec = cfg.get("output", {}).get("precision", 12)
-    if not isinstance(prec, int) or not (1 <= prec <= 17):
-        raise ConfigError(f"output.precision must be an integer in [1, 17], got {prec}")
-    return prec
+    return _read(cfg, "output.precision", int, 12, valid=("in [1, 17]", lambda p: 1 <= p <= 17))
 
 
 def _fmt(x, prec):
@@ -128,7 +148,8 @@ def _write_csv(path, header, rows, prec):
 
 
 def _out_dir(cfg, args) -> str:
-    out = args.out or cfg.get("output", {}).get("directory", ".")
+    directory = _read(cfg, "output.directory", str, ".")
+    out = args.out or directory
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -139,7 +160,10 @@ def _out_dir(cfg, args) -> str:
 
 def cmd_params(cfg, args) -> int:
     params = _model(cfg)
-    two_star, two_lower_star = upper_exponents(params.N, params.b)
+    try:
+        two_star, two_lower_star = upper_exponents(params.N, params.b)
+    except ValueError as exc:
+        raise ConfigError(f"params: {exc}") from exc
     scope = validate_scope(params)
     prec = _precision(cfg)
     parts = [
@@ -185,9 +209,15 @@ def cmd_pairs(cfg, args) -> int:
 
 
 def _solve(cfg, params, grid, method):
-    sec = cfg.get("solver", {})
-    tol = float(sec.get("tol", 1e-12))
-    max_iter = int(sec.get("max_iter", 500))
+    """The ground state by `method`, once the model is in the
+    global-existence scope the solvers are meant for."""
+    if not validate_scope(params).global_scope:
+        raise ConfigError(
+            f"(N={params.N}, alpha={params.alpha}, b={params.b}) is outside "
+            "the global-existence scope"
+        )
+    tol = _read(cfg, "solver.tol", float, 1e-12, valid=("positive and finite", lambda t: 0 < t < math.inf))
+    max_iter = _read(cfg, "solver.max_iter", int, 500, valid=("at least 1", lambda n: n >= 1))
     if method == "shooting":
         return groundstate.solve_shooting(params, grid)
     if method == "fixedpoint":
@@ -205,12 +235,7 @@ def cmd_groundstate(cfg, args) -> int:
         methods = ["shooting", "fixedpoint"]
     else:
         methods = [methods]
-    results = {}
-    for m in methods:
-        try:
-            results[m] = _solve(cfg, params, grid, m)
-        except ValueError as exc:
-            raise ConfigError(f"groundstate ({m}): {exc}") from exc
+    results = {m: _solve(cfg, params, grid, m) for m in methods}
     primary = results.get("fixedpoint") or next(iter(results.values()))
     field_to_csv(primary.profile, os.path.join(out, "profile.csv"), precision=prec)
     id_rows = []
@@ -238,7 +263,10 @@ def cmd_groundstate(cfg, args) -> int:
 
 def _load_field(cfg, args, params, grid):
     if args.field:
-        u = field_from_csv(args.field, params.N)
+        try:
+            u = field_from_csv(args.field, params.N)
+        except (ValueError, csv.Error) as exc:
+            raise ConfigError(f"--field {args.field}: {exc}") from exc
         if u.grid.J != grid.J or abs(u.grid.h - grid.h) > 1e-12:
             raise ConfigError("field CSV grid does not match the configured grid")
         return u
@@ -270,11 +298,7 @@ def cmd_classify(cfg, args) -> int:
     grid = _grid(cfg, params)
     prec = _precision(cfg)
     u0 = _load_field(cfg, args, params, grid)
-    try:
-        gs = _solve(cfg, params, grid, "fixedpoint")
-    except ValueError as exc:
-        raise ConfigError(f"classify: {exc}") from exc
-    rep = functionals.classify(u0, gs)
+    rep = functionals.classify(u0, _solve(cfg, params, grid, "fixedpoint"))
     row = [getattr(rep, k) for k in _CLASSIFY_HEADER]
     writer = csv.writer(sys.stdout)
     writer.writerow(_CLASSIFY_HEADER)
@@ -287,30 +311,19 @@ def cmd_evolve(cfg, args) -> int:
     grid = _grid(cfg, params)
     prec = _precision(cfg)
     out = _out_dir(cfg, args)
-    sec = cfg.get("evolve")
-    if not sec:
-        raise ConfigError("config needs an evolve section {dt, t_end, ...}")
+    values = dict(
+        dt=_read(cfg, "evolve.dt", float),
+        t_end=_read(cfg, "evolve.t_end", float),
+        record_every=_read(cfg, "evolve.record_every", int, 10),
+        virial_R=_read(cfg, "evolve.virial_R", float, None),
+        linear_only=_read(cfg, "evolve.linear_only", bool, False),
+    )
     try:
-        econf = evolve_mod.EvolutionConfig(
-            params=params,
-            J=grid.J,
-            h=grid.h,
-            dt=float(sec["dt"]),
-            t_end=float(sec["t_end"]),
-            record_every=int(sec.get("record_every", 10)),
-            virial_R=float(sec["virial_R"]) if sec.get("virial_R") is not None else None,
-            linear_only=bool(sec.get("linear_only", False)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"evolve.{exc.args[0]} is required") from exc
+        econf = evolve_mod.EvolutionConfig(params=params, J=grid.J, h=grid.h, **values)
     except ValueError as exc:
         raise ConfigError(f"evolve: {exc}") from exc
     u0 = _load_field(cfg, args, params, grid)
-    try:
-        gs = _solve(cfg, params, grid, "fixedpoint")
-        rep = functionals.classify(u0, gs)
-    except ValueError as exc:
-        raise ConfigError(f"evolve: {exc}") from exc
+    rep = functionals.classify(u0, _solve(cfg, params, grid, "fixedpoint"))
     exploratory = rep.verdict not in ("GlobalScatters", "GlobalOnly")
     trace = evolve_mod.run(u0, econf, threshold=rep)
     rows = [
@@ -364,6 +377,8 @@ def cmd_sweep(cfg, args) -> int:
                 raise ConfigError(f"sweep needs {key} (list) or model.{key}")
         if not isinstance(vals, list):
             raise ConfigError(f"sweep.{key} must be a list")
+        for val in vals:  # each point checks its own values; the manifest echoes them
+            _typed(f"sweep.{key} entry", val, float)
         lists[key] = vals
     out = _out_dir(cfg, args)
     manifest = []

@@ -242,10 +242,12 @@ def field_from_csv(path, N: int) -> RadialField:
     rs, vals = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [c.strip() for c in header] != ["r", "re", "im"]:
             raise ValueError(f"unexpected field CSV header {header}")
         for row in reader:
+            if len(row) != 3:
+                raise ValueError(f"field CSV row {row} does not have 3 columns")
             rs.append(float(row[0]))
             vals.append(float(row[1]) + 1j * float(row[2]))
     rs = np.asarray(rs)

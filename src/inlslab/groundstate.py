@@ -16,15 +16,21 @@ Two independent solvers:
   which never increases along a shot and is >= 0 wherever q = 0, falls
   below -1e-3 q^2.  Only the final shot builds a dense solution, and a
   terminal event stops it where q falls to 1e-5: the tail is grafted at that
-  radius r_match, matching q, with its derivative in closed form.  The
-  shooting residual in solver.csv is the finite-volume defect of the profile
-  over the grid cells inside r_match, so it measures the series truncation
-  inside r_s and the integrator defect beyond it, not the graft;
+  radius r_match, matching q, with its derivative in closed form.  Every
+  shot runs until it exits (a crossing, the cap, the energy certificate or
+  the graft); the module bound _R_SHOT lies far past those exits, so the
+  center, the shot and r_match depend on (N, alpha, b) alone and the grid
+  only samples Q.  The shooting residual in solver.csv is the finite-volume
+  defect of the profile over the grid cells inside r_match, so it measures
+  the series truncation inside r_s and the integrator defect beyond it, not
+  the graft;
 * fixedpoint: normalized fixed-point iteration on the grid operator,
   Q <- M^{(alpha+1)/alpha} (I - Lap)^{-1}[r^{-b} Q^{alpha+1}], whose
   stabilizer M tends to 1 exactly when Q solves the discrete equation.
 
 Both return the same GroundState record with the Pohozaev bookkeeping.
+Neither checks the (N, alpha, b) scope: the command line does, where
+outside input reaches a solver.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from .grid import (
     laplacian_radial,
     shifted_laplacian_solver,
 )
-from .params import ModelParams, validate_scope
+from .params import ModelParams
 
 
 class SolverFailure(RuntimeError):
@@ -78,16 +84,6 @@ class GroundState:
     residual: float
     # classifying shots (bracket + Brent) or fixed-point iterations
     iterations: int
-
-
-def _require_scope(params: ModelParams, test_mode: bool):
-    if test_mode:
-        return
-    if not validate_scope(params).global_scope:
-        raise ValueError(
-            f"(N={params.N}, alpha={params.alpha}, b={params.b}) is outside "
-            "the global-existence scope; pass test_mode=True to override"
-        )
 
 
 def _finalize(params, profile, method, residual, iterations) -> GroundState:
@@ -218,6 +214,11 @@ _RTOL, _ATOL = 1e-12, 1e-14
 # q = A e^{-r} + B e^{r}), and margins from 1e-1 to 1e-9 stopped a one-ulp
 # bisection at each reference point after the same DOP853 steps within 2%.
 _ENERGY_MARGIN = 1e-3
+# Every shot is integrated on (r_s, _R_SHOT].  Classifying shots exit before
+# r = 20 at the reference points and at random scope points, and the final
+# shot reaches the graft level near r = 10, so the bound only keeps a runaway
+# shot finite; no grid sets it.
+_R_SHOT = 64.0
 
 
 def _shot_start(a, params):
@@ -229,20 +230,19 @@ def _shot_start(a, params):
     return _rhs(params), series, [float(q), float(dq)], 2.0 * a
 
 
-def _exit_margin(a, params, r_end) -> float:
+def _exit_margin(a, params) -> float:
     """Signed exit margin of the shot with center value a: +exp(-2 r_x) if it
-    falls to q = 0 at r_x < r_end, else -exp(-2 r) at the radius r where it
-    stopped.
+    falls to q = 0 at r_x, else -exp(-2 r) at the radius r where it stopped.
 
     Steps a bare DOP853 solver from r_s and stops at the first step end with
     q <= 0 (crossing; r_x interpolates q = 0 linearly between the last two
     step ends), with q >= 2a (the divergence cap), with a negative energy
-    certificate, at r_end or at a failed step; it builds no dense
+    certificate, at _R_SHOT or at a failed step; it builds no dense
     interpolant and calls no event function.  Along a shot the energy
     E = q'^2/2 - q^2/2 + r^{-b}|q|^{alpha+2}/(alpha+2) has
     dE/dr = -(N-1)q'^2/r - b r^{-b-1}|q|^{alpha+2}/(alpha+2) <= 0, and
     E = q'^2/2 >= 0 wherever q = 0, so a shot whose E is negative at q > 0
-    never crosses: it stops there without integrating on to r_end.
+    never crosses: it stops there without integrating on.
 
     The sign is the shot's kind, so the margin brackets the center a* where
     it changes sign.  Its size makes the margin near-linear in a - a*: near
@@ -254,7 +254,7 @@ def _exit_margin(a, params, r_end) -> float:
     """
     fun, series, y0, cap = _shot_start(a, params)
     alpha, b = params.alpha, params.b
-    solver = DOP853(fun, series.r_s, y0, r_end, rtol=_RTOL, atol=_ATOL)
+    solver = DOP853(fun, series.r_s, y0, _R_SHOT, rtol=_RTOL, atol=_ATOL)
     while solver.status == "running":
         r_old, q_old = solver.t, float(solver.y[0])
         solver.step()
@@ -272,7 +272,7 @@ def _exit_margin(a, params, r_end) -> float:
     return -math.exp(-2.0 * solver.t)
 
 
-def _final_shot(a, params, r_end, q_graft):
+def _final_shot(a, params, q_graft):
     """The shot at the center value a*, with its dense solution, and
     the series that stands in for it inside r_s.  It stops where q falls to
     q_graft, which every crossing shot passes first."""
@@ -292,7 +292,7 @@ def _final_shot(a, params, r_end, q_graft):
 
     sol = solve_ivp(
         fun,
-        (series.r_s, r_end),
+        (series.r_s, _R_SHOT),
         y0,
         method="DOP853",
         rtol=_RTOL,
@@ -303,16 +303,16 @@ def _final_shot(a, params, r_end, q_graft):
     return sol, series
 
 
-def _bracket(params, r_end):
+def _bracket(params):
     """Find a_lo (does not cross) < a_hi (crosses zero); also returns the shot count."""
     a = 1.0
     shots = 1
-    if _exit_margin(a, params, r_end) > 0:
+    if _exit_margin(a, params) > 0:
         a_hi = a
         for _ in range(60):
             a /= 1.5
             shots += 1
-            if _exit_margin(a, params, r_end) <= 0:
+            if _exit_margin(a, params) <= 0:
                 return a, a_hi, shots
             a_hi = a
         raise NoBracket(f"no shot that stays positive found down to a={a}")
@@ -320,7 +320,7 @@ def _bracket(params, r_end):
     for _ in range(60):
         a *= 1.5
         shots += 1
-        if _exit_margin(a, params, r_end) > 0:
+        if _exit_margin(a, params) > 0:
             return a_lo, a, shots
         a_lo = a
     raise NoBracket(f"no zero-crossing shot found up to a={a}")
@@ -330,16 +330,16 @@ def _bracket(params, r_end):
 _BRENT_MAXITER = 200
 
 
-def _center(params, r_end):
+def _center(params):
     """The center value a* where the exit margin changes sign, by Brent's
     method on the bracket, and the number of shots taken to find it."""
-    a_lo, a_hi, shots = _bracket(params, r_end)
+    a_lo, a_hi, shots = _bracket(params)
     try:
         center, info = brentq(
             _exit_margin,
             a_lo,
             a_hi,
-            args=(params, r_end),
+            args=(params,),
             # stop within a few ulps of a*: the tightest rtol brentq accepts,
             # and an xtol that only has to be positive
             xtol=1e-300,
@@ -354,18 +354,20 @@ def _center(params, r_end):
     return center, shots + info.function_calls
 
 
-def solve_shooting(params: ModelParams, grid: RadialGrid, *, test_mode=False) -> GroundState:
+def solve_shooting(params: ModelParams, grid: RadialGrid) -> GroundState:
     """Shooting for the ground state, sampled onto `grid`."""
-    _require_scope(params, test_mode)
     N = params.N
-    r_end = grid.r_max + 1.0
-    center, shots = _center(params, r_end)
+    center, shots = _center(params)
     # Graft the linearized decay tail C r^{-nu} K_nu(r), nu = N/2 - 1, where
     # the trajectory falls to tail_cut; past that point the shot at the center
     # is dominated by the separatrix error growing like e^{+r}.
     tail_cut = 1e-5
     nu = N / 2 - 1
-    sol, series = _final_shot(center, params, r_end, tail_cut)
+    sol, series = _final_shot(center, params, tail_cut)
+    if sol.t_events[0].size == 0:
+        raise NoBracket(
+            f"the shot at the center never fell to the graft level (center value {center})"
+        )
     r_match = sol.t[-1]
 
     def q_of(r):
@@ -374,12 +376,6 @@ def solve_shooting(params: ModelParams, grid: RadialGrid, *, test_mode=False) ->
     def tail_shape(r):
         return r ** (1 - N / 2) * kv(nu, r)
 
-    if sol.t_events[0].size == 0:
-        if q_of(min(r_match, grid.r_max)) > 1e-3:
-            raise NoBracket(
-                f"profile did not decay inside the domain (center value {center})"
-            )
-        r_match = min(r_match, grid.r_max) * 0.999
     logder = sol.sol(r_match)[1] / q_of(r_match)
     if not (-1.5 < logder < -0.5):
         raise NoBracket(
@@ -460,10 +456,8 @@ def solve_fixedpoint(
     *,
     tol: float = 1e-12,
     max_iter: int = 500,
-    test_mode: bool = False,
 ) -> GroundState:
     """Normalized fixed-point iteration on the discrete operator."""
-    _require_scope(params, test_mode)
     N, alpha, b = params.N, params.alpha, params.b
     # m scales like |Q|^{-alpha} and the source like |Q|^{alpha+1}, so the
     # power (alpha+1)/alpha is the one that makes the update homogeneous of

@@ -29,7 +29,8 @@ def gs_330_shooting(params_330, grid_330):
 
 @pytest.fixture(scope="session")
 def sech_pair():
-    """Test-mode (N=1, alpha=2, b=0) ground state; exact solution sqrt(2) sech r."""
+    """The (N=1, alpha=2, b=0) ground state, outside the command line's scope
+    gate but not the solvers'; exact solution sqrt(2) sech r."""
     p = ModelParams(1, 2.0, 0.0)
     g = RadialGrid(J=1024 * 20, h=1 / 1024, N=1)
     exact = np.sqrt(2.0) / np.cosh(g.nodes)

@@ -113,7 +113,7 @@ def test_exponent_certificates_random_sweep():
 def test_soliton_closed_form_oracle(sech_pair):
     p, g, exact = sech_pair
     t0 = time.perf_counter()
-    gs = solve_shooting(p, g, test_mode=True)
+    gs = solve_shooting(p, g)
     sup = float(np.max(np.abs(gs.profile.values - exact)))
     res = verify_identities(gs)
     quot = weinstein_quotient(gs.profile, p)

@@ -1,9 +1,16 @@
+import contextlib
 import csv
 import filecmp
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from inlslab import cli
 from inlslab.cli import main
 
 
@@ -57,6 +64,8 @@ _EVOLVE = {"dt": 0.002, "t_end": 0.02, "record_every": 5}
         ("pairs", {"pairs": {"theta": float("nan")}}),
         ("classify", {"classify": {"field": 7}}),
         ("pairs", {"pairs": {"theta": [1, 20]}}),
+        # the manifest echoes each point's values, so they must be numbers
+        ("sweep", {"sweep": {"subcommand": "params", "alpha": [None]}}),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, subcommand, overrides):
@@ -381,3 +390,123 @@ def test_sweep_records_non_finite_model_as_config_error(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["0", "2", "2"]
     assert "alpha must be positive and finite" in (out / rows[1]["directory"] / "error.txt").read_text()
+
+
+# a config every subcommand runs in well under a second
+_SMALL = {
+    "model": {"N": 3, "alpha": 2, "b": 0.3},
+    "grid": {"J": 64, "h": 0.125},
+    "solver": {"method": "both", "tol": 1e-12, "max_iter": 500},
+    "evolve": {"dt": 0.01, "t_end": 0.05, "record_every": 1, "virial_R": 2.0, "linear_only": False},
+    "pairs": {"eps": "1/100"},
+    "classify": {"field": "gaussian(0.5,1.0)"},
+    "sweep": {"subcommand": "params", "N": [3], "alpha": [2.0], "b": [0.3]},
+    "output": {"directory": ".", "precision": 12},
+}
+
+
+def _small_config(path, section=None, key=None, value=None):
+    cfg = {sec: dict(vals) for sec, vals in _SMALL.items() if sec != "sweep"}
+    if key is not None:
+        cfg.setdefault(section, {})[key] = value
+    elif section is not None:  # a whole section
+        cfg[section] = value
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+_WRONG_TYPES = [None, [1], {"a": 1}]
+
+
+@pytest.mark.parametrize(
+    "subcommand, section, key, value",
+    [
+        *(("evolve", sec, key, v)
+          for sec, key in [("model", "alpha"), ("model", "b"), ("grid", "J"), ("grid", "h"),
+                           ("solver", "tol"), ("solver", "max_iter"), ("evolve", "dt"),
+                           ("evolve", "t_end"), ("evolve", "record_every")]
+          for v in _WRONG_TYPES),
+        ("evolve", "evolve", "virial_R", [1]),
+        ("evolve", "evolve", "virial_R", {"a": 1}),
+        *(("evolve", sec, key, v)
+          for sec, key in [("grid", "J"), ("solver", "max_iter"), ("evolve", "record_every")]
+          for v in (float("inf"), float("-inf"))),
+        ("evolve", "output", "precision", True),
+        ("evolve", "output", "directory", None),
+        ("evolve", "output", "directory", 5),
+        *(("evolve", "solver", "tol", v) for v in (float("nan"), 0, -1e-12, float("-inf"))),
+        *(("evolve", "solver", "max_iter", v) for v in (0, -1, True)),
+        ("evolve", "evolve", "linear_only", "false"),
+        ("params", "model", "N", 1),
+        ("params", "model", "alpha", "2"),
+        ("params", "seed", None, 5),
+    ],
+)
+def test_wrong_config_values_exit_2(tmp_path, capsys, subcommand, section, key, value):
+    cfg = _small_config(tmp_path / "c.json", section, key, value)
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    name = "dimension" if key == "N" else "'seed'" if key is None else f"{section}.{key}"
+    assert name in err[0], err
+
+
+@pytest.mark.parametrize(
+    "content", ["", "r,re,im\n", "r,re,im\n0.0625,1,0\n0.1875\n", "x,y,z\n1,2,3\n",
+                "r,re,im\n0.0625,one,0\n0.1875,1,0\n0.3125,1,0\n", "r,re,im\n\x00,1,0\n"],
+)
+def test_malformed_field_csv_exits_2(tmp_path, capsys, content):
+    field = tmp_path / "field.csv"
+    field.write_text(content)
+    cfg = _small_config(tmp_path / "c.json")
+    assert main(["classify", "--config", str(cfg), "--field", str(field)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --field "), err
+
+
+def test_valid_small_config_runs_every_subcommand(tmp_path, capsys):
+    # the configs the generated test below starts from succeed as they stand
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_SMALL))
+    for sub in ("params", "pairs", "groundstate", "classify", "evolve", "sweep"):
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / sub)]) == 0, sub
+    assert capsys.readouterr().err == ""
+
+
+_OMIT = object()
+_ODD_VALUES = [_OMIT, float("nan"), float("inf"), float("-inf"), 0, -1, "x", [1], None, True]
+_SCHEMA_KEYS = [(sec, key) for sec in sorted(cli._SCHEMA) for key in sorted(cli._SCHEMA[sec])]
+
+
+@st.composite
+def _generated_configs(draw):
+    """The small config with up to three keys of cli._SCHEMA set to an odd
+    value or left out, and the subcommand to run it with."""
+    valid = {
+        **{(sec, key): value for sec, keys in _SMALL.items() for key, value in keys.items()},
+        ("solver", "method"): draw(st.sampled_from(["both", "shooting", "fixedpoint"])),
+        ("sweep", "subcommand"): draw(st.sampled_from(["params", "pairs", "groundstate", "classify", "evolve"])),
+    }
+    odd = draw(st.dictionaries(st.sampled_from(_SCHEMA_KEYS), st.sampled_from(_ODD_VALUES), max_size=3))
+    cfg = {}
+    for sec, key in _SCHEMA_KEYS:
+        value = odd.get((sec, key), valid.get((sec, key), _OMIT))
+        if value is not _OMIT:
+            cfg.setdefault(sec, {})[key] = value
+    return draw(st.sampled_from(sorted(cli._DISPATCH))), cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_generated_configs())
+def test_generated_configs_exit_with_a_documented_code(case):
+    subcommand, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main([subcommand, "--config", path, "--out", os.path.join(tmp, "out")])
+    event(f"exit {status}")  # --hypothesis-show-statistics shows the spread
+    assert status in (0, 2, 3, 4)
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
 
-from inlslab import groundstate
+from inlslab import cli, groundstate
 from inlslab.grid import RadialGrid, gaussian_field
 from inlslab.groundstate import (
     NoBracket,
@@ -33,7 +34,7 @@ from inlslab.params import ModelParams, validate_scope
 
 def test_sech_oracle_fixedpoint(sech_pair):
     p, g, exact = sech_pair
-    gs = solve_fixedpoint(p, g, test_mode=True)
+    gs = solve_fixedpoint(p, g)
     assert np.max(np.abs(gs.profile.values - exact)) < 1e-6
     assert gs.mass2 == pytest.approx(4.0, abs=1e-6)
     assert gs.grad2 == pytest.approx(4.0 / 3.0, abs=1e-6)
@@ -43,16 +44,20 @@ def test_sech_oracle_fixedpoint(sech_pair):
 
 def test_sech_oracle_shooting(sech_pair):
     p, g, exact = sech_pair
-    gs = solve_shooting(p, g, test_mode=True)
+    gs = solve_shooting(p, g)
     assert np.max(np.abs(gs.profile.values - exact)) < 1e-6
     assert gs.mass2 == pytest.approx(4.0, abs=1e-6)
     assert gs.grad2 == pytest.approx(4.0 / 3.0, abs=1e-6)
 
 
-def test_scope_gate_without_test_mode(sech_pair):
-    p, g, _ = sech_pair
-    with pytest.raises(ValueError):
-        solve_fixedpoint(p, g)
+def test_scope_gate_without_test_mode(tmp_path, capsys):
+    # the solvers take any model; the command line, where outside input
+    # reaches them, refuses one outside the global-existence scope
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": {"N": 1, "alpha": 2, "b": 0}, "grid": {"J": 64, "h": 1 / 8}}))
+    assert cli.main(["groundstate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "outside the global-existence scope" in err[0]
 
 
 def test_solver_failures_share_one_class(params_330):
@@ -102,9 +107,7 @@ def test_identities_refine_second_order(params_330):
 def test_sharp_constant_consistency(gs_330):
     rep = sharp_constant(gs_330)
     assert rep["rel_gap"] <= 1e-3
-    sech = solve_fixedpoint(
-        ModelParams(1, 2.0, 0.0), RadialGrid(J=2048, h=1 / 128, N=1), test_mode=True
-    )
+    sech = solve_fixedpoint(ModelParams(1, 2.0, 0.0), RadialGrid(J=2048, h=1 / 128, N=1))
     with pytest.raises(ValueError):
         sharp_constant(sech)  # s_c = -1/2 is outside (0, 1)
 
@@ -142,9 +145,8 @@ def test_other_scope_points_cross_method():
         assert sharp_constant(fp)["rel_gap"] <= 1e-3
 
 
-# the reference points, shot as solve_shooting shoots them on J = 4096, h = 1/256
+# the reference points
 SHOT_POINTS = [(3, 2.0, 0.3), (2, 3.0, 0.2), (4, 1.2, 0.25)]
-R_END = 16.0 + 1.0
 SHOT_FACTORS = st.one_of(
     st.floats(0.5, 2.0),
     st.floats(-1e-12, 1e-12).map(lambda e: 1.0 + e),  # on the separatrix
@@ -155,9 +157,9 @@ SHOT_FACTORS = st.one_of(
 def _bisected_center(point):
     """The center bisected on the exit margin's sign to a one-ulp bracket."""
     p = ModelParams(*point)
-    a_lo, a_hi, _ = _bracket(p, R_END)
+    a_lo, a_hi, _ = _bracket(p)
     while (mid := 0.5 * (a_lo + a_hi)) not in (a_lo, a_hi):
-        if _exit_margin(mid, p, R_END) > 0:
+        if _exit_margin(mid, p) > 0:
             a_hi = mid
         else:
             a_lo = mid
@@ -177,7 +179,7 @@ def _event_kind(a, p):
 
     crossed.terminal = diverged.terminal = True
     crossed.direction, diverged.direction = -1, 1
-    sol = solve_ivp(fun, (series.r_s, R_END), y0, method="DOP853", rtol=1e-12, atol=1e-14,
+    sol = solve_ivp(fun, (series.r_s, groundstate._R_SHOT), y0, method="DOP853", rtol=1e-12, atol=1e-14,
                     events=(crossed, diverged))
     if sol.t_events[0].size:
         return "cross"
@@ -189,15 +191,15 @@ def _event_kind(a, p):
 def test_classify_shot_matches_terminal_events(point, factor):
     p = ModelParams(*point)
     a = _bisected_center(point) * factor
-    assert (_exit_margin(a, p, R_END) > 0) == (_event_kind(a, p) == "cross")
+    assert (_exit_margin(a, p) > 0) == (_event_kind(a, p) == "cross")
 
 
 def _uncertified_steps(a, p):
-    """Bare DOP853 steps to R_END with no energy stop: the radius of the
+    """Bare DOP853 steps to _R_SHOT with no energy stop: the radius of the
     first step end with q <= 0, with q >= 2a and with E < -margin q^2 (inf
     where none occurs)."""
     fun, series, y0, cap = _shot_start(a, p)
-    solver = DOP853(fun, series.r_s, y0, R_END, rtol=1e-12, atol=1e-14)
+    solver = DOP853(fun, series.r_s, y0, groundstate._R_SHOT, rtol=1e-12, atol=1e-14)
     first = {"cross": math.inf, "cap": math.inf, "certified": math.inf}
     while solver.status == "running":
         solver.step()
@@ -224,21 +226,21 @@ def test_energy_certificate_never_disagrees(point, factor):
     # a certified shot never crosses later, even when stepped on past the cap
     assert first["certified"] == math.inf or first["cross"] == math.inf
     # the uncertified classification: crossing before the cap or the end
-    assert (_exit_margin(a, p, R_END) > 0) == (first["cross"] < first["cap"])
+    assert (_exit_margin(a, p) > 0) == (first["cross"] < first["cap"])
 
 
 @pytest.mark.parametrize("point", SHOT_POINTS)
 def test_energy_certificate_stops_shots_below_the_center(point):
     # just below the separatrix the shot never reaches the cap: without the
-    # certificate it would be stepped to R_END
+    # certificate it would be stepped to _R_SHOT
     first = _uncertified_steps(_bisected_center(point) * (1 - 1e-9), ModelParams(*point))
-    assert first["certified"] < R_END - 1
+    assert first["certified"] < 16
     assert first["cap"] == first["cross"] == math.inf
 
 
 @pytest.mark.parametrize("point", SHOT_POINTS)
 def test_center_matches_bisection(point):
-    center, shots = _center(ModelParams(*point), R_END)
+    center, shots = _center(ModelParams(*point))
     assert center == pytest.approx(_bisected_center(point), rel=1e-13, abs=0)
     # the one-ulp bisection took 55, 54 and 59 shots here
     assert shots <= 35
@@ -246,7 +248,7 @@ def test_center_matches_bisection(point):
 
 def test_center_at_the_sech_oracle():
     # N = 1, alpha = 2, b = 0: Q = sqrt(2) sech r, so a* = sqrt(2)
-    center, _ = _center(ModelParams(1, 2.0, 0.0), 21.0)
+    center, _ = _center(ModelParams(1, 2.0, 0.0))
     assert center == pytest.approx(math.sqrt(2), rel=1e-13, abs=0)
 
 
@@ -337,3 +339,42 @@ def test_iterations_count_shots_and_fixedpoint_steps(params_330, monkeypatch):
     with pytest.raises(NoConvergence) as exc:
         solve_fixedpoint(params_330, g, max_iter=fp.iterations - 1)
     assert len(exc.value.trace) == fp.iterations - 1
+
+
+@pytest.mark.parametrize("point", SHOT_POINTS)
+def test_shot_does_not_depend_on_the_grid(point):
+    # the shot runs until it exits, so a short domain only samples fewer nodes:
+    # r_max = 5 and 8 lie inside the graft radius (9.7-10.9 here)
+    p = ModelParams(*point)
+    full = solve_shooting(p, RadialGrid(J=1024, h=1 / 64, N=p.N))
+    for J in (320, 512):
+        short = solve_shooting(p, RadialGrid(J=J, h=1 / 64, N=p.N))
+        assert np.array_equal(short.profile.values, full.profile.values[:J]), J
+        assert short.iterations == full.iterations
+
+
+@pytest.mark.parametrize("point", SHOT_POINTS)
+def test_classifying_shots_exit_before_the_bound(point, monkeypatch):
+    margins = []
+
+    def recording(a, params):
+        margins.append(_exit_margin(a, params))
+        return margins[-1]
+
+    monkeypatch.setattr(groundstate, "_exit_margin", recording)
+    _center(ModelParams(*point))
+    assert margins and -math.exp(-2 * groundstate._R_SHOT) not in margins
+
+
+def test_a_bound_inside_the_graft_radius_is_a_solver_failure(params_330, tmp_path, capsys, monkeypatch):
+    # the center shot falls to the graft level near r = 10: with a bound of 8
+    # the sign change Brent finds is a shot that crosses near 8, off the separatrix
+    monkeypatch.setattr(groundstate, "_R_SHOT", 8.0)
+    with pytest.raises(SolverFailure):
+        solve_shooting(params_330, RadialGrid(J=64, h=1 / 8, N=3))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": {"N": 3, "alpha": 2, "b": 0.3}, "grid": {"J": 64, "h": 1 / 8},
+                               "solver": {"method": "shooting"}}))
+    assert cli.main(["groundstate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: numerical failure: ")
