@@ -10,8 +10,12 @@ Two independent solvers:
   the radius where the first omitted shell falls to 1e-16 a, and profile
   nodes and residual quadrature points inside r_s take the series values.
   The bracket and Brent shots are stepped by a bare DOP853 solver and return
-  +exp(-2 r) at the radius r where q crosses zero, or -exp(-2 r) where they
-  stop otherwise; e^{-2 r} is near-linear in a - a* there.  A shot stops as
+  +W where q crosses zero, or -W where they stop otherwise, with W the
+  Wronskian |r^{N-1}(q' k - q k')| of the shot with the decaying tail mode
+  k = r^{-nu} K_nu(r) at the exit step end: it is constant along the
+  linearized equation, so W is linear in a - a* with one slope on both
+  sides.  Margins are kept by center value, so no value is shot twice, and
+  a solve takes 10-16 shots at the reference points.  A shot stops as
   "not cross" once its energy q'^2/2 - q^2/2 + r^{-b}q^{alpha+2}/(alpha+2),
   which never increases along a shot and is >= 0 wherever q = 0, falls
   below -1e-3 q^2.  Only the final shot builds a dense solution, and a
@@ -231,13 +235,13 @@ def _shot_start(a, params):
 
 
 def _exit_margin(a, params) -> float:
-    """Signed exit margin of the shot with center value a: +exp(-2 r_x) if it
-    falls to q = 0 at r_x, else -exp(-2 r) at the radius r where it stopped.
+    """Signed exit margin of the shot with center value a: +W if it falls to
+    q <= 0, else -W, with W = |r^{N-1}(q' k - q k')| at the step end r where
+    it stopped and k = r^{-nu} K_nu(r), nu = N/2 - 1, the decaying tail mode.
 
     Steps a bare DOP853 solver from r_s and stops at the first step end with
-    q <= 0 (crossing; r_x interpolates q = 0 linearly between the last two
-    step ends), with q >= 2a (the divergence cap), with a negative energy
-    certificate, at _R_SHOT or at a failed step; it builds no dense
+    q <= 0 (crossing), with q >= 2a (the divergence cap), with a negative
+    energy certificate, at _R_SHOT or at a failed step; it builds no dense
     interpolant and calls no event function.  Along a shot the energy
     E = q'^2/2 - q^2/2 + r^{-b}|q|^{alpha+2}/(alpha+2) has
     dE/dr = -(N-1)q'^2/r - b r^{-b-1}|q|^{alpha+2}/(alpha+2) <= 0, and
@@ -245,31 +249,35 @@ def _exit_margin(a, params) -> float:
     never crosses: it stops there without integrating on.
 
     The sign is the shot's kind, so the margin brackets the center a* where
-    it changes sign.  Its size makes the margin near-linear in a - a*: near
-    a* the shot leaves the decaying Q ~ r^{-(N-1)/2} e^{-r} along the growing
-    mode (a - a*) r^{-(N-1)/2} e^{r}, and it exits where the two are
-    comparable, so e^{-2 r_exit} is proportional to |a - a*|.  Brent's
-    interpolation steps rely on that; far from a*, where they would not
-    help, brentq falls back to bisection steps and keeps the bracket.
+    it changes sign.  Its size is linear in a - a*: near a* the shot is Q
+    plus (a - a*) times a solution of the linearized equation, which leaves Q
+    along the growing mode while Q and the nonlinear term decay, and the
+    Wronskian W with the decaying mode k is constant along the linear
+    equation.  So W is |a - a*| times one slope on both sides of a*, wherever
+    the shot exits, and Brent's interpolation steps land close to a*; far
+    from a*, where they would not help, brentq falls back to bisection steps
+    and keeps the bracket.
     """
     fun, series, y0, cap = _shot_start(a, params)
-    alpha, b = params.alpha, params.b
+    N, alpha, b = params.N, params.alpha, params.b
     solver = DOP853(fun, series.r_s, y0, _R_SHOT, rtol=_RTOL, atol=_ATOL)
     while solver.status == "running":
-        r_old, q_old = solver.t, float(solver.y[0])
         solver.step()
         if solver.status == "failed":
             break
         q, dq = solver.y.tolist()
         r = solver.t
-        if q <= 0:
-            return math.exp(-2.0 * (r_old + (r - r_old) * q_old / (q_old - q)))
-        if q >= cap:
+        if q <= 0 or q >= cap:
             break
         energy = 0.5 * (dq * dq - q * q) + r**-b * q ** (alpha + 2) / (alpha + 2)
         if energy < -_ENERGY_MARGIN * q * q:
             break
-    return -math.exp(-2.0 * solver.t)
+    # every exit but a crossing leaves the last step end at q > 0
+    q, dq = solver.y.tolist()
+    r, nu = solver.t, N / 2 - 1
+    # r^{N-1} k = r^{nu+1} K_nu(r) and r^{N-1} k' = -r^{nu+1} K_{nu+1}(r)
+    wronskian = abs(r ** (nu + 1) * (dq * kv(nu, r) + q * kv(nu + 1, r)))
+    return wronskian if q <= 0 else -wronskian
 
 
 def _final_shot(a, params, q_graft):
@@ -304,54 +312,62 @@ def _final_shot(a, params, q_graft):
 
 
 def _bracket(params):
-    """Find a_lo (does not cross) < a_hi (crosses zero); also returns the shot count."""
+    """Find a_lo (does not cross) < a_hi (crosses zero); also returns the
+    exit margins of the shots taken, keyed by center value."""
+    margins = {}
+
+    def crosses(a):
+        margins[a] = _exit_margin(a, params)
+        return margins[a] > 0
+
     a = 1.0
-    shots = 1
-    if _exit_margin(a, params) > 0:
-        a_hi = a
+    if crosses(a):
         for _ in range(60):
-            a /= 1.5
-            shots += 1
-            if _exit_margin(a, params) <= 0:
-                return a, a_hi, shots
-            a_hi = a
+            a_hi, a = a, a / 1.5
+            if not crosses(a):
+                return a, a_hi, margins
         raise NoBracket(f"no shot that stays positive found down to a={a}")
-    a_lo = a
     for _ in range(60):
-        a *= 1.5
-        shots += 1
-        if _exit_margin(a, params) > 0:
-            return a_lo, a, shots
-        a_lo = a
+        a_lo, a = a, a * 1.5
+        if crosses(a):
+            return a_lo, a, margins
     raise NoBracket(f"no zero-crossing shot found up to a={a}")
 
 
-# brentq's iteration cap, far above the 15-26 shots it takes at the reference points
+# brentq's iteration cap, far above the 10-16 shots it takes at the reference points
 _BRENT_MAXITER = 200
 
 
 def _center(params):
     """The center value a* where the exit margin changes sign, by Brent's
-    method on the bracket, and the number of shots taken to find it."""
-    a_lo, a_hi, shots = _bracket(params)
+    method on the bracket, and the number of distinct shots taken to find it.
+
+    Margins are kept by center value, so Brent's opening evaluations at the
+    bracket ends reuse the bracket's last two shots and no center value is
+    shot twice."""
+    a_lo, a_hi, margins = _bracket(params)
+
+    def margin(a):
+        if a not in margins:
+            margins[a] = _exit_margin(a, params)
+        return margins[a]
+
     try:
-        center, info = brentq(
-            _exit_margin,
+        center = brentq(
+            margin,
             a_lo,
             a_hi,
-            args=(params,),
             # stop within a few ulps of a*: the tightest rtol brentq accepts,
             # and an xtol that only has to be positive
             xtol=1e-300,
             rtol=4 * np.finfo(float).eps,
             maxiter=_BRENT_MAXITER,
-            full_output=True,
         )
     except RuntimeError as exc:
         raise SolverFailure(
             f"shooting: no center value in [{a_lo}, {a_hi}] after {_BRENT_MAXITER} Brent steps"
         ) from exc
-    return center, shots + info.function_calls
+    return center, len(margins)
 
 
 def solve_shooting(params: ModelParams, grid: RadialGrid) -> GroundState:

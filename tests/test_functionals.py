@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from inlslab.evolve import Evolver
 from inlslab.functionals import (
     LgsReport,
     ThresholdReport,
@@ -193,6 +194,29 @@ def test_linear_decay_weighted_product_decays(params_330):
     rep = linear_decay_check(params_330, math.inf, [0.5, 2, 5], r_max=60.0)
     w = rep.weighted_product
     assert w[-1] < w[0] * 1e-2
+
+
+def test_linear_decay_steps_stay_normal(params_330, monkeypatch):
+    # e^{-r^2} underflows past r ~ 27; the tail floor keeps every step's
+    # samples out of the subnormal range, where the solves run slowly
+    tiny = np.finfo(float).tiny
+    step, subnormal = Evolver.step_values, []
+
+    def spying(self, w):
+        out = step(self, w)
+        parts = np.abs(np.concatenate([out.real, out.imag]))
+        subnormal.append(int(np.count_nonzero((parts > 0) & (parts < tiny))))
+        return out
+
+    monkeypatch.setattr(Evolver, "step_values", spying)
+    linear_decay_check(params_330, math.inf, [0.5], h=1 / 32, r_max=40.0)
+    assert len(subnormal) == 250 and not any(subnormal)
+
+
+def test_linear_decay_rejects_a_first_time_under_half_a_step(params_330):
+    # 5e-4 rounds to zero steps of 2e-3: it would report the t = 0 datum
+    with pytest.raises(ValueError, match="rounds to zero steps"):
+        linear_decay_check(params_330, math.inf, [5e-4, 1.0], dt=2e-3)
 
 
 def test_linear_decay_validation(params_330):

@@ -282,18 +282,30 @@ def test_series_matches_tight_integration(point, a):
     assert lead[0, 2 - b] == pytest.approx(-1 / ((2 - b) * (N - b)), rel=1e-15)
     # from deep inside r_s, where the state is its leading terms, a tight
     # integration reaches the truncated series at r_s.  It runs in t = ln r on
-    # (q, r q') near DOP853's rtol floor: in r, the integrator's own error
-    # across the r^{1-b} singularity of q' reaches 1e-12 of a at rtol 1e-13,
-    # and in t it is 7e-14 at rtol 1e-13 but below 1e-14 at 3e-14
-    r0 = min(1e-8, 1e-3 * series.r_s)
+    # the deviation (d, r d') of (q, r q') from the two leading terms P above.
+    # d is a small part of a, so DOP853's relative error in it stays below 1%
+    # of the bound; on (q, r q') themselves it reached 1.0016 times the bound
+    # at (5, 1.05, 0.03125), a = 0.5, and 2.3 times at other scope points,
+    # while a 30-digit integration put the series within 3e-17 there
+    c2, cb = a / (2 * N), a ** (p.alpha + 1) / ((2 - b) * (N - b))
+
+    def leading(r):
+        """P = a + c2 r^2 - cb r^{2-b} and r P'."""
+        return a + c2 * r * r - cb * r ** (2 - b), 2 * c2 * r * r - (2 - b) * cb * r ** (2 - b)
 
     def rhs_log(t, y):
+        # Lap P = a - a^{alpha+1} r^{-b}, so Lap d = P - a + d - r^{-b}(q^{alpha+1} - a^{alpha+1})
         r = math.exp(t)
-        return [y[1], (2 - N) * y[1] + r * r * y[0] - r ** (2 - b) * abs(y[0]) ** p.alpha * y[0]]
+        q = leading(r)[0] + y[0]
+        return [y[1], (2 - N) * y[1] + r * r * (c2 * r * r - cb * r ** (2 - b) + y[0])
+                - r ** (2 - b) * (abs(q) ** p.alpha * q - a ** (p.alpha + 1))]
 
+    r0 = min(1e-8, 1e-3 * series.r_s)
     q0, dq0 = series(r0)
-    sol = solve_ivp(rhs_log, (math.log(r0), math.log(series.r_s)), [float(q0), float(r0 * dq0)],
-                    method="DOP853", rtol=3e-14, atol=1e-30)
+    p0, rdp0 = leading(r0)
+    sol = solve_ivp(rhs_log, (math.log(r0), math.log(series.r_s)), [float(q0) - p0, float(r0 * dq0) - rdp0],
+                    method="DOP853", rtol=3e-14, atol=1e-20 * a)
+    sol.y += np.array(leading(series.r_s))[:, None]  # back to (q, r q')
     q, dq = series(series.r_s)
     assert abs(q - sol.y[0, -1]) <= 1e-13 * a
     assert abs(series.r_s * dq - sol.y[1, -1]) <= 1e-13 * max(a, abs(series.r_s * dq))
@@ -355,15 +367,44 @@ def test_shot_does_not_depend_on_the_grid(point):
 
 @pytest.mark.parametrize("point", SHOT_POINTS)
 def test_classifying_shots_exit_before_the_bound(point, monkeypatch):
-    margins = []
+    solvers = []
+
+    class Recording(DOP853):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+    monkeypatch.setattr(groundstate, "DOP853", Recording)
+    _center(ModelParams(*point))
+    assert solvers and all(s.status == "running" and s.t < groundstate._R_SHOT for s in solvers)
+
+
+@pytest.mark.parametrize("point", SHOT_POINTS)
+def test_exit_margin_has_one_slope_across_the_center(point):
+    # the Wronskian with the decaying mode is linear in a - a*, with the same
+    # slope on both sides; e^{-2 r_exit} had slopes 3-28x apart here
+    p = ModelParams(*point)
+    center, _ = _center(p)
+    for eps in (1e-6, 1e-9):
+        above = _exit_margin(center * (1 + eps), p) / eps
+        below = -_exit_margin(center * (1 - eps), p) / eps
+        assert above > 0 and below > 0
+        assert above == pytest.approx(below, rel=1e-2), eps
+
+
+@pytest.mark.parametrize("point", SHOT_POINTS)
+def test_center_shoots_each_value_once(point, monkeypatch):
+    shot = []
 
     def recording(a, params):
-        margins.append(_exit_margin(a, params))
-        return margins[-1]
+        shot.append(a)
+        return _exit_margin(a, params)
 
     monkeypatch.setattr(groundstate, "_exit_margin", recording)
-    _center(ModelParams(*point))
-    assert margins and -math.exp(-2 * groundstate._R_SHOT) not in margins
+    _, shots = _center(ModelParams(*point))
+    assert len(set(shot)) == len(shot) == shots
+    # 10, 10 and 16 shots here; the e^{-2 r_exit} margin took 18, 16 and 34
+    assert shots <= 20
 
 
 def test_a_bound_inside_the_graft_radius_is_a_solver_failure(params_330, tmp_path, capsys, monkeypatch):
