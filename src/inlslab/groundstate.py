@@ -9,18 +9,23 @@ Two independent solvers:
   y = r^{2-b} through total degree 12; r_s is read off the coefficients as
   the radius where the first omitted shell falls to 1e-16 a, and profile
   nodes and residual quadrature points inside r_s take the series values.
-  The bracket and Brent shots are stepped by a bare DOP853 solver and return
+  The bracket and Brent shots are stepped by the compiled DOP853 that
+  scipy.integrate.ode wraps, stopped by a solout callback, and return
   +W where q crosses zero, or -W where they stop otherwise, with W the
   Wronskian |r^{N-1}(q' k - q k')| of the shot with the decaying tail mode
   k = r^{-nu} K_nu(r) at the exit step end: it is constant along the
   linearized equation, so W is linear in a - a* with one slope on both
   sides.  Margins are kept by center value, so no value is shot twice, and
-  a solve takes 10-16 shots at the reference points.  A shot stops as
+  a solve takes 10-15 shots at the reference points.  A shot stops as
   "not cross" once its energy q'^2/2 - q^2/2 + r^{-b}q^{alpha+2}/(alpha+2),
   which never increases along a shot and is >= 0 wherever q = 0, falls
   below -1e-3 q^2.  Only the final shot builds a dense solution, and a
   terminal event stops it where q falls to 1e-5: the tail is grafted at that
-  radius r_match, matching q, with its derivative in closed form.  Every
+  radius r_match, matching q, with its derivative in closed form.  That shot
+  stays on solve_ivp's DOP853, since the graft and the sampling read its
+  dense interpolant, which the compiled wrapper does not expose.  The two
+  DOP853 codes put the separatrix about 1e-13 apart relative, far closer
+  than the final shot needs to stay on it down to the graft level.  Every
   shot runs until it exits (a crossing, the cap, the energy certificate or
   the graft); the module bound _R_SHOT lies far past those exits, so the
   center, the shot and r_match depend on (N, alpha, b) alone and the grid
@@ -41,11 +46,12 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import ode, solve_ivp
 from scipy.optimize import brentq
 from scipy.special import kv, roots_jacobi, roots_legendre
 
@@ -223,6 +229,9 @@ _ENERGY_MARGIN = 1e-3
 # shot reaches the graft level near r = 10, so the bound only keeps a runaway
 # shot finite; no grid sets it.
 _R_SHOT = 64.0
+# The compiled classifying shots' step cap: a shot to _R_SHOT takes a few
+# hundred steps at these tolerances, so the cap only ends a runaway shot.
+_MAX_STEPS = 100_000
 
 
 def _shot_start(a, params):
@@ -239,10 +248,16 @@ def _exit_margin(a, params) -> float:
     q <= 0, else -W, with W = |r^{N-1}(q' k - q k')| at the step end r where
     it stopped and k = r^{-nu} K_nu(r), nu = N/2 - 1, the decaying tail mode.
 
-    Steps a bare DOP853 solver from r_s and stops at the first step end with
-    q <= 0 (crossing), with q >= 2a (the divergence cap), with a negative
-    energy certificate, at _R_SHOT or at a failed step; it builds no dense
-    interpolant and calls no event function.  Along a shot the energy
+    The shot is stepped by the compiled DOP853 of Hairer, Norsett and Wanner
+    (Solving ODEs I, 1993) that scipy.integrate.ode wraps, about 4x faster
+    than scipy's pure-Python DOP853 class.  Its solout callback stops it at
+    the first step end with q <= 0 (crossing), with q >= 2a (the divergence
+    cap) or with a negative energy certificate; otherwise it runs to _R_SHOT,
+    or ends at a failed step (any negative return code), which stops a shot
+    as quietly as an exit does.  The rule is checked at r_s first, since the
+    compiled code also calls solout at the initial point and a stop there is
+    a failure with a warning.  The shot builds no dense interpolant and calls
+    no event function.  Along a shot the energy
     E = q'^2/2 - q^2/2 + r^{-b}|q|^{alpha+2}/(alpha+2) has
     dE/dr = -(N-1)q'^2/r - b r^{-b-1}|q|^{alpha+2}/(alpha+2) <= 0, and
     E = q'^2/2 >= 0 wherever q = 0, so a shot whose E is negative at q > 0
@@ -260,21 +275,26 @@ def _exit_margin(a, params) -> float:
     """
     fun, series, y0, cap = _shot_start(a, params)
     N, alpha, b = params.N, params.alpha, params.b
-    solver = DOP853(fun, series.r_s, y0, _R_SHOT, rtol=_RTOL, atol=_ATOL)
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
-            break
-        q, dq = solver.y.tolist()
-        r = solver.t
+
+    def exits(r, y):
+        """-1 (stop) at a crossing, the cap or a negative energy, else 0."""
+        q, dq = y
         if q <= 0 or q >= cap:
-            break
+            return -1
         energy = 0.5 * (dq * dq - q * q) + r**-b * q ** (alpha + 2) / (alpha + 2)
-        if energy < -_ENERGY_MARGIN * q * q:
-            break
-    # every exit but a crossing leaves the last step end at q > 0
-    q, dq = solver.y.tolist()
-    r, nu = solver.t, N / 2 - 1
+        return -1 if energy < -_ENERGY_MARGIN * q * q else 0
+
+    r, (q, dq) = series.r_s, y0
+    if not exits(r, y0):
+        solver = ode(fun).set_integrator("dop853", rtol=_RTOL, atol=_ATOL, nsteps=_MAX_STEPS)
+        solver.set_solout(lambda r, y: exits(r, y.tolist()))
+        solver.set_initial_value(y0, r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a failed step ends the shot, as an exit does
+            solver.integrate(_R_SHOT)
+        # every exit but a crossing leaves the last step end at q > 0
+        r, (q, dq) = solver.t, solver.y.tolist()
+    nu = N / 2 - 1
     # r^{N-1} k = r^{nu+1} K_nu(r) and r^{N-1} k' = -r^{nu+1} K_{nu+1}(r)
     wronskian = abs(r ** (nu + 1) * (dq * kv(nu, r) + q * kv(nu + 1, r)))
     return wronskian if q <= 0 else -wronskian

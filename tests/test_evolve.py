@@ -486,3 +486,48 @@ def test_virial_tables_cached_per_grid_and_radius(J1, J2, h1, h2, r_fracs, seed)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+
+def _exp_formula(v, coef, alpha):
+    """The phase rotation written with numpy's complex exponential."""
+    return v * np.exp(1j * coef * np.abs(v) ** alpha)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    params=_in_scope_params(),
+    values=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]),  # zeros, subnormals
+            st.floats(-1e3, 1e3),
+        ),
+        min_size=6,
+        max_size=400,
+    ),
+    real=st.booleans(),
+    h=st.floats(1 / 64, 1.0),
+    dt_over_h2=st.floats(1e-3, _DT_SAFETY),
+    linear_only=st.booleans(),
+)
+def test_rotation_is_bitwise_the_exp_formula(params, values, real, h, dt_over_h2, linear_only):
+    # cos and sin written into one complex buffer give the bits of
+    # v * exp(1j * theta), signed zeros and subnormals included
+    if real:
+        v = np.array(values)
+    else:
+        v = np.empty(len(values) // 2, dtype=complex)
+        v.real, v.imag = values[: v.size], values[v.size : 2 * v.size]
+    g = RadialGrid(J=v.size, h=h, N=params.N)
+    dt = dt_over_h2 * h**2
+    ev = Evolver(g, params, dt, linear_only=linear_only)
+    lower, diag, upper = laplacian_diagonals(g)
+    z = 1j * dt / 2
+    w = shifted_laplacian_solver(g, z)(_tridiag_apply(z * lower, 1 + z * diag, z * upper, v))
+    if linear_only:
+        assert ev.stagger(v) is v and ev.unstagger(v) is v
+        assert ev.step_values(v).tobytes() == w.tobytes()
+        return
+    alpha, half = params.alpha, (dt / 2) * g.nodes ** (-params.b)
+    assert ev.stagger(v).tobytes() == _exp_formula(v, half, alpha).tobytes()
+    assert ev.unstagger(v).tobytes() == _exp_formula(v, -half, alpha).tobytes()
+    assert ev.step_values(v).tobytes() == _exp_formula(w, dt * g.nodes ** (-params.b), alpha).tobytes()

@@ -1,12 +1,13 @@
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import ode, solve_ivp
 
 from inlslab import cli, groundstate
 from inlslab.grid import RadialGrid, gaussian_field
@@ -166,24 +167,30 @@ def _bisected_center(point):
     return 0.5 * (a_lo + a_hi)
 
 
+def _compiled_shot(a, p, solout):
+    """The package's shot with center value a, stepped by the same compiled
+    DOP853 to _R_SHOT under solout(r, q, dq) instead of the package's exit
+    rule; solout returns -1 to stop."""
+    fun, series, y0, _ = _shot_start(a, p)
+    solver = ode(fun).set_integrator("dop853", rtol=1e-12, atol=1e-14, nsteps=groundstate._MAX_STEPS)
+    solver.set_solout(lambda r, y: solout(r, *y.tolist()))
+    solver.set_initial_value(y0, series.r_s).integrate(groundstate._R_SHOT)
+
+
 def _event_kind(a, p):
-    """The shot's kind from solve_ivp's terminal events q = 0 and q = 2a,
-    started where the package starts it."""
-    fun, series, y0, cap = _shot_start(a, p)
+    """The shot's kind from the first step end with q <= 0 or q >= 2a, with
+    no energy certificate."""
+    cap = _shot_start(a, p)[3]
+    kind = ["end"]
 
-    def crossed(r, y):
-        return y[0]
+    def terminal(r, q, dq):
+        if q <= 0 or q >= cap:
+            kind[0] = "cross" if q <= 0 else "diverge"
+            return -1
+        return 0
 
-    def diverged(r, y):
-        return y[0] - cap
-
-    crossed.terminal = diverged.terminal = True
-    crossed.direction, diverged.direction = -1, 1
-    sol = solve_ivp(fun, (series.r_s, groundstate._R_SHOT), y0, method="DOP853", rtol=1e-12, atol=1e-14,
-                    events=(crossed, diverged))
-    if sol.t_events[0].size:
-        return "cross"
-    return "diverge" if sol.t_events[1].size else "end"
+    _compiled_shot(a, p, terminal)
+    return kind[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -195,25 +202,23 @@ def test_classify_shot_matches_terminal_events(point, factor):
 
 
 def _uncertified_steps(a, p):
-    """Bare DOP853 steps to _R_SHOT with no energy stop: the radius of the
-    first step end with q <= 0, with q >= 2a and with E < -margin q^2 (inf
-    where none occurs)."""
-    fun, series, y0, cap = _shot_start(a, p)
-    solver = DOP853(fun, series.r_s, y0, groundstate._R_SHOT, rtol=1e-12, atol=1e-14)
+    """Compiled DOP853 steps to _R_SHOT with no energy stop: the radius of
+    the first step end with q <= 0, with q >= 2a and with E < -margin q^2
+    (inf where none occurs)."""
+    cap = _shot_start(a, p)[3]
     first = {"cross": math.inf, "cap": math.inf, "certified": math.inf}
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
-            break
-        q, dq = solver.y.tolist()
-        r = solver.t
+
+    def record(r, q, dq):
         if q <= 0:
             first["cross"] = r
-            break
+            return -1
         energy = 0.5 * (dq * dq - q * q) + r**-p.b * q ** (p.alpha + 2) / (p.alpha + 2)
         for key, hit in (("cap", q >= cap), ("certified", energy < -_ENERGY_MARGIN * q * q)):
             if hit:
                 first[key] = min(first[key], r)
+        return 0
+
+    _compiled_shot(a, p, record)
     return first
 
 
@@ -365,18 +370,50 @@ def test_shot_does_not_depend_on_the_grid(point):
         assert short.iterations == full.iterations
 
 
-@pytest.mark.parametrize("point", SHOT_POINTS)
-def test_classifying_shots_exit_before_the_bound(point, monkeypatch):
+def _recording_ode(monkeypatch):
+    """Record every compiled solver the package builds."""
     solvers = []
 
-    class Recording(DOP853):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            solvers.append(self)
+    def recording(fun):
+        solvers.append(ode(fun))
+        return solvers[-1]
 
-    monkeypatch.setattr(groundstate, "DOP853", Recording)
+    monkeypatch.setattr(groundstate, "ode", recording)
+    return solvers
+
+
+@pytest.mark.parametrize("point", SHOT_POINTS)
+def test_classifying_shots_exit_before_the_bound(point, monkeypatch):
+    solvers = _recording_ode(monkeypatch)
     _center(ModelParams(*point))
-    assert solvers and all(s.status == "running" and s.t < groundstate._R_SHOT for s in solvers)
+    # return code 2: stopped by the exit rule, not at _R_SHOT or a failed step
+    assert solvers and all(s.get_return_code() == 2 and s.t < groundstate._R_SHOT for s in solvers)
+
+
+def test_a_shot_that_exits_at_its_start_is_not_integrated(params_330, monkeypatch):
+    # far below the center the energy certificate already holds at r_s; the
+    # compiled code calls solout at the start too, and a stop there is its
+    # failure code -3 with a UserWarning
+    solvers = _recording_ode(monkeypatch)
+    center, _ = _center(params_330)
+    solvers.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _exit_margin(0.1 * center, params_330) < 0
+    assert not solvers
+
+
+def test_a_failed_shot_ends_quietly(params_330, monkeypatch):
+    # a negative return code (here: too many steps) ends the shot where it
+    # stopped, as an exit does, with no warning
+    solvers = _recording_ode(monkeypatch)
+    center, _ = _center(params_330)
+    monkeypatch.setattr(groundstate, "_MAX_STEPS", 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        margin = _exit_margin(center, params_330)
+    assert solvers[-1].get_return_code() < 0 and solvers[-1].t < 2
+    assert math.isfinite(margin) and margin < 0
 
 
 @pytest.mark.parametrize("point", SHOT_POINTS)
