@@ -25,7 +25,7 @@ import numpy as np
 
 from . import evolve as evolve_mod
 from . import exponents, functionals, groundstate
-from .grid import RadialGrid, field_from_csv, field_to_csv, gaussian_field
+from .grid import RadialField, RadialGrid, gaussian_field
 from .params import ModelParams, upper_exponents, validate_scope
 
 
@@ -128,6 +128,8 @@ def _precision(cfg) -> int:
 
 
 def _fmt(x, prec):
+    if isinstance(x, float):  # numpy's float64 too; first, since a profile.csv holds 3 J of them
+        return f"%.{prec}g" % x
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, Fraction):
@@ -145,6 +147,28 @@ def _write_csv(path, header, rows, prec):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v, prec) for v in row])
+
+
+# a field CSV holds one row r,re,im per grid node
+_FIELD_HEADER = ["r", "re", "im"]
+
+
+def _read_field(path, grid: RadialGrid) -> RadialField:
+    """The field of a field CSV whose nodes are those of `grid`."""
+    rs, vals = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if [c.strip() for c in header] != _FIELD_HEADER:
+            raise ValueError(f"unexpected field CSV header {header}")
+        for row in reader:
+            if len(row) != 3:
+                raise ValueError(f"field CSV row {row} does not have 3 columns")
+            rs.append(float(row[0]))
+            vals.append(float(row[1]) + 1j * float(row[2]))
+    if len(rs) != grid.J or not np.allclose(grid.nodes, rs, rtol=1e-9, atol=1e-12):
+        raise ValueError(f"field CSV nodes do not match the configured grid (J={grid.J}, h={grid.h})")
+    return grid.field(np.asarray(vals))
 
 
 def _out_dir(cfg, args) -> str:
@@ -185,6 +209,9 @@ def cmd_pairs(cfg, args) -> int:
     sec = cfg.get("pairs", {})
     prec = _precision(cfg)
     theta, eps = sec.get("theta"), sec.get("eps", exponents.CLAIM2_EPS)
+    for key, value in (("theta", theta), ("eps", eps)):
+        if isinstance(value, bool):  # Fraction(True) would read it as 1
+            raise ConfigError(f"pairs.{key} must be a number or a fraction string, got {value!r}")
     try:
         rows = exponents.certificate_rows(params.N, params.alpha, params.b, theta=theta, eps=eps)
         app = exponents.appendix_checks(params.N, params.alpha, params.b, rows[0]["theta"], eps=eps)
@@ -237,7 +264,9 @@ def cmd_groundstate(cfg, args) -> int:
         methods = [methods]
     results = {m: _solve(cfg, params, grid, m) for m in methods}
     primary = results.get("fixedpoint") or next(iter(results.values()))
-    field_to_csv(primary.profile, os.path.join(out, "profile.csv"), precision=prec)
+    values = primary.profile.values
+    _write_csv(os.path.join(out, "profile.csv"), _FIELD_HEADER,
+               zip(grid.nodes, np.real(values), np.imag(values)), prec)
     id_rows = []
     for name, gs in sorted(results.items()):
         residuals = groundstate.verify_identities(gs)
@@ -261,15 +290,12 @@ def cmd_groundstate(cfg, args) -> int:
     return 0
 
 
-def _load_field(cfg, args, params, grid):
+def _load_field(cfg, args, grid):
     if args.field:
         try:
-            u = field_from_csv(args.field, params.N)
+            return _read_field(args.field, grid)
         except (ValueError, csv.Error) as exc:
             raise ConfigError(f"--field {args.field}: {exc}") from exc
-        if u.grid.J != grid.J or abs(u.grid.h - grid.h) > 1e-12:
-            raise ConfigError("field CSV grid does not match the configured grid")
-        return u
     spec = cfg.get("classify", {}).get("field")
     if spec is None:
         raise ConfigError("no --field file and no classify.field profile given")
@@ -297,7 +323,7 @@ def cmd_classify(cfg, args) -> int:
     params = _model(cfg)
     grid = _grid(cfg, params)
     prec = _precision(cfg)
-    u0 = _load_field(cfg, args, params, grid)
+    u0 = _load_field(cfg, args, grid)
     rep = functionals.classify(u0, _solve(cfg, params, grid, "fixedpoint"))
     row = [getattr(rep, k) for k in _CLASSIFY_HEADER]
     writer = csv.writer(sys.stdout)
@@ -322,9 +348,9 @@ def cmd_evolve(cfg, args) -> int:
         econf = evolve_mod.EvolutionConfig(params=params, J=grid.J, h=grid.h, **values)
     except ValueError as exc:
         raise ConfigError(f"evolve: {exc}") from exc
-    u0 = _load_field(cfg, args, params, grid)
+    u0 = _load_field(cfg, args, grid)
     rep = functionals.classify(u0, _solve(cfg, params, grid, "fixedpoint"))
-    exploratory = rep.verdict not in ("GlobalScatters", "GlobalOnly")
+    exploratory = rep.verdict not in evolve_mod.BELOW_THRESHOLD
     trace = evolve_mod.run(u0, econf, threshold=rep)
     rows = [
         [trace.times[i], trace.mass_series[i], trace.energy_series[i],

@@ -45,6 +45,9 @@ _BOUNDARY_SHELL = 0.03  # outer fraction of the domain whose mass counts as leak
 _BUDGET_FRACTION = 0.5  # initial exterior budget share of the rigidity bound that makes R too small
 _DECAY_FRACTION = 0.05  # final/initial potential ratio below which a run counts as decayed
 
+# the classifier verdicts of data strictly below the ground-state threshold
+BELOW_THRESHOLD = ("GlobalScatters", "GlobalOnly")
+
 
 class NumericalFailure(RuntimeError):
     """A run stopped because a numerical check failed."""
@@ -193,54 +196,32 @@ class Evolver:
 # junctions from the jump of phi''', and the classical formula used below
 # would miss them whenever the solution has mass near s = 1 or s = 2.
 _PHI_POLY = np.array([44.0, -465.0, 2060.0, -4950.0, 6960.0, -5728.0, 2560.0, -480.0])
-_PHI_D1 = np.polyder(_PHI_POLY)
-_PHI_D2 = np.polyder(_PHI_POLY, 2)
-_PHI_D3 = np.polyder(_PHI_POLY, 3)
-_PHI_D4 = np.polyder(_PHI_POLY, 4)
+_PHI_CORE = np.array([1.0, 0.0, 0.0])  # s^2
 
 
-def _phi_piece(s, inner_poly, blend_poly):
+def phi(s, k=0):
+    """The k-th derivative of the cutoff at s."""
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
     core = s <= 1.0
     mid = (s > 1.0) & (s < 2.0)
-    out[core] = np.polyval(inner_poly, s[core])
-    out[mid] = np.polyval(blend_poly, s[mid])
+    out[core] = np.polyval(np.polyder(_PHI_CORE, k), s[core])
+    out[mid] = np.polyval(np.polyder(_PHI_POLY, k), s[mid])
     return out
-
-
-def phi(s):
-    return _phi_piece(s, np.array([1.0, 0.0, 0.0]), _PHI_POLY)
-
-
-def phi_d1(s):
-    return _phi_piece(s, np.array([2.0, 0.0]), _PHI_D1)
-
-
-def phi_d2(s):
-    return _phi_piece(s, np.array([2.0]), _PHI_D2)
-
-
-def phi_d3(s):
-    return _phi_piece(s, np.array([0.0]), _PHI_D3)
-
-
-def phi_d4(s):
-    return _phi_piece(s, np.array([0.0]), _PHI_D4)
 
 
 def _phi_laplacian(s, N):
     """(Lap phi)(s) = phi'' + (N-1) phi'/s."""
-    return phi_d2(s) + (N - 1) * phi_d1(s) / s
+    return phi(s, 2) + (N - 1) * phi(s, 1) / s
 
 
 def _phi_bilaplacian(s, N):
     """Radial bi-Laplacian of phi at s."""
     return (
-        phi_d4(s)
-        + 2 * (N - 1) * phi_d3(s) / s
-        + (N - 1) * (N - 3) * phi_d2(s) / s**2
-        - (N - 1) * (N - 3) * phi_d1(s) / s**3
+        phi(s, 4)
+        + 2 * (N - 1) * phi(s, 3) / s
+        + (N - 1) * (N - 3) * phi(s, 2) / s**2
+        - (N - 1) * (N - 3) * phi(s, 1) / s**3
     )
 
 
@@ -253,10 +234,10 @@ def _phi_deviation_constants(N):
     |phi' - 2s|/s = 2), so only [1, 2] needs sampling.
     """
     s = np.linspace(1.0, 2.0, 4001)
-    c_hess = max(2.0, float(np.max(np.abs(phi_d2(s) - 2.0))))
+    c_hess = max(2.0, float(np.max(np.abs(phi(s, 2) - 2.0))))
     c_bilap = float(np.max(np.abs(_phi_bilaplacian(s, N))))
     c_lap = max(2.0 * N, float(np.max(np.abs(_phi_laplacian(s, N) - 2 * N))))
-    c_grad = max(2.0, float(np.max(np.abs(phi_d1(s) - 2 * s) / s)))
+    c_grad = max(2.0, float(np.max(np.abs(phi(s, 1) - 2 * s) / s)))
     return c_hess, c_bilap, c_lap, c_grad
 
 
@@ -279,11 +260,11 @@ def _virial_tables(J: int, h: float, N: int, b: float, R: float) -> _VirialTable
     grid = RadialGrid(J=J, h=h, N=N)
     r, w = grid.nodes, grid.weights
     s = r / R
-    d1 = phi_d1(s)
+    d1 = phi(s, 1)
     tables = _VirialTables(
         phi=w * phi(s),
         d1=w * d1,
-        d2=w * phi_d2(s),
+        d2=w * phi(s, 2),
         bilap=w * _phi_bilaplacian(s, N),
         lap=w * _phi_laplacian(s, N),
         t4=w * (-b) * r ** (-b - 1) * d1,
@@ -358,16 +339,13 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
     """
     params = config.params
     grid = config.grid()
-    if u0.grid.J != grid.J or u0.grid.h != grid.h or u0.grid.N != grid.N:
+    if u0.grid != grid:
         raise ValueError("initial field grid does not match the configuration")
     alpha, b, s_c = params.alpha, params.b, params.s_c
     ev = Evolver(grid, params, config.dt, linear_only=config.linear_only)
     n_steps = config.n_steps
 
-    enforce_gm = (
-        threshold is not None
-        and threshold.verdict in ("GlobalScatters", "GlobalOnly")
-    )
+    enforce_gm = threshold is not None and threshold.verdict in BELOW_THRESHOLD
     times, mass_s, energy_s, grad_s, pot_s, gm_s = [], [], [], [], [], []
     z_s, zp_s, zs_s, budget_s = [], [], [], []
 
@@ -455,7 +433,7 @@ def rigidity_check(trace: EvolutionTrace, threshold) -> RigidityReport:
     _BUDGET_FRACTION (one half) of the lower bound, and the check then
     refuses to certify rather than pass trivially.
     """
-    if threshold.verdict not in ("GlobalScatters", "GlobalOnly"):
+    if threshold.verdict not in BELOW_THRESHOLD:
         raise ValueError(
             f"rigidity bound needs below-threshold data, verdict is {threshold.verdict}"
         )

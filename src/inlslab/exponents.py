@@ -225,9 +225,10 @@ def claim2_theta_window(N: int, alpha, b) -> tuple[Fraction, Fraction]:
 def family_claim2(alpha, b, theta, N: int, eps=CLAIM2_EPS) -> dict:
     """Uniform-bound pair family; N >= 3 and N = 2 take different shapes.
 
-    Asserts (a, r) H^{s_c}-admissible, (a_bar, r_bar) H^{-s_c}-admissible,
-    the interior ranges 2N/(N-2s_c) < r, r_bar < 2N/(N-2) for N >= 3, and
-    the split a = (alpha + 1 - theta) * a_bar'.
+    Asserts (a, r) H^{s_c}-admissible, (a_bar, r_bar) H^{-s_c}-admissible
+    and the split a = (alpha + 1 - theta) * a_bar'.  The two admissibility
+    verdicts already imply Claim 2's interior ranges: 2N/(N-2s_c) < r, r_bar
+    < 2N/(N-2) for N >= 3, and r, r_bar > 2/(1-s_c) for N = 2.
     """
     al, b_, t, ep = exact(alpha), exact(b), exact(theta), exact(eps)
     if N >= 3:
@@ -249,10 +250,6 @@ def family_claim2(alpha, b, theta, N: int, eps=CLAIM2_EPS) -> dict:
             )
         a_bar = 4 * al * (N + 2) / d_ab
         r_bar = 2 * al * N * (N + 2) / d_rb
-        range_lo = Fraction(2 * N, N - 2 * s_c)
-        range_hi = Fraction(2 * N, N - 2)
-        range_r_ok = range_lo < r < range_hi
-        range_rbar_ok = range_lo < r_bar < range_hi
     else:
         if not (0 < t < al):
             raise ThetaWindowError(f"need 0 < theta < alpha, got theta={t}")
@@ -269,10 +266,6 @@ def family_claim2(alpha, b, theta, N: int, eps=CLAIM2_EPS) -> dict:
         r = 2 * al * (al + 1 - t) / d_r
         a_bar = 2 * al / d_ab
         r_bar = 2 * al / ep
-        # 2D analogue of the interior range: lower endpoint 2/(1-s_c).
-        range_lo = 2 / (1 - s_c)
-        range_r_ok = r > range_lo
-        range_rbar_ok = r_bar > range_lo
     split_residual = a - (al + 1 - t) * dual_exponent(a_bar)
     return {
         "a": a,
@@ -281,8 +274,6 @@ def family_claim2(alpha, b, theta, N: int, eps=CLAIM2_EPS) -> dict:
         "r_bar": r_bar,
         "hs_admissible": is_hs_admissible(a, r, N, s_c),
         "hneg_admissible": is_hneg_admissible(a_bar, r_bar, N, s_c),
-        "range_r_ok": range_r_ok,
-        "range_rbar_ok": range_rbar_ok,
         "split_residual": split_residual,
         "s_c": s_c,
     }

@@ -224,7 +224,7 @@ def linear_decay_check(
 
     g_weight = np.exp(-(r**2))
     u0 = np.maximum(g_weight, _TAIL_FLOOR).astype(complex)
-    mass0 = float(np.sum(grid.weights * np.abs(u0) ** 2))
+    mass0 = Measures.of(grid.field(u0), params.alpha, params.b).mass
     v = u0.copy()
     t = 0.0
     lp_num, lp_cl, scaled, wprod = [], [], [], []
@@ -255,7 +255,7 @@ def linear_decay_check(
                 )
             )
         )
-        drift = abs(float(np.sum(grid.weights * np.abs(v) ** 2)) - mass0) / mass0
+        drift = abs(Measures.of(field, params.alpha, params.b).mass - mass0) / mass0
         max_drift = max(max_drift, drift)
     scaled = np.asarray(scaled)
     return DecayReport(

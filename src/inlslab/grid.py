@@ -13,7 +13,6 @@ Measures holds a field's three full-grid sums and the formulas built on them.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -34,9 +33,10 @@ class RadialGrid:
     J: int
     h: float
     N: int
-    nodes: np.ndarray = field(init=False, repr=False)
-    faces: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
+    # derived from (J, h, N), so a grid compares and hashes by those three
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    faces: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.J < 3:
@@ -87,16 +87,6 @@ def gaussian_field(grid: RadialGrid, amplitude=1.0, width=1.0) -> RadialField:
     return grid.field(amplitude * np.exp(-((grid.nodes / width) ** 2)))
 
 
-def weighted_inner(u: RadialField, v: RadialField) -> complex:
-    """<u, v> = sum_j w_j u_j conj(v_j)."""
-    return np.sum(u.grid.weights * u.values * np.conj(v.values))
-
-
-def l2_norm(u: RadialField) -> float:
-    """(sum_j w_j |u_j|^2)^{1/2}."""
-    return math.sqrt(float(np.sum(u.grid.weights * np.abs(u.values) ** 2)))
-
-
 def radial_derivative(u: RadialField) -> np.ndarray:
     """Centered differences, one-sided at both ends (virial integrands only)."""
     v = u.values
@@ -106,11 +96,6 @@ def radial_derivative(u: RadialField) -> np.ndarray:
     d[0] = (v[1] - v[0]) / h
     d[-1] = (v[-1] - v[-2]) / h
     return d
-
-
-def grad_norm(u: RadialField) -> float:
-    """||grad u||, the root of grad_norm_sq_form."""
-    return math.sqrt(grad_norm_sq_form(u))
 
 
 def grad_norm_sq_form(u: RadialField) -> float:
@@ -223,39 +208,7 @@ def strauss_check(u: RadialField, R: float, tol: float = 1e-6) -> dict:
         raise ValueError(f"R must lie in (0, {grid.r_max}), got {R}")
     mask = grid.nodes >= R
     lhs = float(np.max(np.abs(u.values[mask]))) if np.any(mask) else 0.0
-    rhs = R ** (-(grid.N - 1) / 2) * math.sqrt(l2_norm(u) * grad_norm(u))
+    me = Measures.of(u, 0.0, 0.0)  # the potential goes unread; alpha = b = 0 keeps it cheap
+    rhs = R ** (-(grid.N - 1) / 2) * (me.mass * me.grad2) ** 0.25
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1 + tol), "tol": tol}
 
-
-def field_to_csv(u: RadialField, path, precision: int = 12) -> None:
-    """Write the field as rows r,re,im in decimal text."""
-    fmt = f"%.{precision}g"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "re", "im"])
-        for r, v in zip(u.grid.nodes, u.values):
-            writer.writerow([fmt % r, fmt % np.real(v), fmt % np.imag(v)])
-
-
-def field_from_csv(path, N: int) -> RadialField:
-    """Read a field written by field_to_csv; the grid is inferred from r."""
-    rs, vals = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if [c.strip() for c in header] != ["r", "re", "im"]:
-            raise ValueError(f"unexpected field CSV header {header}")
-        for row in reader:
-            if len(row) != 3:
-                raise ValueError(f"field CSV row {row} does not have 3 columns")
-            rs.append(float(row[0]))
-            vals.append(float(row[1]) + 1j * float(row[2]))
-    rs = np.asarray(rs)
-    if len(rs) < 3:
-        raise ValueError("field CSV too short")
-    h = 2 * rs[0]
-    J = len(rs)
-    grid = RadialGrid(J=J, h=h, N=N)
-    if not np.allclose(grid.nodes, rs, rtol=1e-9, atol=1e-12):
-        raise ValueError("field CSV nodes are not a uniform cell-centered grid")
-    return grid.field(np.asarray(vals))

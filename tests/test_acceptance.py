@@ -32,7 +32,7 @@ from inlslab.exponents import (
     family_lemma43,
 )
 from inlslab.functionals import classify, linear_decay_check
-from inlslab.grid import Measures, RadialGrid, gaussian_field, grad_norm
+from inlslab.grid import Measures, RadialGrid, gaussian_field
 from inlslab.groundstate import (
     gn_maximality_probe,
     sharp_constant,
@@ -245,7 +245,7 @@ def test_localized_variance_chain(below_threshold_run, params_330):
     consts = [*_chain_constant(trace), *_chain_constant(half)]
     vs = virial_series(u0, params_330, 30.0)
     n, alpha, b = 3, 2.0, 0.3
-    far = 8 * grad_norm(u0) ** 2 - 4 * (n * alpha + 2 * b) / (alpha + 2) * Measures.of(u0, alpha, b).potential
+    far = 8 * Measures.of(u0, alpha, b).grad2 - 4 * (n * alpha + 2 * b) / (alpha + 2) * Measures.of(u0, alpha, b).potential
     far_err = abs(vs["zR_second_direct"] - far) / abs(far)
     ok = all(c <= 10 for c in consts) and far_err <= 1e-4
     _verdict(

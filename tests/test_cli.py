@@ -183,20 +183,68 @@ def test_evolve_trace_csv(tmp_path, monkeypatch):
     assert (out / "scattering.csv").exists()
 
 
+def _write_field(path, u, prec=12):
+    """u as a field CSV, in the format groundstate writes profile.csv in."""
+    cli._write_csv(path, cli._FIELD_HEADER, zip(u.grid.nodes, u.values.real, u.values.imag), prec)
+
+
 def test_classify_roundtrip_field_csv(tmp_path, capsys):
-    # write a field with the library, feed it back through --field
+    # write a field in the CLI's format, feed it back through --field
     import numpy as np
 
-    from inlslab.grid import RadialGrid, field_to_csv, gaussian_field
+    from inlslab.grid import RadialGrid, gaussian_field
 
     g = RadialGrid(J=1024, h=1 / 64, N=3)
     u = g.field(gaussian_field(g, 0.5, 1.0).values.astype(complex))
     fpath = tmp_path / "field.csv"
-    field_to_csv(u, fpath)
+    _write_field(fpath, u)
     cfg = _write_config(tmp_path / "c.json")
     assert main(["classify", "--config", str(cfg), "--field", str(fpath)]) == 0
     out = capsys.readouterr().out
     assert "GlobalScatters" in out
+
+
+def test_field_csv_round_trip(tmp_path):
+    import numpy as np
+
+    from inlslab.grid import RadialGrid
+
+    g = RadialGrid(J=64, h=1 / 16, N=3)
+    u = g.field(np.exp(-g.nodes**2) * (1 + 0.5j))
+    path = tmp_path / "f.csv"
+    _write_field(path, u, prec=17)
+    back = cli._read_field(path, g)
+    assert back.grid == g
+    np.testing.assert_allclose(back.values, u.values, rtol=1e-15)
+    with pytest.raises(ValueError, match="do not match the configured grid"):
+        cli._read_field(path, RadialGrid(J=64, h=1 / 8, N=3))
+
+
+def test_field_csv_rejects_bad_header(tmp_path):
+    from inlslab.grid import RadialGrid
+
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y,z\n1,2,3\n")
+    with pytest.raises(ValueError):
+        cli._read_field(path, RadialGrid(J=3, h=1.0, N=3))
+
+
+def test_evolve_reads_groundstate_profile_off_a_non_dyadic_grid(tmp_path, capsys):
+    # h = 1/48 is not a binary fraction, so profile.csv holds r to 12 digits;
+    # --field then takes the configured grid, not one rebuilt from those digits
+    cfg = _write_config(
+        tmp_path / "c.json",
+        grid={"J": 512, "h": 1 / 48},
+        solver={"method": "fixedpoint"},
+        evolve={"dt": 1e-3, "t_end": 0.01},
+    )
+    out = tmp_path / "out"
+    assert main(["groundstate", "--config", str(cfg), "--out", str(out)]) == 0
+    profile = str(out / "profile.csv")
+    assert main(["evolve", "--config", str(cfg), "--out", str(out), "--field", profile]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "trace.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 2  # t = 0 and t_end
 
 
 def test_sweep_manifest(tmp_path):
@@ -440,6 +488,10 @@ _WRONG_TYPES = [None, [1], {"a": 1}]
         ("params", "model", "N", 1),
         ("params", "model", "alpha", "2"),
         ("params", "seed", None, 5),
+        # a JSON bool is not the number 1 or 0
+        ("pairs", "pairs", "eps", True),
+        ("pairs", "pairs", "theta", True),
+        ("pairs", "pairs", "theta", False),
     ],
 )
 def test_wrong_config_values_exit_2(tmp_path, capsys, subcommand, section, key, value):

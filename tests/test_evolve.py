@@ -17,8 +17,6 @@ from inlslab.evolve import (
     _phi_laplacian,
     _virial_tables,
     phi,
-    phi_d1,
-    phi_d2,
     rigidity_check,
     run,
     scattering_diagnostic,
@@ -30,15 +28,17 @@ from inlslab.grid import (
     RadialGrid,
     _tridiag_apply,
     gaussian_field,
-    grad_norm,
     grad_norm_sq_form,
-    l2_norm,
     laplacian_diagonals,
     radial_derivative,
     shifted_laplacian_solver,
 )
 from inlslab.groundstate import solve_fixedpoint
 from inlslab.params import ModelParams
+
+
+def _mass(u):
+    return Measures.of(u, 2.0, 0.3).mass
 
 
 def _config(params, J=2048, h=1 / 64, dt=1e-3, t_end=0.5, **kw):
@@ -76,8 +76,8 @@ def test_step_zero_field(params_330):
 def test_step_mass_unitary(params_330):
     g = RadialGrid(J=1024, h=1 / 64, N=3)
     v = gaussian_field(g, 0.7, 1.0).values.astype(complex)
-    before = l2_norm(g.field(v)) ** 2
-    after = l2_norm(g.field(_strang_step(Evolver(g, params_330, 1e-3), v))) ** 2
+    before = _mass(g.field(v))
+    after = _mass(g.field(_strang_step(Evolver(g, params_330, 1e-3), v)))
     assert abs(after - before) / before < 1e-12
 
 
@@ -112,13 +112,23 @@ def test_linear_step_matches_free_gaussian(params_330):
 
 def test_phi_cutoff_smoothness():
     # C^2 at both junctions, positive inside, identically zero beyond 2
-    for f, val1 in [(phi, 1.0), (phi_d1, 2.0), (phi_d2, 2.0)]:
-        assert f(np.array([1.0 - 1e-9]))[0] == pytest.approx(val1, abs=1e-6)
-        assert f(np.array([1.0 + 1e-9]))[0] == pytest.approx(val1, abs=1e-6)
-        assert abs(f(np.array([2.0 - 1e-9]))[0]) < 1e-6
+    for k, val1 in [(0, 1.0), (1, 2.0), (2, 2.0)]:
+        assert phi(np.array([1.0 - 1e-9]), k)[0] == pytest.approx(val1, abs=1e-6)
+        assert phi(np.array([1.0 + 1e-9]), k)[0] == pytest.approx(val1, abs=1e-6)
+        assert abs(phi(np.array([2.0 - 1e-9]), k)[0]) < 1e-6
     s = np.linspace(0.01, 1.99, 500)
     assert np.all(phi(s) > 0)
     assert np.all(phi(np.linspace(2.0, 5.0, 50)) == 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_phi_k_is_the_derivative_of_phi_k_minus_1(k):
+    # centered differences of the (k-1)-th derivative, away from the junctions
+    s = np.concatenate([np.linspace(0.05, 0.95, 19), np.linspace(1.05, 1.95, 19), [2.5]])
+    step = 1e-5
+    slope = (phi(s + step, k - 1) - phi(s - step, k - 1)) / (2 * step)
+    np.testing.assert_allclose(phi(s, k), slope, rtol=1e-6, atol=1e-3)
+    assert phi(np.array([2.0, 3.0]), k).tolist() == [0.0, 0.0]
 
 
 def test_virial_real_field_has_zero_zprime(params_330):
@@ -134,7 +144,8 @@ def test_virial_far_r_identity(params_330):
     u = gaussian_field(g, 0.5, 1.0)
     vs = virial_series(u, params_330, 14.0)
     n, alpha, b = 3, 2.0, 0.3
-    rhs = 8 * grad_norm(u) ** 2 - 4 * (n * alpha + 2 * b) / (alpha + 2) * Measures.of(u, alpha, b).potential
+    me = Measures.of(u, alpha, b)
+    rhs = 8 * me.grad2 - 4 * (n * alpha + 2 * b) / (alpha + 2) * me.potential
     assert vs["zR_second_direct"] == pytest.approx(rhs, rel=1e-4)
 
 
@@ -311,8 +322,8 @@ def test_linear_step_is_unitary(N, J, h, dt_over_h2, seed):
     ev = Evolver(g, ModelParams(N, 2.0, 0.3), dt_over_h2 * h**2, linear_only=True)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(J) + 1j * rng.standard_normal(J)
-    before = l2_norm(g.field(v))
-    after = l2_norm(g.field(ev.step_values(v)))
+    before = math.sqrt(_mass(g.field(v)))
+    after = math.sqrt(_mass(g.field(ev.step_values(v))))
     assert abs(after - before) <= 1e-12 * before
 
 
@@ -383,13 +394,14 @@ def test_run_matches_classic_strang(params, J, h, dt_over_h2, n_steps, record_ev
         done = n
         u = g.field(v)
         vs = virial_series(u, params, R)
-        for key, val in zip(keys, (l2_norm(u) ** 2, grad_norm_sq_form(u), Measures.of(u, alpha, b).potential,
+        me = Measures.of(u, alpha, b)
+        for key, val in zip(keys, (me.mass, grad_norm_sq_form(u), me.potential,
                                    vs["zR"], vs["zR_prime"], vs["zR_second_direct"], vs["ext_budget"])):
             expected[key].append(val)
         zp_scale = max(zp_scale, 2 * R * float(
-            np.sum(g.weights * np.abs(phi_d1(g.nodes / R) * radial_derivative(u) * v))))
+            np.sum(g.weights * np.abs(phi(g.nodes / R, 1) * radial_derivative(u) * v))))
     diff = trace.final_field.values - v
-    assert l2_norm(g.field(diff)) <= 1e-12 * l2_norm(g.field(v))
+    assert math.sqrt(_mass(g.field(diff))) <= 1e-12 * math.sqrt(_mass(g.field(v)))
     for key, series in zip(keys, (trace.mass_series, trace.grad_series, trace.potential_series,
                                   trace.zR_series, trace.zR_prime_series,
                                   trace.zR_second_direct_series, trace.ext_budget_series)):
@@ -435,12 +447,12 @@ def _fresh_virial(u, params, R):
     du = radial_derivative(u)
     du2 = np.abs(du) ** 2
     zR = R**2 * float(np.sum(w * phi(s) * absv2))
-    zR_prime = 2 * R * float(np.sum(w * phi_d1(s) * np.imag(du * np.conj(v))))
-    t1 = 4 * float(np.sum(w * phi_d2(s) * du2))
+    zR_prime = 2 * R * float(np.sum(w * phi(s, 1) * np.imag(du * np.conj(v))))
+    t1 = 4 * float(np.sum(w * phi(s, 2) * du2))
     t2 = -(1 / R**2) * float(np.sum(w * _phi_bilaplacian(s, N) * absv2))
     t3 = -(2 * alpha / (alpha + 2)) * float(np.sum(w * _phi_laplacian(s, N) * pot_density))
     t4 = (4 * R / (alpha + 2)) * float(
-        np.sum(w * (-b) * r ** (-b - 1) * phi_d1(s) * np.abs(v) ** (alpha + 2))
+        np.sum(w * (-b) * r ** (-b - 1) * phi(s, 1) * np.abs(v) ** (alpha + 2))
     )
     c_hess, c_bilap, c_lap, c_grad = _phi_deviation_constants(N)
     mask = r > R

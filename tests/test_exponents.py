@@ -211,18 +211,33 @@ def test_certificate_rows_exact_residuals_and_classes(rng):
         assert r["admissible"] == _class_predicate(r, s_c), r
 
 
+def _in_claim2_interior(n, s_c, r):
+    """Claim 2's interior range: 2N/(N - 2 s_c) < r < 2N/(N - 2) for N >= 3, r > 2/(1 - s_c) for N = 2."""
+    if n == 2:
+        return r > 2 / (1 - s_c)
+    return Fraction(2 * n, n - 2 * s_c) < r < Fraction(2 * n, n - 2)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_claim2_interior_ranges_hold_at_default_theta(rng):
-    # Claim 2 also needs 2N/(N - 2 s_c) < r, r_bar (and < 2N/(N - 2) for
-    # N >= 3), a condition no certificate row carries
+    # every certified claim2 pair, at the default theta and (N >= 3) at a
+    # random in-window theta, has its r inside Claim 2's interior range,
+    # which the two admissibility verdicts imply
     n, alpha, b = _random_scope_point(rng)
-    try:
-        theta = default_theta(n, alpha, b, "claim2")
-    except (DegenerateFamilyError, ThetaWindowError):
-        return  # empty window at this sample
-    fam = family_claim2(alpha, b, theta, n)
-    assert fam["range_r_ok"] and fam["range_rbar_ok"], (n, alpha, b, theta, fam)
+    s_c = critical_index(n, alpha, b)
+    thetas = [None]
+    if n >= 3:
+        lo, hi = claim2_theta_window(n, alpha, b)
+        thetas.append(lo + Fraction(rng.randint(1, 9), 10) * (hi - lo))
+    for theta in thetas:
+        try:
+            rows = certificate_rows(n, alpha, b, theta=theta)
+        except (DegenerateFamilyError, ThetaWindowError):
+            continue  # empty window at this sample
+        for row in rows:
+            if row["family"] == "claim2" and row["admissible"]:
+                assert _in_claim2_interior(n, s_c, row["r"]), (n, alpha, b, theta, row)
 
 
 def test_claim2_verdicts_follow_class_where_they_differ():

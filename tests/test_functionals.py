@@ -14,7 +14,7 @@ from inlslab.functionals import (
     lgs_verify,
     linear_decay_check,
 )
-from inlslab.grid import Measures, RadialGrid, gaussian_field, grad_norm, grad_norm_sq_form
+from inlslab.grid import Measures, RadialGrid, gaussian_field, grad_norm_sq_form
 from inlslab.params import ModelParams, validate_scope
 
 
@@ -132,7 +132,7 @@ def _reference_reports(u, gs):
 
     def products(v):
         em = _signed_power(_energy(v, params), s_c) * _mass(v) ** (1 - s_c)
-        return em, grad_norm(v) ** s_c * math.sqrt(_mass(v)) ** (1 - s_c)
+        return em, math.sqrt(grad_norm_sq_form(v)) ** s_c * math.sqrt(_mass(v)) ** (1 - s_c)
 
     m, e = _mass(u), _energy(u, params)
     em, gm = products(u)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inlslab.grid import Measures, RadialGrid, gaussian_field, grad_norm, l2_norm
+from inlslab.grid import Measures, RadialGrid, gaussian_field
 from inlslab.params import (
     ModelParams,
     critical_index,
@@ -127,11 +127,10 @@ def test_scaling_multipliers_match_grid_quadrature(N, alpha, b_frac, J, h, delta
     u_delta = gaussian_field(
         RadialGrid(J=J, h=h / delta, N=N), delta ** ((2 - b) / alpha) * amp, width / delta
     )
-    assert l2_norm(u_delta) / l2_norm(u) == pytest.approx(rep.L2, rel=1e-12)
-    assert grad_norm(u_delta) / grad_norm(u) == pytest.approx(rep.gradL2, rel=1e-12)
-    assert Measures.of(u_delta, alpha, b).potential / Measures.of(u, alpha, b).potential == pytest.approx(
-        rep.potential, rel=1e-12
-    )
+    me_delta, me = Measures.of(u_delta, alpha, b), Measures.of(u, alpha, b)
+    assert math.sqrt(me_delta.mass) / math.sqrt(me.mass) == pytest.approx(rep.L2, rel=1e-12)
+    assert math.sqrt(me_delta.grad2) / math.sqrt(me.grad2) == pytest.approx(rep.gradL2, rel=1e-12)
+    assert me_delta.potential / me.potential == pytest.approx(rep.potential, rel=1e-12)
 
 
 def test_invalid_parameters_rejected():
