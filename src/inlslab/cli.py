@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -128,14 +129,14 @@ def _precision(cfg) -> int:
 
 
 def _fmt(x, prec):
-    if isinstance(x, float):  # numpy's float64 too; first, since a profile.csv holds 3 J of them
+    if isinstance(x, float):  # numpy's float64 too; first, since a profile.csv holds 2 J of them
         return f"%.{prec}g" % x
+    if isinstance(x, str):  # next, for the J r strings _write_field formats at 17 digits
+        return x
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, str):
-        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"%.{prec}g" % x
@@ -149,8 +150,21 @@ def _write_csv(path, header, rows, prec):
             writer.writerow([_fmt(v, prec) for v in row])
 
 
+def _write_report(path, label, report, prec):
+    """A report dataclass as one CSV row: label, then the report's fields in order."""
+    names = [f.name for f in dataclasses.fields(report)]
+    _write_csv(path, ["label", *names], [[label, *dataclasses.astuple(report)]], prec)
+
+
 # a field CSV holds one row r,re,im per grid node
 _FIELD_HEADER = ["r", "re", "im"]
+
+
+def _write_field(path, u: RadialField, prec):
+    """u as a field CSV; r is written at 17 digits whatever prec, so that
+    _read_field finds the grid's nodes again."""
+    rs = (_fmt(r, 17) for r in u.grid.nodes)
+    _write_csv(path, _FIELD_HEADER, zip(rs, u.values.real, u.values.imag), prec)
 
 
 def _read_field(path, grid: RadialGrid) -> RadialField:
@@ -264,9 +278,7 @@ def cmd_groundstate(cfg, args) -> int:
         methods = [methods]
     results = {m: _solve(cfg, params, grid, m) for m in methods}
     primary = results.get("fixedpoint") or next(iter(results.values()))
-    values = primary.profile.values
-    _write_csv(os.path.join(out, "profile.csv"), _FIELD_HEADER,
-               zip(grid.nodes, np.real(values), np.imag(values)), prec)
+    _write_field(os.path.join(out, "profile.csv"), primary.profile, prec)
     id_rows = []
     for name, gs in sorted(results.items()):
         residuals = groundstate.verify_identities(gs)
@@ -352,38 +364,13 @@ def cmd_evolve(cfg, args) -> int:
     rep = functionals.classify(u0, _solve(cfg, params, grid, "fixedpoint"))
     exploratory = rep.verdict not in evolve_mod.BELOW_THRESHOLD
     trace = evolve_mod.run(u0, econf, threshold=rep)
-    rows = [
-        [trace.times[i], trace.mass_series[i], trace.energy_series[i],
-         trace.grad_series[i], trace.potential_series[i],
-         trace.gm_product_series[i], trace.zR_series[i],
-         trace.zR_prime_series[i], trace.zR_second_direct_series[i],
-         trace.ext_budget_series[i]]
-        for i in range(len(trace.times))
-    ]
-    _write_csv(
-        os.path.join(out, "trace.csv"),
-        ["t", "mass", "energy", "grad2", "potential", "gm_product", "zR", "zR_prime", "zR_second",
-         "ext_budget"],
-        rows,
-        prec,
-    )
+    columns = evolve_mod.TRACE_COLUMNS
+    _write_csv(os.path.join(out, "trace.csv"), list(columns),
+               zip(*(getattr(trace, name) for name in columns.values())), prec)
     label = "exploratory" if exploratory else "below_threshold"
     if econf.virial_R is not None and not exploratory:
-        rig = evolve_mod.rigidity_check(trace, rep)
-        _write_csv(
-            os.path.join(out, "rigidity.csv"),
-            ["label", "holds", "r_too_small", "lower_bound", "min_slack", "max_budget", "integrated_holds", "A", "energy"],
-            [[label, rig.holds, rig.r_too_small, rig.lower_bound, rig.min_slack,
-              rig.max_budget, rig.integrated_holds, rig.A, rig.energy]],
-            prec,
-        )
-    diag = evolve_mod.scattering_diagnostic(trace)
-    _write_csv(
-        os.path.join(out, "scattering.csv"),
-        ["label", "decayed", "final_fraction", "decay_exponent", "grad_limit", "grad_flat"],
-        [[label, diag.decayed, diag.final_fraction, diag.decay_exponent, diag.grad_limit, diag.grad_flat]],
-        prec,
-    )
+        _write_report(os.path.join(out, "rigidity.csv"), label, evolve_mod.rigidity_check(trace, rep), prec)
+    _write_report(os.path.join(out, "scattering.csv"), label, evolve_mod.scattering_diagnostic(trace), prec)
     return 0
 
 

@@ -122,6 +122,21 @@ class EvolutionTrace:
     final_field: RadialField
 
 
+# trace.csv's columns in order, each with the EvolutionTrace series that holds it
+TRACE_COLUMNS = {
+    "t": "times",
+    "mass": "mass_series",
+    "energy": "energy_series",
+    "grad2": "grad_series",
+    "potential": "potential_series",
+    "gm_product": "gm_product_series",
+    "zR": "zR_series",
+    "zR_prime": "zR_prime_series",
+    "zR_second": "zR_second_direct_series",
+    "ext_budget": "ext_budget_series",
+}
+
+
 class Evolver:
     """Factorized Strang stepper bound to one (grid, params, dt) triple.
 
@@ -255,10 +270,9 @@ class _VirialTables(NamedTuple):
 
 
 @functools.lru_cache(maxsize=8)
-def _virial_tables(J: int, h: float, N: int, b: float, R: float) -> _VirialTables:
+def _virial_tables(grid: RadialGrid, b: float, R: float) -> _VirialTables:
     """The cutoff tables of one (grid, b, R); read-only, since the cache shares them."""
-    grid = RadialGrid(J=J, h=h, N=N)
-    r, w = grid.nodes, grid.weights
+    N, r, w = grid.N, grid.nodes, grid.weights
     s = r / R
     d1 = phi(s, 1)
     tables = _VirialTables(
@@ -294,7 +308,7 @@ def virial_series(u: RadialField, params: ModelParams, R: float, *, absv2=None, 
     """
     grid = u.grid
     N, alpha, b = params.N, params.alpha, params.b
-    tab = _virial_tables(grid.J, grid.h, N, b, R)
+    tab = _virial_tables(grid, b, R)
     v = u.values
     if absv2 is None or vpow is None:
         absv = np.abs(v)
@@ -346,8 +360,7 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
     n_steps = config.n_steps
 
     enforce_gm = threshold is not None and threshold.verdict in BELOW_THRESHOLD
-    times, mass_s, energy_s, grad_s, pot_s, gm_s = [], [], [], [], [], []
-    z_s, zp_s, zs_s, budget_s = [], [], [], []
+    records = []  # one tuple per record in TRACE_COLUMNS order, virial_series's keys last
 
     shell = int(np.searchsorted(grid.nodes, (1 - _BOUNDARY_SHELL) * grid.r_max))
     v = u0.values.astype(complex)
@@ -357,26 +370,19 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
         absv = np.abs(v)
         absv2, vpow = absv**2, absv ** (alpha + 2)
         me = Measures.of(u, alpha, b, absv2=absv2, vpow=vpow)
-        times.append(t)
-        mass_s.append(me.mass)
-        energy_s.append(me.energy(alpha))
-        grad_s.append(me.grad2)
-        pot_s.append(me.potential)
         gm = me.gm_product(s_c) if 0 < s_c < 1 else math.nan
-        gm_s.append(gm)
         vs = (
-            virial_series(u, params, config.virial_R, absv2=absv2, vpow=vpow)
-            if config.virial_R is not None else {}
+            virial_series(u, params, config.virial_R, absv2=absv2, vpow=vpow).values()
+            if config.virial_R is not None else (math.nan,) * 4
         )
-        for key, series in (("zR", z_s), ("zR_prime", zp_s), ("zR_second_direct", zs_s),
-                            ("ext_budget", budget_s)):
-            series.append(vs.get(key, math.nan))
+        records.append((t, me.mass, me.energy(alpha), me.grad2, me.potential, gm, *vs))
         if enforce_gm and not gm < threshold.gm_threshold:
             raise GradientBoundViolation(
                 f"gm_product {gm} reached threshold {threshold.gm_threshold} at t={t}"
             )
         shell_mass = float(np.sum(grid.weights[shell:] * absv2[shell:]))
-        leak = shell_mass / mass_s[0] if mass_s[0] > 0 else 0.0  # zero data leaks nothing
+        mass0 = records[0][1]  # M[u] at t = 0
+        leak = shell_mass / mass0 if mass0 > 0 else 0.0  # zero data leaks nothing
         if leak > config.boundary_budget:
             raise BoundaryLeak(
                 f"outer-shell mass fraction {leak:.3e} exceeds budget "
@@ -392,20 +398,8 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
             v = ev.unstagger(w)
             record(n * config.dt, v)
 
-    return EvolutionTrace(
-        config=config,
-        times=np.asarray(times),
-        mass_series=np.asarray(mass_s),
-        energy_series=np.asarray(energy_s),
-        grad_series=np.asarray(grad_s),
-        potential_series=np.asarray(pot_s),
-        gm_product_series=np.asarray(gm_s),
-        zR_series=np.asarray(z_s),
-        zR_prime_series=np.asarray(zp_s),
-        zR_second_direct_series=np.asarray(zs_s),
-        ext_budget_series=np.asarray(budget_s),
-        final_field=grid.field(v),
-    )
+    series = dict(zip(TRACE_COLUMNS.values(), map(np.asarray, zip(*records))))
+    return EvolutionTrace(config=config, final_field=grid.field(v), **series)
 
 
 # ---------------------------------------------------------------------------

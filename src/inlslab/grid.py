@@ -114,11 +114,10 @@ def grad_norm_sq_form(u: RadialField) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _potential_weights(J: int, h: float, N: int, b: float) -> np.ndarray:
+def _potential_weights(grid: RadialGrid, b: float) -> np.ndarray:
     """w_j r_j^{-b} on one grid; read-only, since the cache shares it."""
-    if b >= N:
-        raise ValueError(f"need b < N for integrability, got b={b}, N={N}")
-    grid = RadialGrid(J=J, h=h, N=N)
+    if b >= grid.N:
+        raise ValueError(f"need b < N for integrability, got b={b}, N={grid.N}")
     weights = grid.weights * grid.nodes ** (-b)
     weights.setflags(write=False)
     return weights
@@ -141,7 +140,7 @@ class Measures(NamedTuple):
         return cls(
             mass=float(np.sum(grid.weights * absv2)),
             grad2=grad_norm_sq_form(u),
-            potential=float(np.sum(_potential_weights(grid.J, grid.h, grid.N, b) * vpow)),
+            potential=float(np.sum(_potential_weights(grid, b) * vpow)),
         )
 
     def energy(self, alpha: float) -> float:

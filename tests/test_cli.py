@@ -179,13 +179,15 @@ def test_evolve_trace_csv(tmp_path, monkeypatch):
     assert [r[9] for r in rows] == ["%.12g" % x for x in budget]
     masses = [float(r[1]) for r in rows]
     assert abs(masses[-1] - masses[0]) / masses[0] < 1e-10
-    assert (out / "rigidity.csv").exists()
-    assert (out / "scattering.csv").exists()
-
-
-def _write_field(path, u, prec=12):
-    """u as a field CSV, in the format groundstate writes profile.csv in."""
-    cli._write_csv(path, cli._FIELD_HEADER, zip(u.grid.nodes, u.values.real, u.values.imag), prec)
+    with open(out / "rigidity.csv") as fh:
+        assert next(csv.reader(fh)) == [
+            "label", "holds", "r_too_small", "lower_bound", "min_slack", "max_budget",
+            "integrated_holds", "A", "energy",
+        ]
+    with open(out / "scattering.csv") as fh:
+        assert next(csv.reader(fh)) == [
+            "label", "decayed", "final_fraction", "decay_exponent", "grad_limit", "grad_flat",
+        ]
 
 
 def test_classify_roundtrip_field_csv(tmp_path, capsys):
@@ -197,7 +199,7 @@ def test_classify_roundtrip_field_csv(tmp_path, capsys):
     g = RadialGrid(J=1024, h=1 / 64, N=3)
     u = g.field(gaussian_field(g, 0.5, 1.0).values.astype(complex))
     fpath = tmp_path / "field.csv"
-    _write_field(fpath, u)
+    cli._write_field(fpath, u, 12)
     cfg = _write_config(tmp_path / "c.json")
     assert main(["classify", "--config", str(cfg), "--field", str(fpath)]) == 0
     out = capsys.readouterr().out
@@ -212,7 +214,7 @@ def test_field_csv_round_trip(tmp_path):
     g = RadialGrid(J=64, h=1 / 16, N=3)
     u = g.field(np.exp(-g.nodes**2) * (1 + 0.5j))
     path = tmp_path / "f.csv"
-    _write_field(path, u, prec=17)
+    cli._write_field(path, u, 17)
     back = cli._read_field(path, g)
     assert back.grid == g
     np.testing.assert_allclose(back.values, u.values, rtol=1e-15)
@@ -229,9 +231,24 @@ def test_field_csv_rejects_bad_header(tmp_path):
         cli._read_field(path, RadialGrid(J=3, h=1.0, N=3))
 
 
+def test_classify_reads_back_a_profile_written_at_low_precision(tmp_path, capsys):
+    # at 6 digits r = 15.984375 would read 15.9844, off the grid's node;
+    # profile.csv writes r at 17 digits whatever output.precision
+    cfg = _write_config(
+        tmp_path / "c.json",
+        grid={"J": 512, "h": 1 / 32},
+        output={"precision": 6},
+    )
+    out = tmp_path / "out"
+    assert main(["groundstate", "--config", str(cfg), "--out", str(out)]) == 0
+    profile = str(out / "profile.csv")
+    assert main(["classify", "--config", str(cfg), "--field", profile]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_evolve_reads_groundstate_profile_off_a_non_dyadic_grid(tmp_path, capsys):
-    # h = 1/48 is not a binary fraction, so profile.csv holds r to 12 digits;
-    # --field then takes the configured grid, not one rebuilt from those digits
+    # h = 1/48 is not a binary fraction; --field places the profile on the
+    # configured grid, not on one rebuilt from the r column
     cfg = _write_config(
         tmp_path / "c.json",
         grid={"J": 512, "h": 1 / 48},

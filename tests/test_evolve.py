@@ -493,7 +493,7 @@ def test_virial_tables_cached_per_grid_and_radius(J1, J2, h1, h2, r_fracs, seed)
                 assert virial_series(u, params, R) == _fresh_virial(u, params, R)
                 absv = np.abs(u.values)
                 assert virial_series(u, params, R, absv2=absv**2, vpow=absv**4.0) == _fresh_virial(u, params, R)
-    tables = _virial_tables(J1, h1, 3, 0.3, r_fracs[0] * J1 * h1 / 2)
+    tables = _virial_tables(fields[0].grid, 0.3, r_fracs[0] * J1 * h1 / 2)
     for table in tables[:-1]:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
