@@ -150,6 +150,14 @@ def _write_csv(path, header, rows, prec):
             writer.writerow([_fmt(v, prec) for v in row])
 
 
+def _remove_stale(path):
+    """Delete an earlier run's output file that this run does not write."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+
+
 def _write_report(path, label, report, prec):
     """A report dataclass as one CSV row: label, then the report's fields in order."""
     names = [f.name for f in dataclasses.fields(report)]
@@ -368,8 +376,11 @@ def cmd_evolve(cfg, args) -> int:
     _write_csv(os.path.join(out, "trace.csv"), list(columns),
                zip(*(getattr(trace, name) for name in columns.values())), prec)
     label = "exploratory" if exploratory else "below_threshold"
+    rigidity = os.path.join(out, "rigidity.csv")
     if econf.virial_R is not None and not exploratory:
-        _write_report(os.path.join(out, "rigidity.csv"), label, evolve_mod.rigidity_check(trace, rep), prec)
+        _write_report(rigidity, label, evolve_mod.rigidity_check(trace, rep), prec)
+    else:
+        _remove_stale(rigidity)
     _write_report(os.path.join(out, "scattering.csv"), label, evolve_mod.scattering_diagnostic(trace), prec)
     return 0
 
@@ -411,6 +422,7 @@ def cmd_sweep(cfg, args) -> int:
             json.dump(point_cfg, fh, indent=2, sort_keys=True)
             fh.write("\n")
         point_args = argparse.Namespace(out=sub_dir, field=args.field, seed=args.seed)
+        _remove_stale(os.path.join(sub_dir, "error.txt"))
         try:
             status = _DISPATCH[sub](point_cfg, point_args)
         except ConfigError as exc:

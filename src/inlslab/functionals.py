@@ -157,12 +157,14 @@ def lgs_verify(u: RadialField, gs: GroundState) -> LgsReport:
 
 # The decay check's datum is max(e^{-r^2}, _TAIL_FLOOR): e^{-r^2} underflows
 # to subnormals and exact zeros past r ~ 27, and the tridiagonal solves run
-# several times slower where they sweep through subnormals (about 800 against
-# 180 us per step at J = 5120 on a 2-core x86 host).  At sqrt(tiny) ~ 1.5e-154
-# both |u|^2 and the rounding residues of the solves (eps * floor ~ 1e-170)
-# stay normal, and the linear flow has no phase that drives values lower.  A
-# floor near 1e-304 is not enough: e^{-min(r^2, 700)} still left subnormal
-# imaginary parts.
+# over ten times slower where they sweep through subnormals: at J = 5120 on a
+# 2-vCPU x86 host one solve took 1.6-1.8 ms on the bare datum's first steps,
+# with ~5000 subnormal parts, against 0.10-0.12 ms on the floored datum
+# (LAPACK's tridiagonal solve: 1.6-1.9 against 0.13-0.15 ms).  At
+# sqrt(tiny) ~ 1.5e-154 both |u|^2 and the rounding residues of the solves
+# (eps * floor ~ 1e-170) stay normal, and the linear flow has no phase that
+# drives values lower.  A floor near 1e-304 is not enough: e^{-min(r^2, 700)}
+# still left subnormal imaginary parts.
 _TAIL_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 

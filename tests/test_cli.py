@@ -190,6 +190,23 @@ def test_evolve_trace_csv(tmp_path, monkeypatch):
         ]
 
 
+def test_evolve_removes_stale_rigidity_csv(tmp_path):
+    # an exploratory run writes no rigidity.csv, so it must not leave the one
+    # an earlier below-threshold run wrote into the same directory
+    out = tmp_path / "out"
+    for field, label in (("gaussian(0.5,1.0)", "below_threshold"), ("gaussian(3.0,1.0)", "exploratory")):
+        cfg = _write_config(
+            tmp_path / "c.json",
+            grid={"J": 512, "h": 1 / 16},
+            classify={"field": field},
+            evolve={"dt": 0.002, "t_end": 0.01, "record_every": 5, "virial_R": 8.0},
+        )
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "scattering.csv") as fh:
+            assert next(csv.DictReader(fh))["label"] == label
+    assert not (out / "rigidity.csv").exists()
+
+
 def test_classify_roundtrip_field_csv(tmp_path, capsys):
     # write a field in the CLI's format, feed it back through --field
     import numpy as np
@@ -455,6 +472,17 @@ def test_sweep_records_non_finite_model_as_config_error(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["0", "2", "2"]
     assert "alpha must be positive and finite" in (out / rows[1]["directory"] / "error.txt").read_text()
+
+
+def test_sweep_removes_stale_error_txt(tmp_path):
+    # a point that now succeeds must not keep the error.txt of an earlier failure
+    out = tmp_path / "sw"
+    for alpha, status in ((float("nan"), "2"), (2, "0")):
+        cfg = _write_config(tmp_path / "c.json", sweep={"subcommand": "params", "alpha": [alpha]})
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "manifest.csv") as fh:
+            assert [r["status"] for r in csv.DictReader(fh)] == [status]
+    assert not (out / "point_0000" / "error.txt").exists()
 
 
 # a config every subcommand runs in well under a second

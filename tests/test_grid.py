@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg.lapack import get_lapack_funcs
 
+from inlslab import grid as grid_mod
+from inlslab.cli import main
+from inlslab.evolve import _DT_SAFETY, Evolver, LinearSolveFailure
 from inlslab.grid import (
     Measures,
     RadialGrid,
@@ -17,6 +22,7 @@ from inlslab.grid import (
     sphere_area,
     strauss_check,
 )
+from inlslab.params import ModelParams
 
 
 def _inner(u, v):
@@ -216,6 +222,71 @@ def test_shifted_laplacian_solver_inverts(N, J, h, c, seed):
     c_lap_x = c * laplacian_radial(g.field(x)).values
     residual = np.linalg.norm(x - c_lap_x - rhs)
     assert residual <= 1e-10 * (np.linalg.norm(rhs) + np.linalg.norm(c_lap_x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    N=st.integers(1, 5),
+    J=st.integers(3, 3000),
+    h=st.floats(1 / 512, 1.0),
+    real_c=st.one_of(st.none(), st.floats(1e-3, 1e3)),
+    dt_over_h2=st.floats(1e-3, 100 * _DT_SAFETY),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shifted_laplacian_solver_matches_gttrs(N, J, h, real_c, dt_over_h2, seed):
+    # I - c Lap is strictly diagonally dominant, so gttrf never interchanges
+    # rows, and the two unit-bidiagonal sweeps agree with LAPACK's own solve;
+    # without a real c, c = i dt / 2 is the Crank-Nicolson one
+    g = RadialGrid(J=J, h=h, N=N)
+    c = real_c if real_c is not None else 1j * dt_over_h2 * h**2 / 2
+    lower, diag, upper = laplacian_diagonals(g)
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.result_type(c, diag))
+    dl, d, du, du2, ipiv, info = gttrf(-c * lower, 1 - c * diag, -c * upper)
+    assert info == 0 and np.array_equal(ipiv, np.arange(1, J + 1))
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal(J)
+    if isinstance(c, complex):
+        rhs = rhs + 1j * rng.standard_normal(J)
+    kept = rhs.copy()
+    oracle = gttrs(dl, d, du, du2, ipiv, rhs)[0]
+    x = shifted_laplacian_solver(g, c)(rhs)
+    assert np.array_equal(rhs, kept)
+    assert np.linalg.norm(x - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+
+def test_shifted_laplacian_solver_refuses_row_interchange(tmp_path, capsys, monkeypatch):
+    # a Crank-Nicolson factorization that pivots is refused, and the evolver
+    # reports it as a linear-solve failure (CLI exit 4); the real fixed-point
+    # factorization is left alone
+    def pivoting_lapack(name, dtype):
+        gttrf = get_lapack_funcs(name, dtype=dtype)
+        if np.dtype(dtype).kind != "c":
+            return gttrf
+
+        def swapped(*args):
+            dl, d, du, du2, ipiv, info = gttrf(*args)
+            ipiv = ipiv.copy()
+            ipiv[0] = 2
+            return dl, d, du, du2, ipiv, info
+
+        return swapped
+
+    monkeypatch.setattr(grid_mod, "get_lapack_funcs", pivoting_lapack)
+    g = RadialGrid(J=64, h=1 / 16, N=3)
+    dt = 1e-3
+    with pytest.raises(np.linalg.LinAlgError, match="interchanged rows"):
+        shifted_laplacian_solver(g, 1j * dt / 2)
+    with pytest.raises(LinearSolveFailure, match="interchanged rows"):
+        Evolver(g, ModelParams(N=3, alpha=2.0, b=0.3), dt)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "model": {"N": 3, "alpha": 2.0, "b": 0.3},
+        "grid": {"J": 256, "h": 1 / 16},
+        "classify": {"field": "gaussian(0.5,1.0)"},
+        "evolve": {"dt": 0.002, "t_end": 0.01},
+    }))
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    assert "interchanged rows" in capsys.readouterr().err
 
 
 @settings(max_examples=60, deadline=None)
