@@ -19,6 +19,8 @@ import itertools
 import json
 import math
 import os
+import re
+import shutil
 import sys
 from fractions import Fraction
 
@@ -404,13 +406,27 @@ def cmd_sweep(cfg, args) -> int:
         for val in vals:  # each point checks its own values; the manifest echoes them
             _typed(f"sweep.{key} entry", val, float)
         lists[key] = vals
+    points = list(itertools.product(lists["N"], lists["alpha"], lists["b"]))
+    names = [f"point_{idx:04d}" for idx in range(len(points))]
+    listed = set(names)
     out = _out_dir(cfg, args)
+    # the sweep owns every point_NNNN directory in out: an earlier sweep's
+    # points that this manifest does not list go, and each listed point
+    # starts empty, so no file of an earlier run is left beside its outputs
+    point_dir = re.compile(r"point_\d{4,}")
+    if args.field is not None:
+        top = os.path.relpath(os.path.realpath(args.field), os.path.realpath(out)).split(os.sep)[0]
+        if point_dir.fullmatch(top):
+            raise ConfigError(f"--field {args.field} lies in a sweep point directory, which the sweep empties")
+    for entry in os.scandir(out):
+        if entry.is_dir() and point_dir.fullmatch(entry.name) and entry.name not in listed:
+            shutil.rmtree(entry.path)
     manifest = []
-    for idx, (n_val, a_val, b_val) in enumerate(
-        itertools.product(lists["N"], lists["alpha"], lists["b"])
-    ):
-        sub_dir = os.path.join(out, f"point_{idx:04d}")
-        os.makedirs(sub_dir, exist_ok=True)
+    for idx, (name, (n_val, a_val, b_val)) in enumerate(zip(names, points)):
+        sub_dir = os.path.join(out, name)
+        if os.path.isdir(sub_dir):
+            shutil.rmtree(sub_dir)
+        os.makedirs(sub_dir)
         point_cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in cfg.items() if k != "sweep"}
         point_cfg.setdefault("model", {})
         point_cfg["model"].update({"N": n_val, "alpha": a_val, "b": b_val})
@@ -422,7 +438,6 @@ def cmd_sweep(cfg, args) -> int:
             json.dump(point_cfg, fh, indent=2, sort_keys=True)
             fh.write("\n")
         point_args = argparse.Namespace(out=sub_dir, field=args.field, seed=args.seed)
-        _remove_stale(os.path.join(sub_dir, "error.txt"))
         try:
             status = _DISPATCH[sub](point_cfg, point_args)
         except ConfigError as exc:
@@ -433,7 +448,7 @@ def cmd_sweep(cfg, args) -> int:
             status = 4
             with open(os.path.join(sub_dir, "error.txt"), "w") as fh:
                 fh.write(f"numerical failure: {exc}\n")
-        manifest.append([idx, sub, n_val, a_val, b_val, os.path.basename(sub_dir), status])
+        manifest.append([idx, sub, n_val, a_val, b_val, name, status])
     _write_csv(
         os.path.join(out, "manifest.csv"),
         ["index", "subcommand", "N", "alpha", "b", "directory", "status"],

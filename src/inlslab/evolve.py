@@ -4,10 +4,12 @@ Strang splitting: the pure nonlinear subflow conserves |u| pointwise, so its
 flow over time tau is the exact phase rotation
 P_tau v = v exp(i tau r^{-b} |v|^alpha); the linear step L is trapezoidal
 (Crank-Nicolson) with the weighted-self-adjoint discrete Laplacian, which
-makes every step exactly unitary in the weighted inner product: it applies
-I + (i dt/2) Lap and solves with the grid's factored I - (i dt/2) Lap.  Mass
-is conserved to solver round-off and energy drift, measured with the
-Laplacian's quadratic form as gradient, is O(dt^2).
+makes every step exactly unitary in the weighted inner product.  With
+A = I - (i dt/2) Lap and B = I + (i dt/2) Lap = 2I - A, the step A^{-1} B w
+is taken in its Cayley form 2 A^{-1} w - w: one solve with the grid's
+factored A, whose pivot scaling carries the factor 2, and one subtraction,
+with no product by B.  Mass is conserved to solver round-off and energy
+drift, measured with the Laplacian's quadratic form as gradient, is O(dt^2).
 
 Because P_tau keeps |v| fixed, P_{dt/2} P_{dt/2} = P_dt, so n Strang steps
 (P_{dt/2} L P_{dt/2})^n equal P_{-dt/2} (P_dt L)^n P_{dt/2}.  The run loop
@@ -33,8 +35,6 @@ from .grid import (
     Measures,
     RadialField,
     RadialGrid,
-    _tridiag_apply,
-    laplacian_diagonals,
     radial_derivative,
     shifted_laplacian_solver,
 )
@@ -141,7 +141,9 @@ class Evolver:
     """Factorized Strang stepper bound to one (grid, params, dt) triple.
 
     step_values advances the staggered field w = P_{dt/2} v; stagger and
-    unstagger convert between v and w.  For linear_only the phase rotation
+    unstagger convert between v and w.  Its linear step is the Cayley form
+    L w = 2 A^{-1} w - w of Crank-Nicolson, A = I - (i dt/2) Lap, with the
+    2 folded into the factored solve.  For linear_only the phase rotation
     P is the identity.
     """
 
@@ -150,11 +152,8 @@ class Evolver:
         self.params = params
         self.dt = dt
         self.linear_only = linear_only
-        lower, diag, upper = laplacian_diagonals(grid)
-        z = 1j * dt / 2
-        self._B = (z * lower, 1 + z * diag, z * upper)
         try:
-            self._solve = shifted_laplacian_solver(grid, z)
+            self._solve2 = shifted_laplacian_solver(grid, 1j * dt / 2, 2.0)  # 2 A^{-1}
         except np.linalg.LinAlgError as exc:
             raise LinearSolveFailure(str(exc)) from exc
         rb = grid.nodes ** (-params.b)
@@ -194,7 +193,7 @@ class Evolver:
         Raises LinearSolveFailure when L w holds a NaN or an infinity, or
         when its squared norm overflows.
         """
-        w = self._solve(_tridiag_apply(*self._B, w))
+        w = self._solve2(w) - w
         if not math.isfinite(np.vdot(w, w).real):
             raise LinearSolveFailure("linear step produced non-finite values")
         return self._rotate(w, self._phase)

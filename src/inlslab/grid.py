@@ -8,9 +8,12 @@ weighted inner product by construction: zero-flux face at r = 0 (the
 reflection ghost u_{-1} = u_0) and a homogeneous Dirichlet ghost u_J = 0.
 Every linear solve factors I - c Lap once with LAPACK gttrf; the matrix is
 strictly diagonally dominant for every c the package uses, so the factors need
-no row interchange and a solve is two unit-bidiagonal BLAS sweeps with no
-division.  The one discrete ||grad u||^2 is this Laplacian's quadratic form
-<-Lap u, u>.
+no row interchange and a solve is a pivot scaling plus two unit-bidiagonal
+BLAS sweeps with no division.  The scaling adds the reciprocal pivots'
+rounding residual, so it carries no per-node bias that a time stepper would
+accumulate, and it can carry a constant factor (the 2 of the evolver's
+Cayley step 2 A^{-1} w - w).  The one discrete ||grad u||^2 is this
+Laplacian's quadratic form <-Lap u, u>.
 Measures holds a field's three full-grid sums and the formulas built on them.
 """
 
@@ -173,21 +176,18 @@ def laplacian_diagonals(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.nd
     return lower, diag, upper
 
 
-def _tridiag_apply(lower, diag, upper, v):
-    """The tridiagonal product (lower, diag, upper) @ v."""
+def laplacian_radial(u: RadialField) -> RadialField:
+    """Second-order flux-form discretization of u'' + (N-1)/r u'."""
+    lower, diag, upper = laplacian_diagonals(u.grid)
+    v = u.values
     out = diag * v
     out[1:] += lower * v[:-1]
     out[:-1] += upper * v[1:]
-    return out
+    return u.grid.field(out)
 
 
-def laplacian_radial(u: RadialField) -> RadialField:
-    """Second-order flux-form discretization of u'' + (N-1)/r u'."""
-    return u.grid.field(_tridiag_apply(*laplacian_diagonals(u.grid), u.values))
-
-
-def shifted_laplacian_solver(grid: RadialGrid, c):
-    """Factor I - c Lap once and return rhs -> (I - c Lap)^{-1} rhs.
+def shifted_laplacian_solver(grid: RadialGrid, c, scale=1.0):
+    """Factor I - c Lap once and return rhs -> scale (I - c Lap)^{-1} rhs.
 
     For real c > 0 and for c = i dt/2 every row of A = I - c Lap is strictly
     diagonally dominant: its diagonal is 1 + c t and its off-diagonal moduli
@@ -199,10 +199,21 @@ def shifted_laplacian_solver(grid: RadialGrid, c):
     pivoting is stable (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., sec. 9.5).  A = L U is stored as A = D Lh Up with
     the pivots D = diag(U), the unit lower factor Lh = D^{-1} L D and the unit
-    upper factor Up = D^{-1} U.  A solve multiplies by 1/D and runs two
+    upper factor Up = D^{-1} U.  A solve multiplies by scale/D and runs two
     unit-diagonal BLAS tbsv sweeps in place, so no division sits in the
     sweeps' dependent chain (LAPACK's own tridiagonal solve divides once per
-    row, about a third slower at J = 4096).
+    row).
+
+    For c = i dt/2 a pivot is 1 + delta with |delta| = O(dt/h^2) small, and
+    both d = fl(1 + delta) and 1/d are rounded to multiples of ulp(1).  Each
+    solve would then scale node j by the same 1 + eta_j, and a time stepper
+    would add that bias up once per step.  So delta is formed in small
+    numbers from gttrf's multipliers and superdiagonal, and 1/D is applied
+    as rhs * rres + rhs * rinv, where rinv = 1/d and
+    rres = rinv ((1 - rinv) - delta rinv) is rinv's rounding residual
+    against the exact 1/(1 + delta).  The same formula serves every c: where
+    d is far from 1 it is a harmless refinement.  scale is folded into both
+    vectors once here; Evolver's Crank-Nicolson step uses scale = 2.
 
     The solve returns a new array and leaves rhs as it was.  rhs must have
     the dtype of c (real or complex).  A singular matrix, or a factorization
@@ -218,15 +229,21 @@ def shifted_laplacian_solver(grid: RadialGrid, c):
     if ipiv.tolist() != list(range(1, grid.J + 1)):
         raise np.linalg.LinAlgError("I - c Lap is not diagonally dominant (gttrf interchanged rows)")
     rinv = 1 / d
+    delta = -c * diag
+    delta[1:] -= dl * du
+    rres = rinv * ((1 - rinv) - delta * rinv)
     # 2 x J Fortran band storage of the unit factors (tbsv reads no diagonal)
     lo = np.ones((2, grid.J), dtype=dtype, order="F")
     lo[1, :-1] = dl * d[:-1] * rinv[1:]
     up = np.ones((2, grid.J), dtype=dtype, order="F")
     up[0, 1:] = du * rinv[:-1]
+    rinv *= scale
+    rres *= scale
     tbsv = get_blas_funcs("tbsv", dtype=dtype)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        y = rhs * rinv
+        y = rhs * rres
+        y += rhs * rinv
         # positional (k, a, x, incx, offx, lower, trans, diag, overwrite_x):
         # keywords cost about a microsecond per call
         tbsv(1, lo, y, 1, 0, 1, 0, 1, 1)

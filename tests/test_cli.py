@@ -360,7 +360,7 @@ def test_evolve_factorisation_failure_exits_4(tmp_path, capsys, monkeypatch):
 
     from inlslab import evolve
 
-    def singular(grid, c):
+    def singular(grid, c, scale=1.0):
         raise np.linalg.LinAlgError("I - c Lap is singular (gttrf info 1)")
 
     monkeypatch.setattr(evolve, "shifted_laplacian_solver", singular)
@@ -472,6 +472,26 @@ def test_sweep_records_non_finite_model_as_config_error(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["0", "2", "2"]
     assert "alpha must be positive and finite" in (out / rows[1]["directory"] / "error.txt").read_text()
+
+
+def test_sweep_clears_earlier_point_directories(tmp_path):
+    # a smaller sweep into the same directory keeps none of the earlier
+    # sweep's points or files; what the sweep does not own stays
+    out = tmp_path / "sw"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    (out / "point_data").mkdir()
+    for sub, alphas in (("pairs", [2, 2.5]), ("params", [2])):
+        cfg = _write_config(tmp_path / "c.json", sweep={"subcommand": sub, "alpha": alphas})
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "manifest.csv") as fh:
+        assert [r["directory"] for r in csv.DictReader(fh)] == ["point_0000"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.csv", "notes.txt", "point_0000", "point_data"]
+    assert [p.name for p in (out / "point_0000").iterdir()] == ["config.json"]  # params writes to stdout
+    # a --field inside a point directory would be deleted before it is read
+    kept = out / "point_0000" / "config.json"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--field", str(kept)]) == 2
+    assert kept.exists()
 
 
 def test_sweep_removes_stale_error_txt(tmp_path):

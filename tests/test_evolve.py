@@ -26,7 +26,6 @@ from inlslab.functionals import classify
 from inlslab.grid import (
     Measures,
     RadialGrid,
-    _tridiag_apply,
     gaussian_field,
     grad_norm_sq_form,
     laplacian_diagonals,
@@ -327,17 +326,57 @@ def test_linear_step_is_unitary(N, J, h, dt_over_h2, seed):
     assert abs(after - before) <= 1e-12 * before
 
 
-def _classic_strang(v, grid, params, dt, steps):
-    """steps classic P_{dt/2} L P_{dt/2} Strang steps, built from the grid kernel."""
+def _apply_B(grid, z, v):
+    """(I + z Lap) v, built from the Laplacian's diagonals."""
     lower, diag, upper = laplacian_diagonals(grid)
+    out = (1 + z * diag) * v
+    out[1:] += z * lower * v[:-1]
+    out[:-1] += z * upper * v[1:]
+    return out
+
+
+def _classic_strang(v, grid, params, dt, steps):
+    """steps classic P_{dt/2} L P_{dt/2} Strang steps with L = A^{-1} B."""
     z = 1j * dt / 2
     solve = shifted_laplacian_solver(grid, z)
     half = (dt / 2) * grid.nodes ** (-params.b)
     for _ in range(steps):
         v = v * np.exp(1j * half * np.abs(v) ** params.alpha)
-        v = solve(_tridiag_apply(z * lower, 1 + z * diag, z * upper, v))
+        v = solve(_apply_B(grid, z, v))
         v = v * np.exp(1j * half * np.abs(v) ** params.alpha)
     return v
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    N=st.integers(1, 5),
+    J=st.integers(3, 3000),
+    h=st.floats(1 / 512, 1.0),
+    dt_over_h2=st.floats(1e-3, _DT_SAFETY),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cayley_step_is_crank_nicolson(N, J, h, dt_over_h2, seed):
+    # B = 2I - A, so the step 2 A^{-1} w - w is A^{-1} B w up to round-off
+    g = RadialGrid(J=J, h=h, N=N)
+    dt = dt_over_h2 * h**2
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(J) + 1j * rng.standard_normal(J)
+    oracle = shifted_laplacian_solver(g, 1j * dt / 2)(_apply_B(g, 1j * dt / 2, w))
+    step = Evolver(g, ModelParams(N, 2.0, 0.3), dt, linear_only=True).step_values(w)
+    assert np.linalg.norm(step - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+
+def test_soliton_mass_drift(params_330):
+    # the soliton-persistence setup for 1e5 steps: node j of a standing wave
+    # takes the same rounding in every solve, so a biased pivot scaling adds
+    # up step by step; scaling by 1/d alone drifts by -1.7e-11 here, and with
+    # its rounding residual by -5.5e-12
+    g = RadialGrid(J=256, h=1 / 16, N=3)
+    gs = solve_fixedpoint(params_330, g, tol=1e-14)
+    cfg = _config(params_330, J=256, h=1 / 16, dt=2.5e-7, t_end=0.025, record_every=100_000)
+    trace = run(g.field(gs.profile.values.astype(complex)), cfg)
+    assert cfg.n_steps == 100_000
+    assert abs(trace.mass_series[-1] / trace.mass_series[0] - 1) <= 1e-11
 
 
 @st.composite
@@ -532,9 +571,7 @@ def test_rotation_is_bitwise_the_exp_formula(params, values, real, h, dt_over_h2
     g = RadialGrid(J=v.size, h=h, N=params.N)
     dt = dt_over_h2 * h**2
     ev = Evolver(g, params, dt, linear_only=linear_only)
-    lower, diag, upper = laplacian_diagonals(g)
-    z = 1j * dt / 2
-    w = shifted_laplacian_solver(g, z)(_tridiag_apply(z * lower, 1 + z * diag, z * upper, v))
+    w = shifted_laplacian_solver(g, 1j * dt / 2, 2.0)(v) - v  # the Cayley step 2 A^{-1} v - v
     if linear_only:
         assert ev.stagger(v) is v and ev.unstagger(v) is v
         assert ev.step_values(v).tobytes() == w.tobytes()
