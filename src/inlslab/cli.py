@@ -36,10 +36,6 @@ class ConfigError(ValueError):
     pass
 
 
-# failures of the numerics on a valid configuration: exit code 4
-_NUMERICAL_FAILURES = (evolve_mod.NumericalFailure, groundstate.SolverFailure)
-
-
 # allowed keys per config section; unknown keys are rejected
 _SCHEMA = {
     "model": {"N", "alpha", "b"},
@@ -109,21 +105,24 @@ def _read(cfg, name, kind, default=_REQUIRED, valid=None):
     return value
 
 
+def _checked(section, make, *args, **kwargs):
+    """make(*args, **kwargs), with a library ValueError raised as a
+    ConfigError naming the config section it came from."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def _model(cfg) -> ModelParams:
     N = _read(cfg, "model.N", int)
     alpha, b = _read(cfg, "model.alpha", float), _read(cfg, "model.b", float)
-    try:
-        return ModelParams(N, alpha, b)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    return _checked("model", ModelParams, N, alpha, b)
 
 
 def _grid(cfg, params) -> RadialGrid:
     J, h = _read(cfg, "grid.J", int), _read(cfg, "grid.h", float)
-    try:
-        return RadialGrid(J=J, h=h, N=params.N)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    return _checked("grid", RadialGrid, J=J, h=h, N=params.N)
 
 
 def _precision(cfg) -> int:
@@ -208,10 +207,7 @@ def _out_dir(cfg, args) -> str:
 
 def cmd_params(cfg, args) -> int:
     params = _model(cfg)
-    try:
-        two_star, two_lower_star = upper_exponents(params.N, params.b)
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from exc
+    two_star, two_lower_star = _checked("params", upper_exponents, params.N, params.b)
     scope = validate_scope(params)
     prec = _precision(cfg)
     parts = [
@@ -260,8 +256,8 @@ def cmd_pairs(cfg, args) -> int:
 
 
 def _solve(cfg, params, grid, method):
-    """The ground state by `method`, once the model is in the
-    global-existence scope the solvers are meant for."""
+    """The ground state by `method` (shooting or fixedpoint), once the model
+    is in the global-existence scope the solvers are meant for."""
     if not validate_scope(params).global_scope:
         raise ConfigError(
             f"(N={params.N}, alpha={params.alpha}, b={params.b}) is outside "
@@ -271,9 +267,7 @@ def _solve(cfg, params, grid, method):
     max_iter = _read(cfg, "solver.max_iter", int, 500, valid=("at least 1", lambda n: n >= 1))
     if method == "shooting":
         return groundstate.solve_shooting(params, grid)
-    if method == "fixedpoint":
-        return groundstate.solve_fixedpoint(params, grid, tol=tol, max_iter=max_iter)
-    raise ConfigError(f"solver.method must be shooting or fixedpoint, got {method!r}")
+    return groundstate.solve_fixedpoint(params, grid, tol=tol, max_iter=max_iter)
 
 
 def cmd_groundstate(cfg, args) -> int:
@@ -281,11 +275,9 @@ def cmd_groundstate(cfg, args) -> int:
     grid = _grid(cfg, params)
     prec = _precision(cfg)
     out = _out_dir(cfg, args)
-    methods = cfg.get("solver", {}).get("method", "both")
-    if methods == "both":
-        methods = ["shooting", "fixedpoint"]
-    else:
-        methods = [methods]
+    method = _read(cfg, "solver.method", str, "both",
+                   valid=("shooting, fixedpoint or both", lambda m: m in ("shooting", "fixedpoint", "both")))
+    methods = ["shooting", "fixedpoint"] if method == "both" else [method]
     results = {m: _solve(cfg, params, grid, m) for m in methods}
     primary = results.get("fixedpoint") or next(iter(results.values()))
     _write_field(os.path.join(out, "profile.csv"), primary.profile, prec)
@@ -318,11 +310,9 @@ def _load_field(cfg, args, grid):
             return _read_field(args.field, grid)
         except (ValueError, csv.Error) as exc:
             raise ConfigError(f"--field {args.field}: {exc}") from exc
-    spec = cfg.get("classify", {}).get("field")
+    spec = _read(cfg, "classify.field", str, None)
     if spec is None:
         raise ConfigError("no --field file and no classify.field profile given")
-    if not isinstance(spec, str):
-        raise ConfigError(f"classify.field must be a string, got {spec!r}")
     spec = spec.strip()
     if spec.startswith("gaussian(") and spec.endswith(")"):
         try:
@@ -346,7 +336,7 @@ def cmd_classify(cfg, args) -> int:
     grid = _grid(cfg, params)
     prec = _precision(cfg)
     u0 = _load_field(cfg, args, grid)
-    rep = functionals.classify(u0, _solve(cfg, params, grid, "fixedpoint"))
+    rep = _checked("grid", functionals.classify, u0, _solve(cfg, params, grid, "fixedpoint"))
     row = [getattr(rep, k) for k in _CLASSIFY_HEADER]
     writer = csv.writer(sys.stdout)
     writer.writerow(_CLASSIFY_HEADER)
@@ -366,12 +356,9 @@ def cmd_evolve(cfg, args) -> int:
         virial_R=_read(cfg, "evolve.virial_R", float, None),
         linear_only=_read(cfg, "evolve.linear_only", bool, False),
     )
-    try:
-        econf = evolve_mod.EvolutionConfig(params=params, J=grid.J, h=grid.h, **values)
-    except ValueError as exc:
-        raise ConfigError(f"evolve: {exc}") from exc
+    econf = _checked("evolve", evolve_mod.EvolutionConfig, params=params, J=grid.J, h=grid.h, **values)
     u0 = _load_field(cfg, args, grid)
-    rep = functionals.classify(u0, _solve(cfg, params, grid, "fixedpoint"))
+    rep = _checked("grid", functionals.classify, u0, _solve(cfg, params, grid, "fixedpoint"))
     exploratory = rep.verdict not in evolve_mod.BELOW_THRESHOLD
     trace = evolve_mod.run(u0, econf, threshold=rep)
     columns = evolve_mod.TRACE_COLUMNS
@@ -406,27 +393,23 @@ def cmd_sweep(cfg, args) -> int:
         for val in vals:  # each point checks its own values; the manifest echoes them
             _typed(f"sweep.{key} entry", val, float)
         lists[key] = vals
-    points = list(itertools.product(lists["N"], lists["alpha"], lists["b"]))
-    names = [f"point_{idx:04d}" for idx in range(len(points))]
-    listed = set(names)
+    points = itertools.product(lists["N"], lists["alpha"], lists["b"])
     out = _out_dir(cfg, args)
-    # the sweep owns every point_NNNN directory in out: an earlier sweep's
-    # points that this manifest does not list go, and each listed point
-    # starts empty, so no file of an earlier run is left beside its outputs
+    # the sweep owns every point_NNNN directory in out: all of them go and
+    # each listed point is made anew, so no file of an earlier run is left
     point_dir = re.compile(r"point_\d{4,}")
     if args.field is not None:
         top = os.path.relpath(os.path.realpath(args.field), os.path.realpath(out)).split(os.sep)[0]
         if point_dir.fullmatch(top):
             raise ConfigError(f"--field {args.field} lies in a sweep point directory, which the sweep empties")
     for entry in os.scandir(out):
-        if entry.is_dir() and point_dir.fullmatch(entry.name) and entry.name not in listed:
+        if entry.is_dir() and point_dir.fullmatch(entry.name):
             shutil.rmtree(entry.path)
     manifest = []
-    for idx, (name, (n_val, a_val, b_val)) in enumerate(zip(names, points)):
+    for idx, (n_val, a_val, b_val) in enumerate(points):
+        name = f"point_{idx:04d}"
         sub_dir = os.path.join(out, name)
-        if os.path.isdir(sub_dir):
-            shutil.rmtree(sub_dir)
-        os.makedirs(sub_dir)
+        os.mkdir(sub_dir)
         point_cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in cfg.items() if k != "sweep"}
         point_cfg.setdefault("model", {})
         point_cfg["model"].update({"N": n_val, "alpha": a_val, "b": b_val})
@@ -438,16 +421,10 @@ def cmd_sweep(cfg, args) -> int:
             json.dump(point_cfg, fh, indent=2, sort_keys=True)
             fh.write("\n")
         point_args = argparse.Namespace(out=sub_dir, field=args.field, seed=args.seed)
-        try:
-            status = _DISPATCH[sub](point_cfg, point_args)
-        except ConfigError as exc:
-            status = 2
+        status, reason = _run(lambda: _DISPATCH[sub](point_cfg, point_args))
+        if status:
             with open(os.path.join(sub_dir, "error.txt"), "w") as fh:
-                fh.write(f"{exc}\n")
-        except _NUMERICAL_FAILURES as exc:
-            status = 4
-            with open(os.path.join(sub_dir, "error.txt"), "w") as fh:
-                fh.write(f"numerical failure: {exc}\n")
+                fh.write(f"{reason}\n")
         manifest.append([idx, sub, n_val, a_val, b_val, name, status])
     _write_csv(
         os.path.join(out, "manifest.csv"),
@@ -456,6 +433,20 @@ def cmd_sweep(cfg, args) -> int:
         _precision(cfg),
     )
     return 0
+
+
+def _run(command):
+    """(exit status, reason) of command(): its own status on success, else
+    2 for a ConfigError, 3 for an OSError and 4 for a numerical failure, with
+    the one-line text that reports it."""
+    try:
+        return command(), ""
+    except ConfigError as exc:
+        return 2, str(exc)
+    except OSError as exc:
+        return 3, f"io error: {exc}"
+    except (evolve_mod.NumericalFailure, groundstate.SolverFailure) as exc:
+        return 4, f"numerical failure: {exc}"
 
 
 _DISPATCH = {
@@ -479,18 +470,11 @@ def main(argv=None) -> int:
     parser.add_argument("--field", default=None, help="field CSV (r,re,im) input")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
     args = parser.parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-        return _DISPATCH[args.subcommand](cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
-    except _NUMERICAL_FAILURES as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return 4
+    status, reason = _run(lambda: _DISPATCH[args.subcommand](load_config(args.config), args))
+    if status:
+        # an I/O failure's reason already reads "io error: ..."
+        print(reason if status == 3 else f"error: {reason}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

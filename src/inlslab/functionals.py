@@ -33,8 +33,13 @@ def _products(me: Measures, params: ModelParams) -> tuple[float, float]:
 
 
 def _coarsen(u: RadialField) -> RadialField:
-    """Pair-average onto the 2h cell-centered grid (drops a trailing odd cell)."""
+    """Pair-average onto the 2h cell-centered grid (drops a trailing odd cell).
+
+    A grid needs 3 cells, so u needs J >= 6.
+    """
     g = u.grid
+    if g.J < 6:
+        raise ValueError(f"the classifier's mesh-halving error band needs J >= 6, got J={g.J}")
     J2 = g.J // 2
     v = u.values[: 2 * J2]
     coarse = RadialGrid(J=J2, h=2 * g.h, N=g.N)
@@ -67,6 +72,8 @@ def classify(u0: RadialField, gs: GroundState) -> ThresholdReport:
     GlobalScatters / GlobalOnly need both products strictly below threshold
     (outside the equality band) plus the matching parameter scope;
     AtThreshold when either product sits within the band; Unknown otherwise.
+    The band compares against u0 on the 2h grid, so u0's grid needs J >= 6
+    (ValueError otherwise).
     """
     params = gs.params
     me = Measures.of(u0, params.alpha, params.b)

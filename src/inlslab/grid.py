@@ -52,13 +52,26 @@ class RadialGrid:
             raise ValueError(f"mesh width must be positive and finite, got {self.h}")
         if self.N < 1:
             raise ValueError(f"dimension must be >= 1, got {self.N}")
-        nodes = (np.arange(self.J) + 0.5) * self.h
-        faces = np.arange(self.J + 1) * self.h
-        omega = sphere_area(self.N)
-        weights = omega * nodes ** (self.N - 1) * self.h
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "weights", weights)
+        # every sum and solve reads the weights and the Laplacian; a zero or an
+        # overflow in one of them would surface later as a singular
+        # factorization or an inf result
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            nodes = (np.arange(self.J) + 0.5) * self.h
+            faces = np.arange(self.J + 1) * self.h
+            omega = sphere_area(self.N)
+            weights = omega * nodes ** (self.N - 1) * self.h
+            object.__setattr__(self, "nodes", nodes)
+            object.__setattr__(self, "faces", faces)
+            object.__setattr__(self, "weights", weights)
+            try:
+                usable = all(np.all(np.isfinite(e) & (e != 0)) for e in (weights, *laplacian_diagonals(self)))
+            except OverflowError:  # h**2 past the float range
+                usable = False
+        if not usable:
+            raise ValueError(
+                f"mesh width {self.h} leaves a quadrature weight or Laplacian entry "
+                f"zero or not finite in float64 at J={self.J}, N={self.N}"
+            )
 
     @property
     def r_max(self) -> float:

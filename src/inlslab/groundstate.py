@@ -454,10 +454,13 @@ def shooting_residual(shot, params, grid, r_match) -> float:
     measures the integrator defect (and inside r_s the series truncation),
     not the grid truncation error.  Cells past r_match hold the grafted
     linear tail, whose defect is the neglected r^{-b} Q^{alpha+1}, and are
-    left out.
+    left out.  A grid with no cell inside r_match (h > r_match) measures
+    nothing: the residual is the sum over no cells, 0.0.
     """
     N, alpha, b = params.N, params.alpha, params.b
     j_max = min(grid.J, int(math.floor(r_match / grid.h)))
+    if j_max == 0:
+        return 0.0
     faces = grid.faces[: j_max + 1]
     xg, wg = roots_legendre(6)
     res = np.zeros(grid.J)

@@ -175,7 +175,7 @@ def test_evolve_trace_csv(tmp_path, monkeypatch):
     ]
     assert len(rows) >= 6
     budget = traces[0].ext_budget_series
-    assert len(budget) == len(rows) and all(budget > 0)
+    assert len(budget) == len(rows) and all(budget >= 0)  # 0 below the floor, as here
     assert [r[9] for r in rows] == ["%.12g" % x for x in budget]
     masses = [float(r[1]) for r in rows]
     assert abs(masses[-1] - masses[0]) / masses[0] < 1e-10
@@ -297,6 +297,23 @@ def test_sweep_manifest(tmp_path):
     reloaded = json.loads((sub / "config.json").read_text())
     assert reloaded["model"]["alpha"] == 1.5
     assert (sub / "pairs.csv").exists()
+
+
+def test_sweep_records_missing_field_as_io_error(tmp_path, capsys):
+    # every failed point gets its status, an I/O failure's 3 included
+    missing = str(tmp_path / "missing.csv")
+    cfg = _write_config(tmp_path / "c.json", sweep={"subcommand": "classify", "alpha": [1.5, 2]})
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--field", missing]) == 0
+    with open(out / "manifest.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["3", "3"]
+    # error.txt holds the line the command itself prints
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg), "--field", missing]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ")
+    assert [(out / r["directory"] / "error.txt").read_text() for r in rows] == [err, err]
 
 
 def test_sweep_unknown_subcommand(tmp_path):
@@ -459,6 +476,30 @@ def test_non_finite_inputs_exit_2(tmp_path, subcommand, overrides):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+@pytest.mark.parametrize("h", [1e-300, 1e-100, 1e154, 1e300])
+@pytest.mark.parametrize(
+    "subcommand, method",
+    [("groundstate", "shooting"), ("groundstate", "fixedpoint"), ("classify", "fixedpoint"), ("evolve", "fixedpoint")],
+)
+def test_mesh_width_out_of_float_range_exits_2(tmp_path, subcommand, method, h):
+    # a quadrature weight or Laplacian entry that underflows to 0 or overflows
+    # made a singular factorization, an IndexError or an OverflowError
+    cfg = _write_config(tmp_path / "c.json", grid={"J": 64, "h": h}, solver={"method": method}, evolve=_EVOLVE)
+    proc = _run_cli_process(subcommand, "--config", cfg, "--out", tmp_path / "out", timeout=60)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: grid: mesh width "), proc.stderr
+
+
+@pytest.mark.parametrize("J", [3, 5])
+@pytest.mark.parametrize("subcommand", ["classify", "evolve"])
+def test_classifier_needs_six_cells(tmp_path, capsys, subcommand, J):
+    # the mesh-halving error band coarsens to J // 2 cells, and a grid needs 3
+    cfg = _write_config(tmp_path / "c.json", grid={"J": J, "h": 1 / 8}, evolve=_EVOLVE)
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: grid: the classifier's mesh-halving error band needs J >= 6, got J={J}\n"
 
 
 def test_sweep_records_non_finite_model_as_config_error(tmp_path):

@@ -59,7 +59,8 @@ def test_grid_validation():
         RadialGrid(J=2, h=0.1, N=3)
     with pytest.raises(ValueError):
         RadialGrid(J=8, h=-0.1, N=3)
-    for h in (math.nan, math.inf):  # NaN passes h <= 0
+    # NaN passes h <= 0; the others leave a weight or Laplacian entry 0 or inf
+    for h in (math.nan, math.inf, 1e-300, 1e-100, 1e154, 1e300):
         with pytest.raises(ValueError, match="mesh width"):
             RadialGrid(J=8, h=h, N=3)
     g = RadialGrid(J=8, h=0.5, N=3)

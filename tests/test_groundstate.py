@@ -444,6 +444,17 @@ def test_center_shoots_each_value_once(point, monkeypatch):
     assert shots <= 20
 
 
+def test_shooting_on_a_grid_coarser_than_the_graft_radius(params_330):
+    # h = 12 puts no cell inside the graft radius (about 9.9 here): the
+    # residual is the sum over no cells, where it read faces[1] of an empty slice
+    gs = solve_shooting(params_330, RadialGrid(J=8, h=12.0, N=3))
+    assert gs.residual == 0.0
+    # at J = 64 the last node r = 762 puts Q below the smallest double, so
+    # the profile fails its positivity check: a solver failure, not an IndexError
+    with pytest.raises(SolverFailure, match="not strictly positive"):
+        solve_shooting(params_330, RadialGrid(J=64, h=12.0, N=3))
+
+
 def test_a_bound_inside_the_graft_radius_is_a_solver_failure(params_330, tmp_path, capsys, monkeypatch):
     # the center shot falls to the graft level near r = 10: with a bound of 8
     # the sign change Brent finds is a shot that crosses near 8, off the separatrix
