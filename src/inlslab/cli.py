@@ -120,8 +120,13 @@ def _model(cfg) -> ModelParams:
     return _checked("model", ModelParams, N, alpha, b)
 
 
-def _grid(cfg, params) -> RadialGrid:
-    J, h = _read(cfg, "grid.J", int), _read(cfg, "grid.h", float)
+# the classifier's error band compares against the datum on the 2h grid,
+# which needs 3 cells of its own
+_CLASSIFIER_J = ("at least 6 for the classifier's mesh-halving error band", lambda J: J >= 6)
+
+
+def _grid(cfg, params, valid_J=None) -> RadialGrid:
+    J, h = _read(cfg, "grid.J", int, valid=valid_J), _read(cfg, "grid.h", float)
     return _checked("grid", RadialGrid, J=J, h=h, N=params.N)
 
 
@@ -333,10 +338,10 @@ _CLASSIFY_HEADER = [
 
 def cmd_classify(cfg, args) -> int:
     params = _model(cfg)
-    grid = _grid(cfg, params)
+    grid = _grid(cfg, params, _CLASSIFIER_J)
     prec = _precision(cfg)
     u0 = _load_field(cfg, args, grid)
-    rep = _checked("grid", functionals.classify, u0, _solve(cfg, params, grid, "fixedpoint"))
+    rep = functionals.classify(u0, _solve(cfg, params, grid, "fixedpoint"))
     row = [getattr(rep, k) for k in _CLASSIFY_HEADER]
     writer = csv.writer(sys.stdout)
     writer.writerow(_CLASSIFY_HEADER)
@@ -346,7 +351,7 @@ def cmd_classify(cfg, args) -> int:
 
 def cmd_evolve(cfg, args) -> int:
     params = _model(cfg)
-    grid = _grid(cfg, params)
+    grid = _grid(cfg, params, _CLASSIFIER_J)
     prec = _precision(cfg)
     out = _out_dir(cfg, args)
     values = dict(
@@ -358,7 +363,7 @@ def cmd_evolve(cfg, args) -> int:
     )
     econf = _checked("evolve", evolve_mod.EvolutionConfig, params=params, J=grid.J, h=grid.h, **values)
     u0 = _load_field(cfg, args, grid)
-    rep = _checked("grid", functionals.classify, u0, _solve(cfg, params, grid, "fixedpoint"))
+    rep = functionals.classify(u0, _solve(cfg, params, grid, "fixedpoint"))
     exploratory = rep.verdict not in evolve_mod.BELOW_THRESHOLD
     trace = evolve_mod.run(u0, econf, threshold=rep)
     columns = evolve_mod.TRACE_COLUMNS

@@ -289,12 +289,6 @@ def _virial_tables(grid: RadialGrid, b: float, R: float) -> _VirialTables:
     return tables
 
 
-def _exterior(integrand: np.ndarray, ext: int) -> float:
-    """The sum of integrand[ext:], or 0 below eps times the sum of integrand."""
-    part = float(np.sum(integrand[ext:]))
-    return part if part >= np.finfo(float).eps * float(np.sum(integrand)) else 0.0
-
-
 def virial_series(u: RadialField, params: ModelParams, R: float, *, absv2=None, vpow=None) -> dict:
     """z_R, z'_R, the four-term direct z''_R and the exterior budget at one time slice.
 
@@ -309,10 +303,7 @@ def virial_series(u: RadialField, params: ModelParams, R: float, *, absv2=None, 
     ext_budget bounds |z''_R - (8 |grad u|^2 - 4(N alpha + 2b)/(alpha+2) P)|:
     every deviation of the cutoff from phi = s^2 lives in r > R, so the gap is
     bounded by the deviation constants times exterior integrals of
-    |grad u|^2, |u|^2 / R^2 and the potential density.  Each of the three
-    exterior integrals counts as 0 where it is below machine epsilon times
-    the same integral over the whole grid: such a value is rounding residue
-    of the field outside R, whose digits a 1-ulp change of the datum moves.
+    |grad u|^2, |u|^2 / R^2 and the potential density.
     """
     grid = u.grid
     N, alpha, b = params.N, params.alpha, params.b
@@ -333,9 +324,10 @@ def virial_series(u: RadialField, params: ModelParams, R: float, *, absv2=None, 
     t4 = (4 * R / (alpha + 2)) * float(np.sum(tab.t4 * vpow))
 
     c_hess, c_bilap, c_lap, c_grad = _phi_deviation_constants(N)
-    ext_grad, ext_mass, ext_pot = (
-        _exterior(grid.weights * density, tab.ext) for density in (du2, absv2, pot_density)
-    )
+    wm = grid.weights[tab.ext:]
+    ext_grad = float(np.sum(wm * du2[tab.ext:]))
+    ext_mass = float(np.sum(wm * absv2[tab.ext:]))
+    ext_pot = float(np.sum(wm * pot_density[tab.ext:]))
     ext_budget = (
         4 * c_hess * ext_grad
         + c_bilap * ext_mass / R**2

@@ -175,7 +175,7 @@ def test_evolve_trace_csv(tmp_path, monkeypatch):
     ]
     assert len(rows) >= 6
     budget = traces[0].ext_budget_series
-    assert len(budget) == len(rows) and all(budget >= 0)  # 0 below the floor, as here
+    assert len(budget) == len(rows) and all(budget > 0)
     assert [r[9] for r in rows] == ["%.12g" % x for x in budget]
     masses = [float(r[1]) for r in rows]
     assert abs(masses[-1] - masses[0]) / masses[0] < 1e-10
@@ -499,7 +499,19 @@ def test_classifier_needs_six_cells(tmp_path, capsys, subcommand, J):
     # the mesh-halving error band coarsens to J // 2 cells, and a grid needs 3
     cfg = _write_config(tmp_path / "c.json", grid={"J": J, "h": 1 / 8}, evolve=_EVOLVE)
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == f"error: grid: the classifier's mesh-halving error band needs J >= 6, got J={J}\n"
+    assert capsys.readouterr().err == (
+        f"error: grid.J must be at least 6 for the classifier's mesh-halving error band, got {J}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "method, message",
+    [("newton", "must be shooting, fixedpoint or both, got 'newton'"), (5, "must be a string, got 5")],
+)
+def test_bad_solver_method_exits_2(tmp_path, capsys, method, message):
+    cfg = _write_config(tmp_path / "c.json", solver={"method": method})
+    assert main(["groundstate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: solver.method {message}\n"
 
 
 def test_sweep_records_non_finite_model_as_config_error(tmp_path):

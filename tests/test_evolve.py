@@ -158,22 +158,6 @@ def short_run(params_330):
     return run(u0, cfg, threshold=rep), rep
 
 
-def test_ext_budget_floor_drops_rounding_residue(params_330):
-    # the README config's datum and its 1-ulp perturbation: up to t = 0.15 the
-    # field outside R is round-off (budgets of 1e-110..2e-29 that moved by up
-    # to 2.3x between the two), so the floor sets the budget to 0; from
-    # t = 0.2 on it is data, and the two runs agree
-    conf = _config(params_330, J=4096, h=1 / 64, dt=5e-4, t_end=0.25, record_every=20, virial_R=12.0)
-    u0 = gaussian_field(conf.grid(), 0.5, 1.0)
-    runs = [run(u, conf) for u in (u0, u0.grid.field(u0.values * (1 + 2.0**-52)))]
-    for trace in runs:
-        assert np.all(trace.ext_budget_series[trace.times <= 0.15] == 0)
-    late = runs[0].times >= 0.2
-    budgets = [trace.ext_budget_series[late] for trace in runs]
-    assert np.all(budgets[0] > 0)
-    np.testing.assert_allclose(budgets[1], budgets[0], rtol=1e-6, atol=0)
-
-
 def test_run_conservation(short_run):
     trace, _ = short_run
     m, e = trace.mass_series, trace.energy_series
@@ -511,16 +495,11 @@ def _fresh_virial(u, params, R):
     )
     c_hess, c_bilap, c_lap, c_grad = _phi_deviation_constants(N)
     mask = r > R
-
-    def exterior(density):
-        # below eps times the whole-grid integral an exterior integral counts as 0
-        part = float(np.sum(w[mask] * density[mask]))
-        return part if part >= np.finfo(float).eps * float(np.sum(w * density)) else 0.0
-
-    ext_pot = exterior(pot_density)
+    wm = w[mask]
+    ext_pot = float(np.sum(wm * pot_density[mask]))
     ext_budget = (
-        4 * c_hess * exterior(du2)
-        + c_bilap * exterior(absv2) / R**2
+        4 * c_hess * float(np.sum(wm * du2[mask]))
+        + c_bilap * float(np.sum(wm * absv2[mask])) / R**2
         + (2 * alpha / (alpha + 2)) * c_lap * ext_pot
         + (4 * b / (alpha + 2)) * c_grad * ext_pot
     )
