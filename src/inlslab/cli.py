@@ -120,9 +120,8 @@ def _model(cfg) -> ModelParams:
     return _checked("model", ModelParams, N, alpha, b)
 
 
-# the classifier's error band compares against the datum on the 2h grid,
-# which needs 3 cells of its own
-_CLASSIFIER_J = ("at least 6 for the classifier's mesh-halving error band", lambda J: J >= 6)
+_CLASSIFIER_J = (f"at least {functionals.CLASSIFIER_MIN_J} for the classifier's mesh-halving error band",
+                 lambda J: J >= functionals.CLASSIFIER_MIN_J)
 
 
 def _grid(cfg, params, valid_J=None) -> RadialGrid:

@@ -102,9 +102,6 @@ class EvolutionConfig:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
-    def grid(self) -> RadialGrid:
-        return RadialGrid(J=self.J, h=self.h, N=self.params.N)
-
 
 @dataclass(frozen=True)
 class EvolutionTrace:
@@ -348,11 +345,12 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
     threshold, when given, is a ThresholdReport for u0; below-threshold runs
     then assert the uniform gradient bound at every recorded time.  The
     gradient entering the traces is the operator-consistent quadratic form,
-    so its drift reflects the time discretization alone.
+    so its drift reflects the time discretization alone.  The run steps on
+    u0's grid, whose (J, h, N) must be the configuration's.
     """
     params = config.params
-    grid = config.grid()
-    if u0.grid != grid:
+    grid = u0.grid
+    if (grid.J, grid.h, grid.N) != (config.J, config.h, params.N):
         raise ValueError("initial field grid does not match the configuration")
     alpha, b, s_c = params.alpha, params.b, params.s_c
     ev = Evolver(grid, params, config.dt, linear_only=config.linear_only)

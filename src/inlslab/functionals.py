@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import Evolver
-from .grid import Measures, RadialField, RadialGrid
+from .grid import Measures, RadialField, RadialGrid, _potential_weights
 from .groundstate import GroundState
 from .params import ModelParams, validate_scope
+
+CLASSIFIER_MIN_J = 6  # the error band's copy of the datum on the 2h grid needs 3 cells
 
 
 def _signed_power(x: float, p: float) -> float:
@@ -33,13 +35,10 @@ def _products(me: Measures, params: ModelParams) -> tuple[float, float]:
 
 
 def _coarsen(u: RadialField) -> RadialField:
-    """Pair-average onto the 2h cell-centered grid (drops a trailing odd cell).
-
-    A grid needs 3 cells, so u needs J >= 6.
-    """
+    """Pair-average onto the 2h cell-centered grid (drops a trailing odd cell)."""
     g = u.grid
-    if g.J < 6:
-        raise ValueError(f"the classifier's mesh-halving error band needs J >= 6, got J={g.J}")
+    if g.J < CLASSIFIER_MIN_J:
+        raise ValueError(f"the classifier's mesh-halving error band needs J >= {CLASSIFIER_MIN_J}, got J={g.J}")
     J2 = g.J // 2
     v = u.values[: 2 * J2]
     coarse = RadialGrid(J=J2, h=2 * g.h, N=g.N)
@@ -232,9 +231,10 @@ def linear_decay_check(
     ev = Evolver(grid, params, dt, linear_only=True)
 
     g_weight = np.exp(-(r**2))
-    u0 = np.maximum(g_weight, _TAIL_FLOOR).astype(complex)
-    mass0 = Measures.of(grid.field(u0), params.alpha, params.b).mass
-    v = u0.copy()
+    pot_weight = _potential_weights(grid, params.b)
+    rate = N / 2 if math.isinf(p) else (N / 2) * (1 - 2 / p)  # (N/2)(1/p' - 1/p)
+    v = np.maximum(g_weight, _TAIL_FLOOR).astype(complex)  # each step returns a new array
+    mass0 = Measures.of(grid.field(v), params.alpha, params.b).mass
     t = 0.0
     lp_num, lp_cl, scaled, wprod = [], [], [], []
     max_drift = 0.0
@@ -249,21 +249,8 @@ def linear_decay_check(
         lc = _lp_norm(grid.field(closed), p)
         lp_num.append(ln)
         lp_cl.append(lc)
-        if math.isinf(p):
-            rate = N / 2
-        else:
-            rate = (N / 2) * (1 - 2 / p)  # (N/2)(1/p' - 1/p)
         scaled.append(ln * t**rate)
-        wprod.append(
-            float(
-                np.sum(
-                    grid.weights
-                    * r ** (-params.b)
-                    * np.abs(v) ** (params.alpha + 1)
-                    * g_weight
-                )
-            )
-        )
+        wprod.append(float(np.sum(pot_weight * np.abs(v) ** (params.alpha + 1) * g_weight)))
         drift = abs(Measures.of(field, params.alpha, params.b).mass - mass0) / mass0
         max_drift = max(max_drift, drift)
     scaled = np.asarray(scaled)

@@ -44,6 +44,8 @@ class RadialGrid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     faces: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
+    # (lower, diag, upper) of the flux-form Laplacian, built once and read-only
+    laplacian: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.J < 3:
@@ -58,20 +60,33 @@ class RadialGrid:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             nodes = (np.arange(self.J) + 0.5) * self.h
             faces = np.arange(self.J + 1) * self.h
-            omega = sphere_area(self.N)
-            weights = omega * nodes ** (self.N - 1) * self.h
+            rn = nodes ** (self.N - 1)
+            weights = sphere_area(self.N) * rn * self.h
             object.__setattr__(self, "nodes", nodes)
             object.__setattr__(self, "faces", faces)
             object.__setattr__(self, "weights", weights)
             try:
-                usable = all(np.all(np.isfinite(e) & (e != 0)) for e in (weights, *laplacian_diagonals(self)))
-            except OverflowError:  # h**2 past the float range
-                usable = False
-        if not usable:
+                h2 = self.h**2
+            except OverflowError:  # past the float range, so every entry below is 0
+                h2 = math.inf
+            # Laplacian row j: (a_{j+1}(u_{j+1}-u_j) - a_j(u_j-u_{j-1})) / (r_j^{N-1} h^2), a_j = face_j^{N-1};
+            # zero flux at r = 0 (for N = 1 the reflection ghost cancels it) and u_J = 0
+            a = faces ** (self.N - 1)
+            scale = rn * h2
+            lower = a[1:-1] / scale[1:]  # couples u_{j-1}, j = 1..J-1
+            upper = a[1:-1] / scale[:-1]  # couples u_{j+1}, j = 0..J-2
+            diag = -(a[1:] + a[:-1]) / scale
+            if self.N == 1:
+                diag[0] += a[0] / scale[0]  # reflection ghost u_{-1} = u_0
+        laplacian = (lower, diag, upper)
+        if not all(np.all(np.isfinite(e) & (e != 0)) for e in (weights, *laplacian)):
             raise ValueError(
                 f"mesh width {self.h} leaves a quadrature weight or Laplacian entry "
                 f"zero or not finite in float64 at J={self.J}, N={self.N}"
             )
+        for e in laplacian:
+            e.setflags(write=False)
+        object.__setattr__(self, "laplacian", laplacian)
 
     @property
     def r_max(self) -> float:
@@ -172,26 +187,9 @@ class Measures(NamedTuple):
         return math.sqrt(self.grad2) ** s_c * math.sqrt(self.mass) ** (1 - s_c)
 
 
-def laplacian_diagonals(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lower, diag, upper) of the flux-form radial Laplacian.
-
-    Row j applies (a_{j+1}(u_{j+1}-u_j) - a_j(u_j-u_{j-1})) / (r_j^{N-1} h^2)
-    with a_j = face_j^{N-1}; the r = 0 face carries zero flux for N >= 2 and
-    the reflection ghost cancels it for N = 1, and u_J = 0.
-    """
-    a = grid.faces ** (grid.N - 1)
-    scale = grid.nodes ** (grid.N - 1) * grid.h**2
-    lower = a[1:-1] / scale[1:]  # couples u_{j-1}, j = 1..J-1
-    upper = a[1:-1] / scale[:-1]  # couples u_{j+1}, j = 0..J-2
-    diag = -(a[1:] + a[:-1]) / scale
-    if grid.N == 1:
-        diag[0] += a[0] / scale[0]  # reflection ghost u_{-1} = u_0
-    return lower, diag, upper
-
-
 def laplacian_radial(u: RadialField) -> RadialField:
     """Second-order flux-form discretization of u'' + (N-1)/r u'."""
-    lower, diag, upper = laplacian_diagonals(u.grid)
+    lower, diag, upper = u.grid.laplacian
     v = u.values
     out = diag * v
     out[1:] += lower * v[:-1]
@@ -232,7 +230,7 @@ def shifted_laplacian_solver(grid: RadialGrid, c, scale=1.0):
     the dtype of c (real or complex).  A singular matrix, or a factorization
     that interchanges rows, raises numpy.linalg.LinAlgError.
     """
-    lower, diag, upper = laplacian_diagonals(grid)
+    lower, diag, upper = grid.laplacian
     dtype = np.result_type(c, diag)
     dl, d, du, _, ipiv, info = get_lapack_funcs("gttrf", dtype=dtype)(-c * lower, 1 - c * diag, -c * upper)
     if info > 0:

@@ -103,6 +103,8 @@ def _finalize(params, profile, method, residual, iterations) -> GroundState:
         raise SolverFailure(f"{method}: profile is not strictly positive")
     if np.any(np.diff(vals) >= 0):
         raise SolverFailure(f"{method}: profile is not strictly decreasing")
+    if not math.isfinite(residual):
+        raise SolverFailure(f"{method}: residual {residual} is not finite")
     return GroundState(
         params=params,
         profile=profile,
@@ -525,7 +527,8 @@ def solve_fixedpoint(
         raise NoConvergence(f"no convergence after {max_iter} iterations", trace)
     profile = grid.field(q)
     res_vec = -q + laplacian_radial(profile).values + rb * np.abs(q) ** alpha * q
-    residual = math.sqrt(float(np.sum(w * res_vec**2)))
+    with np.errstate(over="ignore"):  # _finalize refuses an inf residual
+        residual = math.sqrt(float(np.sum(w * res_vec**2)))
     return _finalize(params, profile, "fixedpoint", residual, len(trace))
 
 
@@ -551,8 +554,22 @@ def verify_identities(gs: GroundState) -> dict:
 
 
 def weinstein_quotient(u: RadialField, params: ModelParams) -> float:
-    """P(u) / (||grad u||^{(N a + 2b)/2} ||u||^{(4 - 2b - a(N-2))/2})."""
-    return _quotient(Measures.of(u, params.alpha, params.b), params)
+    """P(u) / (||grad u||^{(N a + 2b)/2} ||u||^{(4 - 2b - a(N-2))/2}).
+
+    P has degree a + 2, the sum of the exponents, so the quotient does not change
+    under u -> c u: where the direct evaluation overflows, or P or the denominator
+    underflows, it is evaluated on u / max|u|.
+    """
+    v = u.values
+    with np.errstate(over="ignore"):
+        me = Measures.of(u, params.alpha, params.b)
+    try:
+        quot = _quotient(me, params)
+    except (ZeroDivisionError, OverflowError):  # the denominator left the float range
+        quot = math.nan
+    if np.any(v) and not (0 < quot < math.inf and me.potential >= np.finfo(float).tiny):
+        quot = _quotient(Measures.of(u.grid.field(v / np.max(np.abs(v))), params.alpha, params.b), params)
+    return quot
 
 
 def _quotient(me: Measures, params: ModelParams) -> float:

@@ -3,6 +3,7 @@ import csv
 import filecmp
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -491,6 +492,28 @@ def test_mesh_width_out_of_float_range_exits_2(tmp_path, subcommand, method, h):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: grid: mesh width "), proc.stderr
+
+
+def test_groundstate_on_a_coarse_grid(tmp_path):
+    # at h = 9 a Gaussian-mixture probe is so small on the grid that the
+    # Weinstein quotient's denominator underflowed to 0 (ZeroDivisionError)
+    cfg = _write_config(tmp_path / "c.json", grid={"J": 64, "h": 9.0}, solver={"method": "both"})
+    proc = _run_cli_process("groundstate", "--config", cfg, "--out", tmp_path / "out", timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    with open(tmp_path / "out" / "sharp.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert math.isfinite(float(row["probe_max_quotient"]))
+
+
+@pytest.mark.parametrize("h", [1e-75, 1e-80])
+def test_fixedpoint_with_an_overflowing_residual_exits_4(tmp_path, h):
+    # the weights are ~1e-224, so the step distance passed the tolerance after
+    # one iteration and solver.csv held a residual of inf
+    cfg = _write_config(tmp_path / "c.json", grid={"J": 64, "h": h}, solver={"method": "fixedpoint"})
+    proc = _run_cli_process("groundstate", "--config", cfg, "--out", tmp_path / "out", timeout=60)
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: numerical failure: fixedpoint: "), proc.stderr
 
 
 @pytest.mark.parametrize("J", [3, 5])

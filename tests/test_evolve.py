@@ -28,7 +28,6 @@ from inlslab.grid import (
     RadialGrid,
     gaussian_field,
     grad_norm_sq_form,
-    laplacian_diagonals,
     radial_derivative,
     shifted_laplacian_solver,
 )
@@ -275,6 +274,20 @@ def test_soliton_stationary_short(params_330):
     assert err < 1e-4
 
 
+def test_run_steps_on_the_datum_grid(params_330):
+    g = RadialGrid(J=256, h=1 / 16, N=3)
+    u0 = gaussian_field(g, 0.5, 1.0)
+    trace = run(u0, _config(params_330, J=256, h=1 / 16, dt=1e-3, t_end=0.01, record_every=5))
+    assert trace.final_field.grid is u0.grid
+
+
+@pytest.mark.parametrize("J, h, N", [(255, 1 / 16, 3), (256, 1 / 32, 3), (256, 1 / 16, 2)])
+def test_run_refuses_a_datum_on_another_grid(params_330, J, h, N):
+    u0 = gaussian_field(RadialGrid(J=J, h=h, N=N), 0.5, 1.0)
+    with pytest.raises(ValueError, match="initial field grid does not match the configuration"):
+        run(u0, _config(params_330, J=256, h=1 / 16, dt=1e-3, t_end=0.01))
+
+
 def test_run_zero_field(params_330):
     # zero data has no mass to leak and stays zero under the flow
     g = RadialGrid(J=256, h=1 / 16, N=3)
@@ -328,7 +341,7 @@ def test_linear_step_is_unitary(N, J, h, dt_over_h2, seed):
 
 def _apply_B(grid, z, v):
     """(I + z Lap) v, built from the Laplacian's diagonals."""
-    lower, diag, upper = laplacian_diagonals(grid)
+    lower, diag, upper = grid.laplacian
     out = (1 + z * diag) * v
     out[1:] += z * lower * v[:-1]
     out[:-1] += z * upper * v[1:]

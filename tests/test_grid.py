@@ -16,7 +16,6 @@ from inlslab.grid import (
     RadialGrid,
     gaussian_field,
     grad_norm_sq_form,
-    laplacian_diagonals,
     laplacian_radial,
     shifted_laplacian_solver,
     sphere_area,
@@ -169,13 +168,32 @@ def test_grad_form_is_minus_real_inner_property(N, J, h, seed):
     assert grad_norm_sq_form(u) == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("J, h", [(3, 1.0), (8, 0.5), (300, 1 / 64), (4096, 1 / 256)])
+def test_grid_keeps_the_flux_form_laplacian(N, J, h):
+    # the diagonals are built once, with the flux-form formula, and shared by
+    # every reader of the grid, so none of them may write into them
+    g = RadialGrid(J=J, h=h, N=N)
+    a = g.faces ** (N - 1)
+    scale = g.nodes ** (N - 1) * h**2
+    diag = -(a[1:] + a[:-1]) / scale
+    if N == 1:
+        diag[0] += a[0] / scale[0]
+    expected = (a[1:-1] / scale[1:], diag, a[1:-1] / scale[:-1])
+    for kept, literal in zip(g.laplacian, expected):
+        assert not kept.flags.writeable
+        assert kept.shape == literal.shape and np.all(kept == literal)
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 0.0
+
+
 def test_dirichlet_eigenvalue():
     # smallest eigenvalue of -Lap on a ball of radius 8 (N=3) is (pi/8)^2
     import scipy.sparse as sps
     from scipy.sparse.linalg import eigsh
 
     g = RadialGrid(J=1024, h=8 / 1024, N=3)
-    lower, diag, upper = laplacian_diagonals(g)
+    lower, diag, upper = g.laplacian
     w = g.weights
     # symmetrize with the weight: W^{1/2} (-L) W^{-1/2}
     sw = np.sqrt(w)
@@ -240,7 +258,7 @@ def test_shifted_laplacian_solver_matches_gttrs(N, J, h, real_c, dt_over_h2, see
     # without a real c, c = i dt / 2 is the Crank-Nicolson one
     g = RadialGrid(J=J, h=h, N=N)
     c = real_c if real_c is not None else 1j * dt_over_h2 * h**2 / 2
-    lower, diag, upper = laplacian_diagonals(g)
+    lower, diag, upper = g.laplacian
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.result_type(c, diag))
     dl, d, du, du2, ipiv, info = gttrf(-c * lower, 1 - c * diag, -c * upper)
     assert info == 0 and np.array_equal(ipiv, np.arange(1, J + 1))

@@ -126,6 +126,19 @@ def test_weinstein_scale_invariance(gs_330, params_330):
         assert scaled == pytest.approx(base, rel=1e-4)
 
 
+@pytest.mark.parametrize("c", [1e-100, 1e100])
+def test_weinstein_quotient_does_not_depend_on_the_amplitude(gs_330, params_330, c):
+    # P has degree alpha + 2, the sum of the denominator's exponents, so c
+    # cancels; evaluated directly, c = 1e-100 underflows the denominator to 0
+    # and c = 1e100 overflows it
+    u = gaussian_field(gs_330.profile.grid, 1.0, 1.0)
+    base = weinstein_quotient(u, params_330)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = weinstein_quotient(u.grid.field(c * u.values), params_330)
+    assert scaled == pytest.approx(base, rel=1e-12)
+
+
 def test_gn_probe_never_beats_q(gs_330):
     rep = gn_maximality_probe(gs_330, trials=200, seed=0, tol=1e-3)
     assert rep["holds"]
