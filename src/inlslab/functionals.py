@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import Evolver
-from .grid import Measures, RadialField, RadialGrid, _potential_weights
+from .grid import Measures, RadialField, RadialGrid
 from .groundstate import GroundState
 from .params import ModelParams, validate_scope
 
@@ -231,10 +231,9 @@ def linear_decay_check(
     ev = Evolver(grid, params, dt, linear_only=True)
 
     g_weight = np.exp(-(r**2))
-    pot_weight = _potential_weights(grid, params.b)
-    rate = N / 2 if math.isinf(p) else (N / 2) * (1 - 2 / p)  # (N/2)(1/p' - 1/p)
-    v = np.maximum(g_weight, _TAIL_FLOOR).astype(complex)  # each step returns a new array
-    mass0 = Measures.of(grid.field(v), params.alpha, params.b).mass
+    u0 = np.maximum(g_weight, _TAIL_FLOOR).astype(complex)
+    mass0 = Measures.of(grid.field(u0), params.alpha, params.b).mass
+    v = u0.copy()
     t = 0.0
     lp_num, lp_cl, scaled, wprod = [], [], [], []
     max_drift = 0.0
@@ -249,8 +248,21 @@ def linear_decay_check(
         lc = _lp_norm(grid.field(closed), p)
         lp_num.append(ln)
         lp_cl.append(lc)
+        if math.isinf(p):
+            rate = N / 2
+        else:
+            rate = (N / 2) * (1 - 2 / p)  # (N/2)(1/p' - 1/p)
         scaled.append(ln * t**rate)
-        wprod.append(float(np.sum(pot_weight * np.abs(v) ** (params.alpha + 1) * g_weight)))
+        wprod.append(
+            float(
+                np.sum(
+                    grid.weights
+                    * r ** (-params.b)
+                    * np.abs(v) ** (params.alpha + 1)
+                    * g_weight
+                )
+            )
+        )
         drift = abs(Measures.of(field, params.alpha, params.b).mass - mass0) / mass0
         max_drift = max(max_drift, drift)
     scaled = np.asarray(scaled)

@@ -65,10 +65,7 @@ class RadialGrid:
             object.__setattr__(self, "nodes", nodes)
             object.__setattr__(self, "faces", faces)
             object.__setattr__(self, "weights", weights)
-            try:
-                h2 = self.h**2
-            except OverflowError:  # past the float range, so every entry below is 0
-                h2 = math.inf
+            h2 = np.float64(self.h) ** 2  # inf past the float range, so every entry below is 0
             # Laplacian row j: (a_{j+1}(u_{j+1}-u_j) - a_j(u_j-u_{j-1})) / (r_j^{N-1} h^2), a_j = face_j^{N-1};
             # zero flux at r = 0 (for N = 1 the reflection ghost cancels it) and u_J = 0
             a = faces ** (self.N - 1)

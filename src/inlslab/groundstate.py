@@ -557,19 +557,10 @@ def weinstein_quotient(u: RadialField, params: ModelParams) -> float:
     """P(u) / (||grad u||^{(N a + 2b)/2} ||u||^{(4 - 2b - a(N-2))/2}).
 
     P has degree a + 2, the sum of the exponents, so the quotient does not change
-    under u -> c u: where the direct evaluation overflows, or P or the denominator
-    underflows, it is evaluated on u / max|u|.
+    under u -> c u; it is evaluated on u / max|u|, which keeps every term in range.
     """
-    v = u.values
-    with np.errstate(over="ignore"):
-        me = Measures.of(u, params.alpha, params.b)
-    try:
-        quot = _quotient(me, params)
-    except (ZeroDivisionError, OverflowError):  # the denominator left the float range
-        quot = math.nan
-    if np.any(v) and not (0 < quot < math.inf and me.potential >= np.finfo(float).tiny):
-        quot = _quotient(Measures.of(u.grid.field(v / np.max(np.abs(v))), params.alpha, params.b), params)
-    return quot
+    m = np.max(np.abs(u.values)) or 1.0  # u = 0 has quotient 0
+    return _quotient(Measures.of(u.grid.field(u.values / m), params.alpha, params.b), params)
 
 
 def _quotient(me: Measures, params: ModelParams) -> float:
