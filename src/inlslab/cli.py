@@ -1,10 +1,10 @@
 """Command-line front end: JSON config in, deterministic CSV out.
 
-Exit codes: 0 success, 2 configuration/validation error (single-line
-diagnostic on stderr naming the violated precondition), 3 file I/O failure,
-4 numerical failure of an evolution (boundary leak, gradient-bound violation
-or linear-solve failure) or of a ground-state solver (groundstate.SolverFailure);
-single-line diagnostic on stderr.
+Exit codes: 0 success, 2 configuration/validation error, a negative --seed
+included (single-line diagnostic on stderr naming the violated
+precondition), 3 file I/O failure, 4 numerical failure (grid.NumericalFailure:
+of an evolution, of a ground-state solver, or a ground-state threshold that is
+not positive); single-line diagnostic on stderr.
 All numeric output is fixed-precision decimal text with a fixed row order,
 and every randomized probe takes an explicit seed, so identical invocations
 produce byte-identical files.
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import evolve as evolve_mod
 from . import exponents, functionals, groundstate
-from .grid import RadialField, RadialGrid, gaussian_field
+from .grid import NumericalFailure, RadialField, RadialGrid, gaussian_field
 from .params import ModelParams, upper_exponents, validate_scope
 
 
@@ -449,7 +449,7 @@ def _run(command):
         return 2, str(exc)
     except OSError as exc:
         return 3, f"io error: {exc}"
-    except (evolve_mod.NumericalFailure, groundstate.SolverFailure) as exc:
+    except NumericalFailure as exc:
         return 4, f"numerical failure: {exc}"
 
 
@@ -463,6 +463,13 @@ _DISPATCH = {
 }
 
 
+def _dispatch(args) -> int:
+    """The subcommand's status; numpy's generators take no negative seed."""
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
+    return _DISPATCH[args.subcommand](load_config(args.config), args)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="inlslab",
@@ -474,7 +481,7 @@ def main(argv=None) -> int:
     parser.add_argument("--field", default=None, help="field CSV (r,re,im) input")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
     args = parser.parse_args(argv)
-    status, reason = _run(lambda: _DISPATCH[args.subcommand](load_config(args.config), args))
+    status, reason = _run(lambda: _dispatch(args))
     if status:
         # an I/O failure's reason already reads "io error: ..."
         print(reason if status == 3 else f"error: {reason}", file=sys.stderr)

@@ -33,6 +33,7 @@ import numpy as np
 
 from .grid import (
     Measures,
+    NumericalFailure,
     RadialField,
     RadialGrid,
     radial_derivative,
@@ -47,10 +48,6 @@ _DECAY_FRACTION = 0.05  # final/initial potential ratio below which a run counts
 
 # the classifier verdicts of data strictly below the ground-state threshold
 BELOW_THRESHOLD = ("GlobalScatters", "GlobalOnly")
-
-
-class NumericalFailure(RuntimeError):
-    """A run stopped because a numerical check failed."""
 
 
 class LinearSolveFailure(NumericalFailure):
@@ -210,6 +207,11 @@ _PHI_POLY = np.array([44.0, -465.0, 2060.0, -4950.0, 6960.0, -5728.0, 2560.0, -4
 _PHI_CORE = np.array([1.0, 0.0, 0.0])  # s^2
 
 
+def _blend(s, k):
+    """The k-th derivative of the blend polynomial at s, on any s."""
+    return np.polyval(np.polyder(_PHI_POLY, k), s)
+
+
 def phi(s, k=0):
     """The k-th derivative of the cutoff at s."""
     s = np.asarray(s, dtype=float)
@@ -217,38 +219,41 @@ def phi(s, k=0):
     core = s <= 1.0
     mid = (s > 1.0) & (s < 2.0)
     out[core] = np.polyval(np.polyder(_PHI_CORE, k), s[core])
-    out[mid] = np.polyval(np.polyder(_PHI_POLY, k), s[mid])
+    out[mid] = _blend(s[mid], k)
     return out
 
 
-def _phi_laplacian(s, N):
-    """(Lap phi)(s) = phi'' + (N-1) phi'/s."""
-    return phi(s, 2) + (N - 1) * phi(s, 1) / s
+def _phi_laplacian(s, N, f=phi):
+    """(Lap f)(s) = f'' + (N-1) f'/s for the radial profile whose k-th
+    derivative at s is f(s, k): the cutoff phi, or its blend polynomial."""
+    return f(s, 2) + (N - 1) * f(s, 1) / s
 
 
-def _phi_bilaplacian(s, N):
-    """Radial bi-Laplacian of phi at s."""
+def _phi_bilaplacian(s, N, f=phi):
+    """Radial bi-Laplacian at s of the profile f, as in _phi_laplacian."""
     return (
-        phi(s, 4)
-        + 2 * (N - 1) * phi(s, 3) / s
-        + (N - 1) * (N - 3) * phi(s, 2) / s**2
-        - (N - 1) * (N - 3) * phi(s, 1) / s**3
+        f(s, 4)
+        + 2 * (N - 1) * f(s, 3) / s
+        + (N - 1) * (N - 3) * f(s, 2) / s**2
+        - (N - 1) * (N - 3) * f(s, 1) / s**3
     )
 
 
 @functools.cache
 def _phi_deviation_constants(N):
-    """Sup over s >= 1 of the cutoff's deviation from the pure-quadratic phi.
+    """Sup over s > 1 of the cutoff's deviation from the pure-quadratic phi.
 
-    Used to convert exterior integrals into a remainder budget; on s >= 2
-    the deviations are those of phi = 0 (|phi''-2| = 2, |Lap phi - 2N| = 2N,
-    |phi' - 2s|/s = 2), so only [1, 2] needs sampling.
+    Used to convert exterior integrals into a remainder budget.  The blend B
+    is sampled on the closed [1, 2]: s = 1 gives the limits at 1+, where
+    c_bilap = |B^(4)(1)| = 2040 (B matches s^2 to third order), and s = 2 the
+    deviations 2, 2N and 2 of phi = 0 on s >= 2.  The sampled interior maxima
+    lie within 3e-7 of the supremum, relative, for N = 1-5.
     """
     s = np.linspace(1.0, 2.0, 4001)
-    c_hess = max(2.0, float(np.max(np.abs(phi(s, 2) - 2.0))))
-    c_bilap = float(np.max(np.abs(_phi_bilaplacian(s, N))))
-    c_lap = max(2.0 * N, float(np.max(np.abs(_phi_laplacian(s, N) - 2 * N))))
-    c_grad = max(2.0, float(np.max(np.abs(phi(s, 1) - 2 * s) / s)))
+    c_hess = float(np.max(np.abs(_blend(s, 2) - 2.0)))
+    c_bilap = float(np.max(np.abs(_phi_bilaplacian(s, N, _blend))))
+    c_lap = float(np.max(np.abs(_phi_laplacian(s, N, _blend) - 2 * N)))
+    c_grad = float(np.max(np.abs(_blend(s, 1) - 2 * s) / s))
     return c_hess, c_bilap, c_lap, c_grad
 
 

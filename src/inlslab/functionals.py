@@ -15,7 +15,7 @@ import numpy as np
 
 from .evolve import Evolver
 from .grid import Measures, RadialField, RadialGrid
-from .groundstate import GroundState
+from .groundstate import GroundState, SolverFailure
 from .params import ModelParams, validate_scope
 
 CLASSIFIER_MIN_J = 6  # the error band's copy of the datum on the 2h grid needs 3 cells
@@ -72,7 +72,8 @@ def classify(u0: RadialField, gs: GroundState) -> ThresholdReport:
     (outside the equality band) plus the matching parameter scope;
     AtThreshold when either product sits within the band; Unknown otherwise.
     The band compares against u0 on the 2h grid, so u0's grid needs J >= 6
-    (ValueError otherwise).
+    (ValueError otherwise).  A threshold that is not positive raises
+    SolverFailure: for 0 < s_c < 1, EGS gives E(Q) > 0, so gs's grid does not resolve Q.
     """
     params = gs.params
     me = Measures.of(u0, params.alpha, params.b)
@@ -81,7 +82,13 @@ def classify(u0: RadialField, gs: GroundState) -> ThresholdReport:
     em_err, gm_err = abs(em - em_c), abs(gm - gm_c)
 
     em_th, gm_th = _products(Measures(gs.mass2, gs.grad2, gs.potential), params)
-    w = em / em_th if em_th > 0 else math.inf
+    if not em_th > 0:
+        g = gs.profile.grid
+        raise SolverFailure(
+            f"ground-state threshold E^s_c M^(1-s_c) = {em_th} is not positive: E(Q) = {gs.energy} "
+            f"on the grid J={g.J}, h={g.h}, which does not resolve Q"
+        )
+    w = em / em_th
     A = 1 - _signed_power(w, params.alpha / 2)
 
     scope = validate_scope(params)

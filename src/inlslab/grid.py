@@ -30,6 +30,11 @@ from scipy.linalg.lapack import get_lapack_funcs
 from scipy.special import gamma as gamma_fn
 
 
+class NumericalFailure(RuntimeError):
+    """A computation stopped because a numerical check failed: the one root of
+    the evolver's and the ground-state solvers' failures."""
+
+
 def sphere_area(N: int) -> float:
     """Surface measure of the unit sphere, 2 pi^{N/2} / Gamma(N/2)."""
     return 2 * math.pi ** (N / 2) / gamma_fn(N / 2)

@@ -57,6 +57,7 @@ from scipy.special import kv, roots_jacobi, roots_legendre
 
 from .grid import (
     Measures,
+    NumericalFailure,
     RadialField,
     RadialGrid,
     laplacian_radial,
@@ -65,7 +66,7 @@ from .grid import (
 from .params import ModelParams
 
 
-class SolverFailure(RuntimeError):
+class SolverFailure(NumericalFailure):
     """A ground-state solver produced no valid profile."""
 
 
@@ -89,7 +90,7 @@ class GroundState:
     grad2: float
     potential: float
     energy: float
-    cgn: float
+    cgn: float  # weinstein_quotient(profile, params), as gn_maximality_probe evaluates its mixtures
     method: str
     residual: float
     # classifying shots (bracket + Brent) or fixed-point iterations
@@ -108,13 +109,11 @@ def _finalize(params, profile, method, residual, iterations) -> GroundState:
     return GroundState(
         params=params,
         profile=profile,
-        # ||Q||^2 squared from the norm: GS1's residual and the sharp-constant gap cancel
-        # 4-5 digits, so the direct sum's last-bit difference would reach their 12th digit
-        mass2=math.sqrt(me.mass) ** 2,
+        mass2=me.mass,
         grad2=me.grad2,
         potential=me.potential,
         energy=me.energy(params.alpha),
-        cgn=_quotient(me, params),
+        cgn=weinstein_quotient(profile, params),
         method=method,
         residual=residual,
         iterations=iterations,
@@ -559,13 +558,9 @@ def weinstein_quotient(u: RadialField, params: ModelParams) -> float:
     P has degree a + 2, the sum of the exponents, so the quotient does not change
     under u -> c u; it is evaluated on u / max|u|, which keeps every term in range.
     """
-    m = np.max(np.abs(u.values)) or 1.0  # u = 0 has quotient 0
-    return _quotient(Measures.of(u.grid.field(u.values / m), params.alpha, params.b), params)
-
-
-def _quotient(me: Measures, params: ModelParams) -> float:
-    """weinstein_quotient from the field's measures."""
     N, alpha, b = params.N, params.alpha, params.b
+    m = np.max(np.abs(u.values)) or 1.0  # u = 0 has quotient 0
+    me = Measures.of(u.grid.field(u.values / m), alpha, b)
     gn, l2 = math.sqrt(me.grad2), math.sqrt(me.mass)
     if gn == 0 or l2 == 0:
         return 0.0

@@ -505,6 +505,28 @@ def test_groundstate_on_a_coarse_grid(tmp_path):
     assert math.isfinite(float(row["probe_max_quotient"]))
 
 
+@pytest.mark.parametrize("h", [2.0, 9.0])
+@pytest.mark.parametrize("subcommand", ["classify", "evolve"])
+def test_threshold_of_an_unresolved_ground_state_exits_4(tmp_path, capsys, subcommand, h):
+    # the fixed-point Q on these grids has E(Q) < 0, and classify reported a
+    # negative em_threshold with w = inf and exited 0
+    cfg = _write_config(tmp_path / "c.json", grid={"J": 64, "h": h}, evolve=_EVOLVE)
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: numerical failure: "), lines
+    assert f"h={h}" in lines[0]
+
+
+@pytest.mark.parametrize("subcommand", ["groundstate", "sweep"])
+def test_negative_seed_exits_2(tmp_path, capsys, subcommand):
+    # numpy's generator raised a ValueError traceback once the solve had written its files
+    cfg = _write_config(tmp_path / "c.json", grid={"J": 256, "h": 1 / 16}, sweep={"subcommand": "groundstate"})
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be a nonnegative integer, got -1\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("h", [1e-75, 1e-80])
 def test_fixedpoint_with_an_overflowing_residual_exits_4(tmp_path, h):
     # the weights are ~1e-224, so the step distance passed the tolerance after

@@ -12,6 +12,7 @@ from inlslab.evolve import (
     Evolver,
     GradientBoundViolation,
     LinearSolveFailure,
+    _PHI_POLY,
     _phi_bilaplacian,
     _phi_deviation_constants,
     _phi_laplacian,
@@ -117,6 +118,33 @@ def test_phi_cutoff_smoothness():
     s = np.linspace(0.01, 1.99, 500)
     assert np.all(phi(s) > 0)
     assert np.all(phi(np.linspace(2.0, 5.0, 50)) == 0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_bilaplacian_constant_is_the_limit_at_one(N):
+    # the blend's fourth derivative jumps at s = 1, and the blend matches s^2
+    # to third order there, so the supremum over s > 1 is |B''''(1)| = 2040
+    assert _phi_deviation_constants(N)[1] == 2040.0
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_deviation_constants_cover_the_exterior_and_the_blend(N):
+    c_hess, _, c_lap, c_grad = _phi_deviation_constants(N)
+    # phi = 0 on s >= 2 deviates from s^2 by 2, 2N and 2
+    assert c_hess >= 2 and c_lap >= 2 * N and c_grad >= 2
+
+    def blend(s, k):
+        return np.polyval(np.polyder(_PHI_POLY, k), s)
+
+    s = np.linspace(1.0, 2.0, 1_000_001)
+    fine = (
+        np.max(np.abs(blend(s, 2) - 2)),
+        np.max(np.abs(blend(s, 2) + (N - 1) * blend(s, 1) / s - 2 * N)),
+        np.max(np.abs(blend(s, 1) - 2 * s) / s),
+    )
+    # the 4001 samples miss the interior maxima by at most 2.9e-7 (c_lap at N = 2)
+    for constant, sup in zip((c_hess, c_lap, c_grad), fine):
+        assert constant == pytest.approx(sup, rel=3e-7)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

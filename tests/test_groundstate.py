@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import ode, solve_ivp
 
 from inlslab import cli, groundstate
-from inlslab.grid import RadialGrid, gaussian_field
+from inlslab.grid import Measures, NumericalFailure, RadialGrid, gaussian_field
 from inlslab.groundstate import (
     NoBracket,
     NoConvergence,
@@ -64,6 +64,7 @@ def test_scope_gate_without_test_mode(tmp_path, capsys):
 def test_solver_failures_share_one_class(params_330):
     # the command line maps every SolverFailure to its numerical-failure exit code
     assert issubclass(NoBracket, SolverFailure) and issubclass(NoConvergence, SolverFailure)
+    assert issubclass(SolverFailure, NumericalFailure)
     g = RadialGrid(J=64, h=1 / 8, N=3)
     with pytest.raises(SolverFailure, match="not strictly positive"):
         _finalize(params_330, g.field(np.linspace(1.0, -1.0, g.J)), "probe", 0.0, 0)
@@ -139,12 +140,13 @@ def test_weinstein_quotient_does_not_depend_on_the_amplitude(gs_330, params_330,
     assert scaled == pytest.approx(base, rel=1e-12)
 
 
-def test_gn_probe_never_beats_q(gs_330):
+def test_gn_probe_never_beats_q(gs_330, gs_330_shooting):
     rep = gn_maximality_probe(gs_330, trials=200, seed=0, tol=1e-3)
     assert rep["holds"]
     assert rep["max_quotient"] <= gs_330.cgn * 1.001
-    # quotient at Q itself is the reported extremal value
-    assert weinstein_quotient(gs_330.profile, gs_330.params) == pytest.approx(gs_330.cgn)
+    # quotient at Q itself is the reported extremal value, on the probe's one evaluation path
+    for gs in (gs_330, gs_330_shooting):
+        assert weinstein_quotient(gs.profile, gs.params) == gs.cgn
 
 
 def test_other_scope_points_cross_method():
@@ -155,6 +157,9 @@ def test_other_scope_points_cross_method():
         sh = solve_shooting(p, g)
         for f in ("mass2", "grad2", "potential"):
             assert abs(getattr(fp, f) - getattr(sh, f)) / getattr(fp, f) < 1e-4
+        # ||Q||^2 is the one mass sum, with no round trip through the norm
+        for gs in (fp, sh):
+            assert gs.mass2 == Measures.of(gs.profile, alpha, b).mass
         assert all(v <= 1e-4 for v in verify_identities(fp).values())
         assert sharp_constant(fp)["rel_gap"] <= 1e-3
 
