@@ -29,23 +29,24 @@ import numpy as np
 from . import evolve as evolve_mod
 from . import exponents, functionals, groundstate
 from .grid import NumericalFailure, RadialField, RadialGrid, gaussian_field
-from .params import ModelParams, upper_exponents, validate_scope
+from .params import ModelParams, exact, upper_exponents, validate_scope
 
 
 class ConfigError(ValueError):
     pass
 
 
-# allowed keys per config section; unknown keys are rejected
+# the allowed keys per config section, each with the kind _read takes it
+# as; unknown keys are rejected
 _SCHEMA = {
-    "model": {"N", "alpha", "b"},
-    "grid": {"J", "h"},
-    "solver": {"method", "tol", "max_iter"},
-    "evolve": {"dt", "t_end", "record_every", "virial_R", "linear_only"},
-    "pairs": {"theta", "eps"},
-    "classify": {"field"},
-    "sweep": {"subcommand", "N", "alpha", "b"},
-    "output": {"directory", "precision"},
+    "model": {"N": int, "alpha": float, "b": float},
+    "grid": {"J": int, "h": float},
+    "solver": {"method": str, "tol": float, "max_iter": int},
+    "evolve": {"dt": float, "t_end": float, "record_every": int, "virial_R": float, "linear_only": bool},
+    "pairs": {"theta": Fraction, "eps": Fraction},
+    "classify": {"field": str},
+    "sweep": {"subcommand": str, "N": list, "alpha": list, "b": list},
+    "output": {"directory": str, "precision": int},
 }
 
 
@@ -68,14 +69,17 @@ def load_config(path) -> dict:
     return cfg
 
 
-_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+          Fraction: "a finite number or a fraction string", list: "a list"}
 _REQUIRED = object()
 
 
 def _typed(name, value, kind):
-    """value as `kind` (int, float, bool or str), or a ConfigError naming
-    `name`.  Numbers are JSON numbers only, never bools or strings, and an
-    int must be integral and finite; range checks are left to the caller."""
+    """value as `kind` (a key of _KINDS), or a ConfigError naming `name`.
+    Numbers are JSON numbers only, never bools or strings, and an int must be
+    integral and finite; a Fraction is params.exact of a number or a string
+    such as "1/100"; a list holds numbers, kept as written.  Range checks are
+    left to the caller."""
     if kind in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
         if kind is float:
             try:
@@ -84,22 +88,31 @@ def _typed(name, value, kind):
                 return math.copysign(math.inf, value)
         if isinstance(value, int) or math.isfinite(value) and value.is_integer():
             return int(value)
+    elif kind is Fraction:
+        try:
+            return exact(value)
+        except ValueError:
+            pass
+    elif kind is list and isinstance(value, list):
+        for entry in value:
+            _typed(f"{name} entry", entry, float)
+        return value
     elif kind in (bool, str) and isinstance(value, kind):
         return value
     raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
 
 
-def _read(cfg, name, kind, default=_REQUIRED, valid=None):
-    """The config value `name` ("section.key") as `kind`; `default` where the
-    key is absent, or null where the default is None; valid = (description,
-    predicate) bounds the value."""
+def _read(cfg, name, default=_REQUIRED, valid=None):
+    """The config value `name` ("section.key") as the kind _SCHEMA gives it;
+    `default` where the key is absent, or null where the default is None;
+    valid = (description, predicate) bounds the value."""
     section, key = name.split(".")
     value = cfg.get(section, {}).get(key, default)
     if value is _REQUIRED:
         raise ConfigError(f"{name} is required")
     if value is None and default is None:
         return None
-    value = _typed(name, value, kind)
+    value = _typed(name, value, _SCHEMA[section][key])
     if valid is not None and not valid[1](value):
         raise ConfigError(f"{name} must be {valid[0]}, got {value!r}")
     return value
@@ -115,8 +128,7 @@ def _checked(section, make, *args, **kwargs):
 
 
 def _model(cfg) -> ModelParams:
-    N = _read(cfg, "model.N", int)
-    alpha, b = _read(cfg, "model.alpha", float), _read(cfg, "model.b", float)
+    N, alpha, b = _read(cfg, "model.N"), _read(cfg, "model.alpha"), _read(cfg, "model.b")
     return _checked("model", ModelParams, N, alpha, b)
 
 
@@ -125,12 +137,12 @@ _CLASSIFIER_J = (f"at least {functionals.CLASSIFIER_MIN_J} for the classifier's 
 
 
 def _grid(cfg, params, valid_J=None) -> RadialGrid:
-    J, h = _read(cfg, "grid.J", int, valid=valid_J), _read(cfg, "grid.h", float)
+    J, h = _read(cfg, "grid.J", valid=valid_J), _read(cfg, "grid.h")
     return _checked("grid", RadialGrid, J=J, h=h, N=params.N)
 
 
 def _precision(cfg) -> int:
-    return _read(cfg, "output.precision", int, 12, valid=("in [1, 17]", lambda p: 1 <= p <= 17))
+    return _read(cfg, "output.precision", 12, valid=("in [1, 17]", lambda p: 1 <= p <= 17))
 
 
 def _fmt(x, prec):
@@ -199,7 +211,7 @@ def _read_field(path, grid: RadialGrid) -> RadialField:
 
 
 def _out_dir(cfg, args) -> str:
-    directory = _read(cfg, "output.directory", str, ".")
+    directory = _read(cfg, "output.directory", ".")
     out = args.out or directory
     os.makedirs(out, exist_ok=True)
     return out
@@ -230,17 +242,10 @@ def cmd_params(cfg, args) -> int:
 
 def cmd_pairs(cfg, args) -> int:
     params = _model(cfg)
-    sec = cfg.get("pairs", {})
     prec = _precision(cfg)
-    theta, eps = sec.get("theta"), sec.get("eps", exponents.CLAIM2_EPS)
-    for key, value in (("theta", theta), ("eps", eps)):
-        if isinstance(value, bool):  # Fraction(True) would read it as 1
-            raise ConfigError(f"pairs.{key} must be a number or a fraction string, got {value!r}")
-    try:
-        rows = exponents.certificate_rows(params.N, params.alpha, params.b, theta=theta, eps=eps)
-        app = exponents.appendix_checks(params.N, params.alpha, params.b, rows[0]["theta"], eps=eps)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"pairs: {exc}") from exc
+    theta, eps = _read(cfg, "pairs.theta", None), _read(cfg, "pairs.eps", exponents.CLAIM2_EPS)
+    rows = _checked("pairs", exponents.certificate_rows, params.N, params.alpha, params.b, theta=theta, eps=eps)
+    app = _checked("pairs", exponents.appendix_checks, params.N, params.alpha, params.b, rows[0]["theta"], eps=eps)
     out = _out_dir(cfg, args)
     header = ["family", "pair", "N", "alpha", "b", "theta", "q", "r", "class", "admissible", "identity_residual"]
     _write_csv(
@@ -267,11 +272,12 @@ def _solve(cfg, params, grid, method):
             f"(N={params.N}, alpha={params.alpha}, b={params.b}) is outside "
             "the global-existence scope"
         )
-    tol = _read(cfg, "solver.tol", float, 1e-12, valid=("positive and finite", lambda t: 0 < t < math.inf))
-    max_iter = _read(cfg, "solver.max_iter", int, 500, valid=("at least 1", lambda n: n >= 1))
+    # solve_fixedpoint's own defaults stand for the keys the config leaves out
+    bounds = {"tol": ("positive and finite", lambda t: 0 < t < math.inf), "max_iter": ("at least 1", lambda n: n >= 1)}
+    options = {key: _read(cfg, f"solver.{key}", valid=bounds[key]) for key in bounds if key in cfg.get("solver", {})}
     if method == "shooting":
         return groundstate.solve_shooting(params, grid)
-    return groundstate.solve_fixedpoint(params, grid, tol=tol, max_iter=max_iter)
+    return groundstate.solve_fixedpoint(params, grid, **options)
 
 
 def cmd_groundstate(cfg, args) -> int:
@@ -279,7 +285,7 @@ def cmd_groundstate(cfg, args) -> int:
     grid = _grid(cfg, params)
     prec = _precision(cfg)
     out = _out_dir(cfg, args)
-    method = _read(cfg, "solver.method", str, "both",
+    method = _read(cfg, "solver.method", "both",
                    valid=("shooting, fixedpoint or both", lambda m: m in ("shooting", "fixedpoint", "both")))
     methods = ["shooting", "fixedpoint"] if method == "both" else [method]
     results = {m: _solve(cfg, params, grid, m) for m in methods}
@@ -298,7 +304,7 @@ def cmd_groundstate(cfg, args) -> int:
         prec,
     )
     sc = groundstate.sharp_constant(primary)
-    probe = groundstate.gn_maximality_probe(primary, trials=200, seed=args.seed)
+    probe = groundstate.gn_maximality_probe(primary, seed=args.seed)
     _write_csv(
         os.path.join(out, "sharp.csv"),
         ["cgn_formula", "cgn_direct", "rel_gap", "probe_max_quotient", "probe_holds", "probe_trials", "seed"],
@@ -314,7 +320,7 @@ def _load_field(cfg, args, grid):
             return _read_field(args.field, grid)
         except (ValueError, csv.Error) as exc:
             raise ConfigError(f"--field {args.field}: {exc}") from exc
-    spec = _read(cfg, "classify.field", str, None)
+    spec = _read(cfg, "classify.field", None)
     if spec is None:
         raise ConfigError("no --field file and no classify.field profile given")
     spec = spec.strip()
@@ -353,12 +359,13 @@ def cmd_evolve(cfg, args) -> int:
     grid = _grid(cfg, params, _CLASSIFIER_J)
     prec = _precision(cfg)
     out = _out_dir(cfg, args)
+    defaults = evolve_mod.EvolutionConfig
     values = dict(
-        dt=_read(cfg, "evolve.dt", float),
-        t_end=_read(cfg, "evolve.t_end", float),
-        record_every=_read(cfg, "evolve.record_every", int, 10),
-        virial_R=_read(cfg, "evolve.virial_R", float, None),
-        linear_only=_read(cfg, "evolve.linear_only", bool, False),
+        dt=_read(cfg, "evolve.dt"),
+        t_end=_read(cfg, "evolve.t_end"),
+        record_every=_read(cfg, "evolve.record_every", defaults.record_every),
+        virial_R=_read(cfg, "evolve.virial_R", defaults.virial_R),
+        linear_only=_read(cfg, "evolve.linear_only", defaults.linear_only),
     )
     econf = _checked("evolve", evolve_mod.EvolutionConfig, params=params, J=grid.J, h=grid.h, **values)
     u0 = _load_field(cfg, args, grid)
@@ -379,24 +386,16 @@ def cmd_evolve(cfg, args) -> int:
 
 
 def cmd_sweep(cfg, args) -> int:
-    sec = cfg.get("sweep")
-    if not sec:
-        raise ConfigError("config needs a sweep section")
-    sub = sec.get("subcommand")
-    if sub not in ("params", "pairs", "groundstate", "classify", "evolve"):
-        raise ConfigError(f"sweep.subcommand must name a dispatchable subcommand, got {sub!r}")
+    sub = _read(cfg, "sweep.subcommand",
+                valid=("params, pairs, groundstate, classify or evolve", lambda s: s in _DISPATCH and s != "sweep"))
     lists = {}
     for key in ("N", "alpha", "b"):
-        vals = sec.get(key)
-        if vals is None:
-            vals = [cfg.get("model", {}).get(key)]
-            if vals[0] is None:
-                raise ConfigError(f"sweep needs {key} (list) or model.{key}")
-        if not isinstance(vals, list):
-            raise ConfigError(f"sweep.{key} must be a list")
-        for val in vals:  # each point checks its own values; the manifest echoes them
-            _typed(f"sweep.{key} entry", val, float)
-        lists[key] = vals
+        # a list, or else the one model.key value; each point checks its own
+        # values, and the manifest echoes them as written
+        vals = _read(cfg, f"sweep.{key}", None)
+        if vals is None and cfg.get("model", {}).get(key) is None:
+            raise ConfigError(f"sweep needs {key} (list) or model.{key}")
+        lists[key] = _typed(f"sweep.{key}", [cfg["model"][key]], list) if vals is None else vals
     points = itertools.product(lists["N"], lists["alpha"], lists["b"])
     out = _out_dir(cfg, args)
     # the sweep owns every point_NNNN directory in out: all of them go and

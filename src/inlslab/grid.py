@@ -49,7 +49,9 @@ class RadialGrid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     faces: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
-    # (lower, diag, upper) of the flux-form Laplacian, built once and read-only
+    # a_j = face_j^{N-1}, the face areas over the unit sphere's, and (lower,
+    # diag, upper) of the flux-form Laplacian built from them; all read-only
+    face_areas: np.ndarray = field(init=False, repr=False, compare=False)
     laplacian: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -86,8 +88,9 @@ class RadialGrid:
                 f"mesh width {self.h} leaves a quadrature weight or Laplacian entry "
                 f"zero or not finite in float64 at J={self.J}, N={self.N}"
             )
-        for e in laplacian:
+        for e in (a, *laplacian):
             e.setflags(write=False)
+        object.__setattr__(self, "face_areas", a)
         object.__setattr__(self, "laplacian", laplacian)
 
     @property
@@ -143,10 +146,10 @@ def grad_norm_sq_form(u: RadialField) -> float:
     grid = u.grid
     omega = sphere_area(grid.N)
     v = u.values
+    a = grid.face_areas
     dif = np.diff(v)  # u_{j+1} - u_j, j = 0..J-2
-    a_int = grid.faces[1:-1] ** (grid.N - 1)
-    total = np.sum(a_int * np.abs(dif) ** 2)
-    total += grid.faces[-1] ** (grid.N - 1) * np.abs(v[-1]) ** 2  # Dirichlet face
+    total = np.sum(a[1:-1] * np.abs(dif) ** 2)
+    total += a[-1] * np.abs(v[-1]) ** 2  # Dirichlet face
     return float(omega * total / grid.h)
 
 

@@ -17,14 +17,21 @@ def exact(x) -> Fraction:
     """x as an exact Fraction of the decimal it was written as.
 
     A float becomes Fraction(repr(x)), so 0.9 is 9/10 and not the binary
-    double nearest to it; Fractions and integers pass through unchanged.
-    NaN and the infinities have no exact value and raise ValueError.
+    double nearest to it; Fractions and integers pass through unchanged, and
+    a string such as "1/100" or "0.01" is read as Fraction reads it.  NaN,
+    the infinities, a zero denominator, a bool and whatever is not a number
+    have no exact value and raise ValueError.
     """
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"{x} is not a finite number")
         return Fraction(repr(float(x)))
-    return Fraction(x)
+    if isinstance(x, bool):  # Fraction(True) would read it as 1
+        raise ValueError(f"{x} is not a number")
+    try:
+        return Fraction(x)
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"{x!r} has no exact value: {exc}") from exc
 
 
 def critical_index(N: int, alpha, b):

@@ -655,6 +655,9 @@ _WRONG_TYPES = [None, [1], {"a": 1}]
         ("pairs", "pairs", "eps", True),
         ("pairs", "pairs", "theta", True),
         ("pairs", "pairs", "theta", False),
+        # neither a number nor a fraction string, or one with a zero denominator
+        *(("pairs", "pairs", "theta", v) for v in ([1], "abc", "1/0", {"a": 1})),
+        ("pairs", "pairs", "eps", None),
     ],
 )
 def test_wrong_config_values_exit_2(tmp_path, capsys, subcommand, section, key, value):
@@ -664,6 +667,18 @@ def test_wrong_config_values_exit_2(tmp_path, capsys, subcommand, section, key, 
     assert len(err) == 1 and err[0].startswith("error: "), err
     name = "dimension" if key == "N" else "'seed'" if key is None else f"{section}.{key}"
     assert name in err[0], err
+
+
+@pytest.mark.parametrize(
+    "sweep, name",
+    [({}, "sweep.subcommand"), ({"subcommand": "sweep"}, "sweep.subcommand"),
+     ({"subcommand": "params", "N": "3"}, "sweep.N")],
+)
+def test_sweep_values_name_their_key(tmp_path, capsys, sweep, name):
+    cfg = _small_config(tmp_path / "c.json", "sweep", value=sweep)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and name in err[0], err
 
 
 @pytest.mark.parametrize(

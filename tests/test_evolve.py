@@ -142,9 +142,9 @@ def test_deviation_constants_cover_the_exterior_and_the_blend(N):
         np.max(np.abs(blend(s, 2) + (N - 1) * blend(s, 1) / s - 2 * N)),
         np.max(np.abs(blend(s, 1) - 2 * s) / s),
     )
-    # the 4001 samples miss the interior maxima by at most 2.9e-7 (c_lap at N = 2)
+    # each constant is a supremum: no sample exceeds it, and it exceeds none by more than rounding
     for constant, sup in zip((c_hess, c_lap, c_grad), fine):
-        assert constant == pytest.approx(sup, rel=3e-7)
+        assert sup <= constant <= sup * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -171,16 +171,17 @@ def test_grad_form_is_minus_real_inner_property(N, J, h, seed):
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("J, h", [(3, 1.0), (8, 0.5), (300, 1 / 64), (4096, 1 / 256)])
 def test_grid_keeps_the_flux_form_laplacian(N, J, h):
-    # the diagonals are built once, with the flux-form formula, and shared by
-    # every reader of the grid, so none of them may write into them
+    # the face areas and the diagonals are built once, with the flux-form
+    # formula, and shared by every reader of the grid, so none of them may
+    # write into them
     g = RadialGrid(J=J, h=h, N=N)
     a = g.faces ** (N - 1)
     scale = g.nodes ** (N - 1) * h**2
     diag = -(a[1:] + a[:-1]) / scale
     if N == 1:
         diag[0] += a[0] / scale[0]
-    expected = (a[1:-1] / scale[1:], diag, a[1:-1] / scale[:-1])
-    for kept, literal in zip(g.laplacian, expected):
+    expected = (a, a[1:-1] / scale[1:], diag, a[1:-1] / scale[:-1])
+    for kept, literal in zip((g.face_areas, *g.laplacian), expected):
         assert not kept.flags.writeable
         assert kept.shape == literal.shape and np.all(kept == literal)
         with pytest.raises(ValueError, match="read-only"):

@@ -152,6 +152,14 @@ def test_non_finite_parameters_rejected(bad):
         ModelParams(3, 2.0, bad)
 
 
+@pytest.mark.parametrize("bad", [True, [1], "1/0", None])
+def test_exact_refuses_what_is_not_a_number(bad):
+    # a bool is not the number 1 or 0, and no other failure leaks out as a
+    # TypeError or a ZeroDivisionError
+    with pytest.raises(ValueError):
+        exact(bad)
+
+
 def test_exact_reads_the_written_decimal():
     assert exact(0.9) == Fraction(9, 10)
     assert exact(0.1 + 0.2) == Fraction("0.30000000000000004")
