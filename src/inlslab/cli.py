@@ -390,12 +390,14 @@ def cmd_sweep(cfg, args) -> int:
                 valid=("params, pairs, groundstate, classify or evolve", lambda s: s in _DISPATCH and s != "sweep"))
     lists = {}
     for key in ("N", "alpha", "b"):
-        # a list, or else the one model.key value; each point checks its own
-        # values, and the manifest echoes them as written
-        vals = _read(cfg, f"sweep.{key}", None)
-        if vals is None and cfg.get("model", {}).get(key) is None:
+        # a list, or where the key is absent the one model.key value; each
+        # point checks its own values, and the manifest echoes them as written
+        if key in cfg.get("sweep", {}):
+            lists[key] = _read(cfg, f"sweep.{key}")  # an explicit null is not a list
+        elif cfg.get("model", {}).get(key) is None:
             raise ConfigError(f"sweep needs {key} (list) or model.{key}")
-        lists[key] = _typed(f"sweep.{key}", [cfg["model"][key]], list) if vals is None else vals
+        else:
+            lists[key] = _typed(f"sweep.{key}", [cfg["model"][key]], list)
     points = itertools.product(lists["N"], lists["alpha"], lists["b"])
     out = _out_dir(cfg, args)
     # the sweep owns every point_NNNN directory in out: all of them go and

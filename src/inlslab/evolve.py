@@ -17,6 +17,17 @@ therefore advances the staggered field w = P_{dt/2} v with one phase
 rotation and one linear solve per step, and un-staggers with P_{-dt/2} only
 where the physical field v is needed: at the records and at the end.
 
+A dispersing Gaussian underflows to exact zeros past r ~ 27 widths, and a
+solve over those zeros would run its geometric tail down through the
+subnormal range, where arithmetic is slow.  So a field whose last node has
+modulus below T = 2^-600 steps on its support only: the leading n nodes, n
+being the last node with a part of magnitude >= T/2 plus a margin of 32,
+are solved with the leading n x n block of A and rotated, and every node
+past the new support is written as an exact zero.  That is Crank-Nicolson
+with u_n = 0, unitary as before, and a node below T adds exactly 0 to any
+|u|^2 sum.  A field with a resolved tail (its last node >= T) steps on the
+whole grid exactly as it would without the window, bit for bit.
+
 The module also evaluates the localized virial quantities z_R, z'_R and the
 four-term direct expression for z''_R, plus the rigidity lower bound
 z''_R >= 8 A E[u] - (exterior remainder budget).
@@ -37,8 +48,10 @@ from .grid import (
     NumericalFailure,
     RadialField,
     RadialGrid,
+    _leading,
     radial_derivative,
     shifted_laplacian_solver,
+    support_power,
 )
 from .params import ModelParams
 
@@ -46,6 +59,8 @@ _DT_SAFETY = 100.0  # stability is unconditional; dt <= _DT_SAFETY h^2 caps the 
 _BOUNDARY_SHELL = 0.03  # outer fraction of the domain whose mass counts as leaked
 _BUDGET_FRACTION = 0.5  # initial exterior budget share of the rigidity bound that makes R too small
 _DECAY_FRACTION = 0.05  # final/initial potential ratio below which a run counts as decayed
+_TAIL = 2.0**-600  # a node of modulus below this adds exactly 0 to any |u|^2 sum
+_MARGIN = 32  # nodes past the support that a windowed step solves on
 
 # the classifier verdicts of data strictly below the ground-state threshold
 BELOW_THRESHOLD = ("GlobalScatters", "GlobalOnly")
@@ -139,7 +154,8 @@ class Evolver:
     unstagger convert between v and w.  Its linear step is the Cayley form
     L w = 2 A^{-1} w - w of Crank-Nicolson, A = I - (i dt/2) Lap, with the
     2 folded into the factored solve.  For linear_only the phase rotation
-    P is the identity.
+    P is the identity.  A field whose last node has modulus below _TAIL
+    steps on its support only, as the module docstring describes.
     """
 
     def __init__(self, grid: RadialGrid, params: ModelParams, dt: float, linear_only=False):
@@ -183,15 +199,51 @@ class Evolver:
         return self._rotate(w, -self._half_phase)
 
     def step_values(self, w: np.ndarray) -> np.ndarray:
-        """One step of the staggered field: P_dt(L w).
+        """One step of the staggered field: P_dt(L w), on w's support only
+        where its last node is below _TAIL (a NaN there is not).
 
         Raises LinearSolveFailure when L w holds a NaN or an infinity, or
         when its squared norm overflows.
         """
+        if abs(w.item(-1)) < _TAIL:  # item: a Python scalar tests faster than a numpy one
+            return self._step_window(w)
         w = self._solve2(w) - w
         if not math.isfinite(np.vdot(w, w).real):
             raise LinearSolveFailure("linear step produced non-finite values")
         return self._rotate(w, self._phase)
+
+    def _step_window(self, w: np.ndarray) -> np.ndarray:
+        """P_dt(L w) on w's support plus _MARGIN nodes, exact zeros past
+        the support of L w.
+
+        The margin keeps the sweeps' values normal: _TAIL rho^32 is normal
+        for dt/h^2 >= 1e-3, rho being the sweeps' decay per node.  The
+        window doubles while L w reaches _TAIL at its last node.
+        """
+        J = w.size
+        n = _support(w) + _MARGIN
+        while n < J:
+            x = self._solve2(w[:n]) - w[:n]
+            if abs(x[-1]) < _TAIL:
+                break
+            n *= 2
+        else:
+            x = self._solve2(w) - w
+        if not math.isfinite(np.vdot(x, x).real):
+            raise LinearSolveFailure("linear step produced non-finite values")
+        m = _support(x)
+        out = np.zeros(J, dtype=complex)
+        out[:m] = self._rotate(x[:m], self._phase[:m])
+        return out
+
+
+def _support(v: np.ndarray) -> int:
+    """The number of leading nodes of v up to its last node with a real or
+    imaginary part of magnitude >= _TAIL/2 (or NaN): every node past it has
+    modulus below _TAIL."""
+    parts = np.ascontiguousarray(v).view(np.float64)  # real, or (re, im) per node
+    per_node = parts.size // v.size
+    return (_leading(parts, _TAIL / 2) - 1) // per_node + 1
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +375,7 @@ def virial_series(u: RadialField, params: ModelParams, R: float, *, absv2=None, 
     v = u.values
     if absv2 is None or vpow is None:
         absv = np.abs(v)
-        absv2, vpow = absv**2, absv ** (alpha + 2)
+        absv2, vpow = absv**2, support_power(absv, alpha + 2)
     pot_density = tab.r_b * vpow
     du = radial_derivative(u)
     du2 = np.abs(du) ** 2
@@ -380,7 +432,7 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
     def record(t, v):
         u = grid.field(v)
         absv = np.abs(v)
-        absv2, vpow = absv**2, absv ** (alpha + 2)
+        absv2, vpow = absv**2, support_power(absv, alpha + 2)
         me = Measures.of(u, alpha, b, absv2=absv2, vpow=vpow)
         gm = me.gm_product(s_c) if 0 < s_c < 1 else math.nan
         vs = (

@@ -672,7 +672,11 @@ def test_wrong_config_values_exit_2(tmp_path, capsys, subcommand, section, key, 
 @pytest.mark.parametrize(
     "sweep, name",
     [({}, "sweep.subcommand"), ({"subcommand": "sweep"}, "sweep.subcommand"),
-     ({"subcommand": "params", "N": "3"}, "sweep.N")],
+     ({"subcommand": "params", "N": "3"}, "sweep.N"),
+     # an explicit null is not a list: it once fell back to model.*
+     ({"subcommand": "params", "N": None}, "sweep.N"),
+     ({"subcommand": "params", "alpha": None}, "sweep.alpha"),
+     ({"subcommand": "params", "b": None}, "sweep.b")],
 )
 def test_sweep_values_name_their_key(tmp_path, capsys, sweep, name):
     cfg = _small_config(tmp_path / "c.json", "sweep", value=sweep)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inlslab.evolve import (
     _DT_SAFETY,
+    _TAIL,
     BoundaryLeak,
     EvolutionConfig,
     Evolver,
@@ -443,6 +444,9 @@ def _in_scope_params(draw):
     total_phase=st.floats(1e-3, 0.5),
     seed=st.integers(0, 2**32 - 1),
 )
+# a datum that underflows to exact zeros: all 30 steps take the support window
+@example(params=ModelParams(3, 2.0, 0.3), J=200, h=1 / 16, dt_over_h2=0.1, n_steps=30, record_every=7,
+         r_frac=0.5, width_frac=0.0, total_phase=0.5, seed=1)
 def test_run_matches_classic_strang(params, J, h, dt_over_h2, n_steps, record_every, r_frac,
                                     width_frac, total_phase, seed):
     # the staggered loop records the same fields as classic Strang steps
@@ -458,6 +462,7 @@ def test_run_matches_classic_strang(params, J, h, dt_over_h2, n_steps, record_ev
     v0 = (rng.standard_normal() + 1j * rng.standard_normal() + noise) * np.exp(-((g.nodes / width) ** 2))
     peak = n_steps * dt * float(np.max(g.nodes ** (-b) * np.abs(v0) ** alpha))
     v0 = v0 * (total_phase / peak) ** (1 / alpha)
+    assert v0[-1] == 0 or g.nodes[-1] < 28 * width  # exp(-(r/width)^2) underflows past 27.3 widths
     R = r_frac * g.r_max / 2
     cfg = EvolutionConfig(params=params, J=J, h=h, dt=dt, t_end=n_steps * dt,
                           record_every=record_every, virial_R=R, boundary_budget=1.0)
@@ -500,13 +505,16 @@ def test_run_matches_classic_strang(params, J, h, dt_over_h2, n_steps, record_ev
     imag_part=st.booleans(),
     bad=st.sampled_from([math.nan, math.inf, -math.inf]),
     linear_only=st.booleans(),
+    zero_tail=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_step_values_rejects_non_finite(J, index, imag_part, bad, linear_only, seed):
+def test_step_values_rejects_non_finite(J, index, imag_part, bad, linear_only, zero_tail, seed):
     g = RadialGrid(J=J, h=1 / 32, N=3)
     ev = Evolver(g, ModelParams(3, 2.0, 0.3), 1e-3, linear_only=linear_only)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(J) + 1j * rng.standard_normal(J)
+    if zero_tail:  # the step takes the support window, whose support holds the bad node
+        v[J // 2 :] = 0
     if imag_part:
         v.imag[index % J] = bad
     else:
@@ -613,11 +621,52 @@ def test_rotation_is_bitwise_the_exp_formula(params, values, real, h, dt_over_h2
     dt = dt_over_h2 * h**2
     ev = Evolver(g, params, dt, linear_only=linear_only)
     w = shifted_laplacian_solver(g, 1j * dt / 2, 2.0)(v) - v  # the Cayley step 2 A^{-1} v - v
+    # a field whose last node is below _TAIL steps on its support instead,
+    # which test_window_step_matches_the_whole_grid covers
+    whole_grid = abs(v[-1]) >= _TAIL
     if linear_only:
         assert ev.stagger(v) is v and ev.unstagger(v) is v
-        assert ev.step_values(v).tobytes() == w.tobytes()
+        if whole_grid:
+            assert ev.step_values(v).tobytes() == w.tobytes()
         return
     alpha, half = params.alpha, (dt / 2) * g.nodes ** (-params.b)
     assert ev.stagger(v).tobytes() == _exp_formula(v, half, alpha).tobytes()
     assert ev.unstagger(v).tobytes() == _exp_formula(v, -half, alpha).tobytes()
-    assert ev.step_values(v).tobytes() == _exp_formula(w, dt * g.nodes ** (-params.b), alpha).tobytes()
+    if whole_grid:
+        assert ev.step_values(v).tobytes() == _exp_formula(w, dt * g.nodes ** (-params.b), alpha).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(1, 5),
+    alpha=st.floats(0.5, 4.0),
+    J=st.integers(64, 3000),
+    h=st.floats(1 / 256, 1.0),
+    dt_over_h2=st.floats(1e-3, _DT_SAFETY),
+    widths=st.floats(28.0, 80.0),
+    amplitude=st.floats(0.05, 3.0),
+    angle=st.floats(0.0, 2 * math.pi),
+    linear_only=st.booleans(),
+)
+def test_window_step_matches_the_whole_grid(N, alpha, J, h, dt_over_h2, widths, amplitude, angle,
+                                            linear_only):
+    # a Gaussian that underflows to exact zeros past r = 27.3 width steps on
+    # its support only: off by at most _TAIL (1 + dt/h^2) from the step on
+    # the whole grid, and the same to rounding wherever the field is resolved
+    g = RadialGrid(J=J, h=h, N=N)
+    dt = dt_over_h2 * h**2
+    w = amplitude * np.exp(1j * angle) * np.exp(-((g.nodes * widths / g.r_max) ** 2))
+    assert w[-1] == 0
+    ev = Evolver(g, ModelParams(N, alpha, 0.3), dt, linear_only=linear_only)
+    step = ev.step_values(w)
+    full = ev._rotate(shifted_laplacian_solver(g, 1j * dt / 2, 2.0)(w) - w, ev._phase)
+    diff = np.abs(step - full)
+    assert np.all(diff <= _TAIL * (1 + dt_over_h2))
+    resolved = np.abs(full) >= 2.0**-500
+    assert np.all(diff[resolved] <= 1e-15 * np.abs(full[resolved]))
+    # exact zeros past the last node with a part of at least _TAIL/2, and
+    # no subnormal part anywhere
+    parts = step.view(np.float64)
+    held = np.flatnonzero(np.abs(parts) >= _TAIL / 2) // 2
+    assert np.all(step[held[-1] + 1 if held.size else 0:] == 0)
+    assert not np.any((parts != 0) & (np.abs(parts) < np.finfo(float).tiny))

@@ -274,6 +274,52 @@ def test_shifted_laplacian_solver_matches_gttrs(N, J, h, real_c, dt_over_h2, see
     assert np.linalg.norm(x - oracle) <= 1e-13 * np.linalg.norm(oracle)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(1, 5),
+    J=st.integers(4, 1000),
+    n_frac=st.floats(0.0, 1.0),
+    h=st.floats(1 / 512, 1.0),
+    dt_over_h2=st.floats(1e-3, _DT_SAFETY),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shifted_laplacian_solver_leading_block(N, J, n_frac, h, dt_over_h2, seed):
+    # an rhs of n < J entries is solved with the leading n x n block of A,
+    # which LAPACK factors and solves on its own to the same result
+    g = RadialGrid(J=J, h=h, N=N)
+    n = 3 + int(n_frac * (J - 4))  # scipy's gttrf wrapper refuses n = 2
+    c = 1j * dt_over_h2 * h**2 / 2
+    lower, diag, upper = g.laplacian
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=complex)
+    factors = gttrf(-c * lower[: n - 1], 1 - c * diag[:n], -c * upper[: n - 1])
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    oracle = gttrs(*factors[:5], rhs)[0]
+    x = shifted_laplacian_solver(g, c)(rhs)
+    assert x.shape == (n,)
+    assert np.linalg.norm(x - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    head=st.lists(st.floats(0.0, 1e3), max_size=200),
+    tail=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 1e-163]),
+            st.floats(0.0, 1e-150),  # underflows under any p > 2
+        ),
+        min_size=1,
+        max_size=200,
+    ),
+    p=st.floats(2.0, 7.0, exclude_min=True),
+)
+def test_support_power_is_bitwise_the_power(head, tail, p):
+    # past the last x >= 2^(-1080/p) the power rounds to +0, so writing +0
+    # there gives the bits of x ** p
+    x = np.array(head + tail)
+    assert grid_mod.support_power(x, p).tobytes() == (x**p).tobytes()
+
+
 def test_shifted_laplacian_solver_refuses_row_interchange(tmp_path, capsys, monkeypatch):
     # a Crank-Nicolson factorization that pivots is refused, and the evolver
     # reports it as a linear-solve failure (CLI exit 4); the real fixed-point
