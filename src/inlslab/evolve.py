@@ -48,7 +48,7 @@ from .grid import (
     NumericalFailure,
     RadialField,
     RadialGrid,
-    _leading,
+    _support,
     radial_derivative,
     shifted_laplacian_solver,
     support_power,
@@ -221,7 +221,7 @@ class Evolver:
         window doubles while L w reaches _TAIL at its last node.
         """
         J = w.size
-        n = _support(w) + _MARGIN
+        n = _support(w, _TAIL / 2) + _MARGIN
         while n < J:
             x = self._solve2(w[:n]) - w[:n]
             if abs(x[-1]) < _TAIL:
@@ -231,19 +231,10 @@ class Evolver:
             x = self._solve2(w) - w
         if not math.isfinite(np.vdot(x, x).real):
             raise LinearSolveFailure("linear step produced non-finite values")
-        m = _support(x)
+        m = _support(x, _TAIL / 2)  # every node past m has modulus below _TAIL
         out = np.zeros(J, dtype=complex)
         out[:m] = self._rotate(x[:m], self._phase[:m])
         return out
-
-
-def _support(v: np.ndarray) -> int:
-    """The number of leading nodes of v up to its last node with a real or
-    imaginary part of magnitude >= _TAIL/2 (or NaN): every node past it has
-    modulus below _TAIL."""
-    parts = np.ascontiguousarray(v).view(np.float64)  # real, or (re, im) per node
-    per_node = parts.size // v.size
-    return (_leading(parts, _TAIL / 2) - 1) // per_node + 1
 
 
 # ---------------------------------------------------------------------------

@@ -164,12 +164,21 @@ def _potential_weights(grid: RadialGrid, b: float) -> np.ndarray:
 
 
 def _leading(x: np.ndarray, threshold: float) -> int:
-    """The number of leading entries of x up to its last entry with
-    |x| >= threshold or NaN; 0 where there is none.  Private, so that a
-    tracer wrapping the package's public functions adds no span per step."""
-    small = np.abs(x[::-1]) < threshold  # contiguous, so argmin stops at the first False
+    """The number of leading entries of x >= 0 up to its last entry with
+    x >= threshold or NaN; 0 where there is none."""
+    small = x[::-1] < threshold  # contiguous, so argmin stops at the first False
     last = int(small.argmin())
     return 0 if small[last] else x.size - last
+
+
+def _support(v: np.ndarray, threshold: float) -> int:
+    """The number of leading nodes of v up to its last node with a real or
+    imaginary part of magnitude >= threshold or NaN; 0 where there is none.
+    Private, like _leading, so that a tracer wrapping the package's public
+    functions adds no span to a time step."""
+    parts = np.abs(np.ascontiguousarray(v).view(np.float64))  # real, or (re, im) per node
+    per_node = parts.size // v.size
+    return (_leading(parts, threshold) - 1) // per_node + 1
 
 
 def support_power(x: np.ndarray, p: float) -> np.ndarray:
@@ -286,22 +295,14 @@ def shifted_laplacian_solver(grid: RadialGrid, c, scale=1.0):
     rres *= scale
     tbsv = get_blas_funcs("tbsv", dtype=dtype)
 
-    J = grid.J
-
     def solve(rhs: np.ndarray) -> np.ndarray:
-        n = len(rhs)
-        if n == J:
-            y = rhs * rres
-            y += rhs * rinv
-            lo_n, up_n = lo, up
-        else:  # tbsv takes n from its band's columns
-            y = rhs * rres[:n]
-            y += rhs * rinv[:n]
-            lo_n, up_n = lo[:, :n], up[:, :n]
+        n = len(rhs)  # tbsv takes n from its band's columns
+        y = rhs * rres[:n]
+        y += rhs * rinv[:n]
         # positional (k, a, x, incx, offx, lower, trans, diag, overwrite_x):
         # keywords cost about a microsecond per call
-        tbsv(1, lo_n, y, 1, 0, 1, 0, 1, 1)
-        tbsv(1, up_n, y, 1, 0, 0, 0, 1, 1)
+        tbsv(1, lo[:, :n], y, 1, 0, 1, 0, 1, 1)
+        tbsv(1, up[:, :n], y, 1, 0, 0, 0, 1, 1)
         return y
 
     return solve
