@@ -295,9 +295,17 @@ def test_shifted_laplacian_solver_leading_block(N, J, n_frac, h, dt_over_h2, see
     rng = np.random.default_rng(seed)
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     oracle = gttrs(*factors[:5], rhs)[0]
-    x = shifted_laplacian_solver(g, c)(rhs)
+    solve = shifted_laplacian_solver(g, c)
+    x = solve(rhs)
     assert x.shape == (n,)
     assert np.linalg.norm(x - oracle) <= 1e-13 * np.linalg.norm(oracle)
+    # the solver keeps its factors' slices for two lengths; a third length
+    # evicts one, and every length still solves to the same bits
+    full = rng.standard_normal(J) + 1j * rng.standard_normal(J)
+    y = solve(full)
+    solve(rhs[:-1])
+    assert np.array_equal(solve(rhs), x)
+    assert np.array_equal(solve(full), y)
 
 
 @settings(max_examples=100, deadline=None)
