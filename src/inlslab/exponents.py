@@ -5,7 +5,9 @@ r = infinity, is math.inf, which a Fraction compares with exactly: the range
 checks and Hoelder-splitting identities asserted for the pair families are
 algebraic identities, and rounding must not blur them.  Every entry point
 reads its inputs with params.exact, so a float means the decimal it was
-written as.  Each family's pairs are stated once, in PAIR_ROWS.  Endpoint
+written as.  Each family's exponents are stated once, in plain arithmetic
+(_lemma43, _claim1, _claim2), and its pairs once, in PAIR_ROWS; the judge
+_family makes every comparison.  Endpoint
 markers a+ / a- are realized as a +- eps with the fixed ENDPOINT_EPS so sweeps
 are reproducible; shifted endpoints are treated as closed.
 """
@@ -126,90 +128,82 @@ class ThetaWindowError(ValueError):
     """theta violates the admissible window for the requested family."""
 
 
-def _lemma43_p_terms(a: Fraction, b: Fraction, t: Fraction) -> tuple[Fraction, Fraction]:
-    """Numerator and denominator of Lemma 4.3's p = 6a(a+1-t)/((4-2b)(a-t)+a)."""
+# Each family's exponents as plain arithmetic in (N, a = alpha, b, t = theta,
+# eps): {name: (numerator, denominator)} and the residual of its splitting
+# identity over one denominator.  They use + - * / only, so any number type
+# passes through them; _family makes every comparison.
+
+
+def _lemma43_p(a, b, t):
+    """Lemma 4.3's p = 6a(a+1-t)/((4-2b)(a-t)+a)."""
     return 6 * a * (a + 1 - t), (4 - 2 * b) * (a - t) + a
 
 
-def _claim2_d_r(N: int, al: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    """Claim 2's D = 4 - 2b - alpha(N-2) and r = 2 alpha N(N+2)/((4-2b)(N+2) - N D), N >= 3.
+def _lemma43(N, a, b, t, eps):
+    """Lemma 4.3 (N = 3), a = alpha: k = 4a(a+1-t)/(4-2b-a), p as _lemma43_p,
+    l = 4a(a+1-t)/(a(3a-2+2b)-t(3a-4+2b)); time Hoelder split 1/2' = (a-t)/k + 1/l."""
+    n = 4 * a * (a + 1 - t)
+    d_k = 4 - 2 * b - a
+    d_l = a * (3 * a - 2 + 2 * b) - t * (3 * a - 4 + 2 * b)
+    # 1/2 - (a-t)/k - 1/l over the numerator n of k and l
+    return {"k": (n, d_k), "p": _lemma43_p(a, b, t), "l": (n, d_l)}, (n / 2 - (a - t) * d_k - d_l, n)
 
-    The denominator of r, 2(4-2b) + N(N-2) alpha, is positive for b < 2.
+
+def _claim1(N, a, b, t, eps):
+    """Claim 1, a = alpha and c = a(a+2-t): q^ = 4c/(a(Na+2b)-t(Na-4+2b)), r^ = Nc/(a(N-b)-t(2-b)),
+    a~ = 2c/(a(N(a+1-t)-2+2b)-(4-2b)(1-t)), a^ = 2c/(4-2b-(N-2)a);
+    time Hoelder split 1/a~' = (a-t)/a^ + 1/a^."""
+    c = a * (a + 2 - t)
+    c2, s = 2 * c, a + 1 - t
+    d_at = a * (N * s - 2 + 2 * b) - (4 - 2 * b) * (1 - t)
+    d_ah = 4 - 2 * b - (N - 2) * a
+    exps = {
+        "q_hat": (2 * c2, a * (N * a + 2 * b) - t * (N * a - 4 + 2 * b)),
+        "r_hat": (N * c, a * (N - b) - t * (2 - b)),
+        "a_tilde": (c2, d_at),
+        "a_hat": (c2, d_ah),
+    }
+    # (1 - 1/a~) - (a-t)/a^ - 1/a^ over the numerator c2 = 2c of a~ and a^
+    return exps, (c2 - d_at - s * d_ah, c2)
+
+
+def _claim2_d_r(N, al, b):
+    """Claim 2's D = 4-2b-al(N-2) and r = 2al N(N+2)/((4-2b)(N+2) - ND), N >= 3.
+
+    The denominator of r, 2(4-2b) + N(N-2)al, is positive for b < 2.
     """
     D = 4 - 2 * b - al * (N - 2)
-    return D, 2 * al * N * (N + 2) / ((4 - 2 * b) * (N + 2) - N * D)
+    return D, (2 * al * N * (N + 2), (4 - 2 * b) * (N + 2) - N * D)
 
 
-def family_lemma43(alpha, b, theta) -> dict:
-    """3D pair family used for the gradient estimate of the nonlinearity.
-
-    k = 4a(a+1-t)/(4-2b-a),  p = 6a(a+1-t)/((4-2b)(a-t)+a),
-    l = 4a(a+1-t)/(a(3a-2+2b)-t(3a-4+2b)).
-    Asserts (l,p) L2-admissible, (k,p) H^{s_c}-admissible and the time
-    Hoelder split 1/2' = (a-t)/k + 1/l.
-    """
-    a, b_, t = exact(alpha), exact(b), exact(theta)
-    if not (0 < t < a):
-        raise ThetaWindowError(f"need 0 < theta < alpha, got theta={t}")
-    d_k = 4 - 2 * b_ - a
-    p_num, d_p = _lemma43_p_terms(a, b_, t)
-    d_l = a * (3 * a - 2 + 2 * b_) - t * (3 * a - 4 + 2 * b_)
-    if d_k <= 0 or d_p <= 0 or d_l <= 0:
-        raise DegenerateFamilyError(
-            f"degenerate denominator(s) for alpha={a}, b={b_}, theta={t}"
-        )
-    num = 4 * a * (a + 1 - t)
-    k = num / d_k
-    p = p_num / d_p
-    l = num / d_l
-    s_c = critical_index(3, a, b_)
-    holder_residual = Fraction(1, 2) - (a - t) / k - 1 / l
-    return {
-        "k": k,
-        "p": p,
-        "l": l,
-        "l2_admissible": is_l2_admissible(l, p, 3),
-        "hs_admissible": is_hs_admissible(k, p, 3, s_c),
-        "holder_residual": holder_residual,
-        "s_c": s_c,
-    }
-
-
-def family_claim1(alpha, b, theta, N: int) -> dict:
-    """Profile-decomposition pair family (all N >= 2).
-
-    Asserts (q_hat, r_hat) L2-admissible, (a_hat, r_hat) H^{s_c}-admissible,
-    (a_tilde, r_hat) H^{-s_c}-admissible and the time Hoelder split
-    1/a_tilde' = (alpha - theta)/a_hat + 1/a_hat.
-    """
-    a, b_, t = exact(alpha), exact(b), exact(theta)
-    if not (0 < t < a):
-        raise ThetaWindowError(f"need 0 < theta < alpha, got theta={t}")
-    d_q = a * (N * a + 2 * b_) - t * (N * a - 4 + 2 * b_)
-    d_r = a * (N - b_) - t * (2 - b_)
-    d_at = a * (N * (a + 1 - t) - 2 + 2 * b_) - (4 - 2 * b_) * (1 - t)
-    d_ah = 4 - 2 * b_ - (N - 2) * a
-    if min(d_q, d_r, d_at, d_ah) <= 0:
-        raise DegenerateFamilyError(
-            f"degenerate denominator(s) for N={N}, alpha={a}, b={b_}, theta={t}"
-        )
-    q_hat = 4 * a * (a + 2 - t) / d_q
-    r_hat = N * a * (a + 2 - t) / d_r
-    a_tilde = 2 * a * (a + 2 - t) / d_at
-    a_hat = 2 * a * (a + 2 - t) / d_ah
-    s_c = critical_index(N, a, b_)
-    split_residual = (1 - 1 / a_tilde) - (a - t) / a_hat - 1 / a_hat
-    return {
-        "q_hat": q_hat,
-        "r_hat": r_hat,
-        "a_tilde": a_tilde,
-        "a_hat": a_hat,
-        "l2_admissible": is_l2_admissible(q_hat, r_hat, N),
-        "hs_admissible": is_hs_admissible(a_hat, r_hat, N, s_c),
-        "hneg_admissible": is_hneg_admissible(a_tilde, r_hat, N, s_c),
-        "split_residual": split_residual,
-        "s_c": s_c,
-    }
+def _claim2(N, al, b, t, eps):
+    """Claim 2, al = alpha.  N >= 3, with D and r as _claim2_d_r:
+    a = 4al(N+2)/(ND), a_bar = 4al(N+2)/(4al(N+2) - (al+1-t)ND),
+    r_bar = 2al N(N+2)/(2(N+2)(al(N-2)-(2-b)) + ND(al+1-t)).
+    N = 2: a = 2al(al+1-t)/(2-b+eps), r = 2al(al+1-t)/((2-b)(al-t)-eps),
+    a_bar = 2al/(2al-(2-b)-eps), r_bar = 2al/eps.  Split a = (al+1-t) a_bar'."""
+    s = al + 1 - t
+    if N >= 3:
+        D, r = _claim2_d_r(N, al, b)
+        n, ND = 4 * al * (N + 2), N * D
+        exps = {
+            "a": (n, ND),
+            "r": r,
+            "a_bar": (n, n - s * ND),
+            "r_bar": (r[0], 2 * (N + 2) * (al * (N - 2) - (2 - b)) + s * ND),
+        }
+    else:
+        n, c = 2 * al * s, 2 - b
+        exps = {
+            "a": (n, c + eps),
+            "r": (n, c * (al - t) - eps),
+            "a_bar": (2 * al, 2 * al - c - eps),
+            "r_bar": (2 * al, eps),
+        }
+    (n_a, d_a), (n_ab, d_ab) = exps["a"], exps["a_bar"]
+    # a - (al+1-t) a_bar', with a_bar' = n_ab/(n_ab - d_ab)
+    d_dual = n_ab - d_ab
+    return exps, (n_a * d_dual - s * n_ab * d_a, d_a * d_dual)
 
 
 def claim2_theta_window(N: int, alpha, b) -> tuple[Fraction, Fraction]:
@@ -222,63 +216,6 @@ def claim2_theta_window(N: int, alpha, b) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def family_claim2(alpha, b, theta, N: int, eps=CLAIM2_EPS) -> dict:
-    """Uniform-bound pair family; N >= 3 and N = 2 take different shapes.
-
-    Asserts (a, r) H^{s_c}-admissible, (a_bar, r_bar) H^{-s_c}-admissible
-    and the split a = (alpha + 1 - theta) * a_bar'.  The two admissibility
-    verdicts already imply Claim 2's interior ranges: 2N/(N-2s_c) < r, r_bar
-    < 2N/(N-2) for N >= 3, and r, r_bar > 2/(1-s_c) for N = 2.
-    """
-    al, b_, t, ep = exact(alpha), exact(b), exact(theta), exact(eps)
-    if N >= 3:
-        lo, hi = claim2_theta_window(N, al, b_)
-        if not (lo < t < hi):
-            raise ThetaWindowError(
-                f"theta={t} outside ({lo}, {hi}) for N={N}, alpha={al}, b={b_}"
-            )
-        s_c = critical_index(N, al, b_)
-        D, r = _claim2_d_r(N, al, b_)
-        if D <= 0:
-            raise DegenerateFamilyError(f"energy-supercritical alpha={al} for N={N}")
-        a = 4 * al * (N + 2) / (N * D)
-        d_ab = 4 * al * (N + 2) - (al + 1 - t) * N * D
-        d_rb = 2 * (N + 2) * (al * (N - 2) - (2 - b_)) + N * D * (al + 1 - t)
-        if d_ab <= 0 or d_rb <= 0:
-            raise DegenerateFamilyError(
-                f"degenerate denominator(s) for N={N}, alpha={al}, theta={t}"
-            )
-        a_bar = 4 * al * (N + 2) / d_ab
-        r_bar = 2 * al * N * (N + 2) / d_rb
-    else:
-        if not (0 < t < al):
-            raise ThetaWindowError(f"need 0 < theta < alpha, got theta={t}")
-        if ep <= 0:
-            raise ThetaWindowError(f"need eps > 0, got {ep}")
-        s_c = critical_index(N, al, b_)
-        d_r = (2 - b_) * (al - t) - ep
-        d_ab = 2 * al - (2 - b_) - ep
-        if d_r <= 0 or d_ab <= 0:
-            raise DegenerateFamilyError(
-                f"degenerate denominator(s) for N=2, alpha={al}, theta={t}, eps={ep}"
-            )
-        a = 2 * al * (al + 1 - t) / (2 - b_ + ep)
-        r = 2 * al * (al + 1 - t) / d_r
-        a_bar = 2 * al / d_ab
-        r_bar = 2 * al / ep
-    split_residual = a - (al + 1 - t) * dual_exponent(a_bar)
-    return {
-        "a": a,
-        "r": r,
-        "a_bar": a_bar,
-        "r_bar": r_bar,
-        "hs_admissible": is_hs_admissible(a, r, N, s_c),
-        "hneg_admissible": is_hneg_admissible(a_bar, r_bar, N, s_c),
-        "split_residual": split_residual,
-        "s_c": s_c,
-    }
-
-
 class PairRow(NamedTuple):
     """One certified pair of a family: keys into the family's result dict."""
 
@@ -286,26 +223,85 @@ class PairRow(NamedTuple):
     q: str
     r: str
     klass: str  # "L2", "Hs" (H^{s_c} level) or "Hneg" (H^{-s_c} level)
-    admissible: str
-    residual: str
 
 
 # every pair each family certifies; lemma43 applies to N = 3 only
 PAIR_ROWS = {
     "lemma43": (
-        PairRow("(l,p)", "l", "p", "L2", "l2_admissible", "holder_residual"),
-        PairRow("(k,p)", "k", "p", "Hs", "hs_admissible", "holder_residual"),
+        PairRow("(l,p)", "l", "p", "L2"),
+        PairRow("(k,p)", "k", "p", "Hs"),
     ),
     "claim1": (
-        PairRow("(q^,r^)", "q_hat", "r_hat", "L2", "l2_admissible", "split_residual"),
-        PairRow("(a^,r^)", "a_hat", "r_hat", "Hs", "hs_admissible", "split_residual"),
-        PairRow("(a~,r^)", "a_tilde", "r_hat", "Hneg", "hneg_admissible", "split_residual"),
+        PairRow("(q^,r^)", "q_hat", "r_hat", "L2"),
+        PairRow("(a^,r^)", "a_hat", "r_hat", "Hs"),
+        PairRow("(a~,r^)", "a_tilde", "r_hat", "Hneg"),
     ),
     "claim2": (
-        PairRow("(a,r)", "a", "r", "Hs", "hs_admissible", "split_residual"),
-        PairRow("(a-,r-)", "a_bar", "r_bar", "Hneg", "hneg_admissible", "split_residual"),
+        PairRow("(a,r)", "a", "r", "Hs"),
+        PairRow("(a-,r-)", "a_bar", "r_bar", "Hneg"),
     ),
 }
+_FORMULAS = {"lemma43": _lemma43, "claim1": _claim1, "claim2": _claim2}
+_RESIDUAL_KEY = {"lemma43": "holder_residual", "claim1": "split_residual", "claim2": "split_residual"}
+# each class's verdict key and its predicate on (q, r, N, s_c)
+_CLASSES = {
+    "L2": ("l2_admissible", lambda q, r, N, s: is_l2_admissible(q, r, N)),
+    "Hs": ("hs_admissible", is_hs_admissible),
+    "Hneg": ("hneg_admissible", is_hneg_admissible),
+}
+
+
+def _family(name: str, N: int, alpha, b, theta, eps) -> dict:
+    """The family's exponents, one verdict per PAIR_ROWS row, its residual and s_c."""
+    reads_eps = name == "claim2" and N < 3
+    al, b, t = exact(alpha), exact(b), exact(theta)
+    eps = exact(eps) if reads_eps else None  # only claim2 at N = 2 reads eps
+    if name == "claim2" and N >= 3:
+        lo, hi = claim2_theta_window(N, al, b)
+        if not (lo < t < hi):
+            raise ThetaWindowError(f"theta={t} outside ({lo}, {hi}) for N={N}, alpha={al}, b={b}")
+    elif not (0 < t < al):
+        raise ThetaWindowError(f"need 0 < theta < alpha, got theta={t}")
+    elif reads_eps and eps <= 0:
+        raise ThetaWindowError(f"need eps > 0, got {eps}")
+    exps, residual = _FORMULAS[name](N, al, b, t, eps)
+    for _, den in (*exps.values(), residual):
+        if den <= 0:
+            raise DegenerateFamilyError(
+                f"degenerate denominator(s) of {name} for N={N}, alpha={al}, b={b}, theta={t}"
+                + (f", eps={eps}" if reads_eps else "")
+            )
+    fam = {key: num / den for key, (num, den) in exps.items()}
+    s_c = critical_index(N, al, b)
+    for row in PAIR_ROWS[name]:
+        key, admissible = _CLASSES[row.klass]
+        fam[key] = admissible(fam[row.q], fam[row.r], N, s_c)
+    fam[_RESIDUAL_KEY[name]] = residual[0] / residual[1]
+    fam["s_c"] = s_c
+    return fam
+
+
+def family_lemma43(alpha, b, theta) -> dict:
+    """3D pair family used for the gradient estimate of the nonlinearity
+    (_lemma43): (l,p) L2-admissible, (k,p) H^{s_c}-admissible."""
+    return _family("lemma43", 3, alpha, b, theta, CLAIM2_EPS)
+
+
+def family_claim1(alpha, b, theta, N: int) -> dict:
+    """Profile-decomposition pair family, all N >= 2 (_claim1): (q^,r^)
+    L2-admissible, (a^,r^) H^{s_c}- and (a~,r^) H^{-s_c}-admissible."""
+    return _family("claim1", N, alpha, b, theta, CLAIM2_EPS)
+
+
+def family_claim2(alpha, b, theta, N: int, eps=CLAIM2_EPS) -> dict:
+    """Uniform-bound pair family; N >= 3 and N = 2 take different shapes (_claim2).
+
+    (a, r) H^{s_c}-admissible and (a_bar, r_bar) H^{-s_c}-admissible; theta
+    lies in claim2_theta_window for N >= 3.  The two verdicts already imply
+    Claim 2's interior ranges: 2N/(N-2s_c) < r, r_bar < 2N/(N-2) for N >= 3,
+    and r, r_bar > 2/(1-s_c) for N = 2.
+    """
+    return _family("claim2", N, alpha, b, theta, eps)
 
 
 def _evaluate(family: str, N: int, al: Fraction, b: Fraction, theta: Fraction, eps: Fraction) -> dict:
@@ -337,7 +333,7 @@ def _theta_search(N: int, al: Fraction, b: Fraction, family: str, eps: Fraction)
             fam = _evaluate(family, N, al, b, theta, eps)
         except (DegenerateFamilyError, ThetaWindowError):
             fam = None
-        if fam is not None and all(fam[row.admissible] for row in PAIR_ROWS[family]):
+        if fam is not None and all(fam[_CLASSES[row.klass][0]] for row in PAIR_ROWS[family]):
             return theta, fam
         theta = theta / 2
     raise ThetaWindowError(
@@ -389,8 +385,8 @@ def certificate_rows(N: int, alpha, b, theta=None, eps=CLAIM2_EPS) -> list[dict]
                     "q": fam[row.q],
                     "r": fam[row.r],
                     "class": klass[row.klass],
-                    "admissible": fam[row.admissible],
-                    "identity_residual": fam[row.residual],
+                    "admissible": fam[_CLASSES[row.klass][0]],
+                    "identity_residual": fam[_RESIDUAL_KEY[family]],
                 }
             )
     return rows
@@ -424,13 +420,14 @@ def appendix_checks(N: int, alpha, b, theta, eps=CLAIM2_EPS) -> list[dict]:
         )
 
     if N == 3:
-        p_num, d_p = _lemma43_p_terms(al, b_, th)
+        p_num, d_p = _lemma43_p(al, b_, th)
         p = p_num / d_p
         cond = al < 4 - 2 * b_
         add("A1_lower", 3 * al / (2 - b_) < p, cond)
         add("A1_upper", p < 6, cond)
     if N >= 3:
-        r = _claim2_d_r(N, al, b_)[1]
+        r_num, d_r = _claim2_d_r(N, al, b_)[1]
+        r = r_num / d_r
         cond = al < Fraction(4 - 2 * b_, N - 2)
         add("A2_lower", Fraction(N, 1) * al / (2 - b_) < r, cond)
         add("A2_upper", r < Fraction(2 * N, N - 2), cond)

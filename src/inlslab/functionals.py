@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import Evolver
-from .grid import Measures, RadialField, RadialGrid
+from .grid import Measures, RadialField, RadialGrid, _potential_weights
 from .groundstate import GroundState, SolverFailure
 from .params import ModelParams, validate_scope
 
@@ -73,7 +73,9 @@ def classify(u0: RadialField, gs: GroundState) -> ThresholdReport:
     AtThreshold when either product sits within the band; Unknown otherwise.
     The band compares against u0 on the 2h grid, so u0's grid needs J >= 6
     (ValueError otherwise).  A threshold that is not positive raises
-    SolverFailure: for 0 < s_c < 1, EGS gives E(Q) > 0, so gs's grid does not resolve Q.
+    SolverFailure.  For s_c > 0 the solvers already refuse a Q with
+    E(Q) <= 0 (EGS gives E(Q) > 0), so this fires only for s_c <= 0 or a
+    GroundState built by hand.
     """
     params = gs.params
     me = Measures.of(u0, params.alpha, params.b)
@@ -168,18 +170,6 @@ def lgs_verify(u: RadialField, gs: GroundState) -> LgsReport:
 # ---------------------------------------------------------------------------
 # linear flow decay
 
-# The decay check's datum is max(e^{-r^2}, _TAIL_FLOOR): e^{-r^2} underflows
-# to subnormals and exact zeros past r ~ 27, and the tridiagonal solves run
-# over ten times slower where they sweep through subnormals: at J = 5120 on a
-# 2-vCPU x86 host one solve took 1.6-1.8 ms on the bare datum's first steps,
-# with ~5000 subnormal parts, against 0.10-0.12 ms on the floored datum
-# (LAPACK's tridiagonal solve: 1.6-1.9 against 0.13-0.15 ms).  At
-# sqrt(tiny) ~ 1.5e-154 both |u|^2 and the rounding residues of the solves
-# (eps * floor ~ 1e-170) stay normal, and the linear flow has no phase that
-# drives values lower.  A floor near 1e-304 is not enough: e^{-min(r^2, 700)}
-# still left subnormal imaginary parts.
-_TAIL_FLOOR = math.sqrt(np.finfo(float).tiny)
-
 
 @dataclass(frozen=True)
 class DecayReport:
@@ -212,9 +202,9 @@ def linear_decay_check(
 
     The closed form is (1 + 4it)^{-N/2} exp(-r^2/(1+4it)); the numeric flow
     is the trapezoidal linear step on a domain sized r_max >= 8 t_end to keep
-    reflections away from the bulk, started from the Gaussian raised to the
-    tail floor _TAIL_FLOOR (~1.5e-154) so that no step computes with
-    subnormals; the weighted product keeps the bare Gaussian weight.  p = inf
+    reflections away from the bulk, started from the bare Gaussian.  It
+    underflows to exact zeros past r ~ 27, so the first steps take the
+    evolver's support window and none computes with subnormals.  p = inf
     is accepted as the sup-norm proxy.  A first time under half a step dt
     raises ValueError: it would report the datum at t = 0.
     """
@@ -238,7 +228,7 @@ def linear_decay_check(
     ev = Evolver(grid, params, dt, linear_only=True)
 
     g_weight = np.exp(-(r**2))
-    u0 = np.maximum(g_weight, _TAIL_FLOOR).astype(complex)
+    u0 = g_weight.astype(complex)
     mass0 = Measures.of(grid.field(u0), params.alpha, params.b).mass
     v = u0.copy()
     t = 0.0
@@ -260,16 +250,7 @@ def linear_decay_check(
         else:
             rate = (N / 2) * (1 - 2 / p)  # (N/2)(1/p' - 1/p)
         scaled.append(ln * t**rate)
-        wprod.append(
-            float(
-                np.sum(
-                    grid.weights
-                    * r ** (-params.b)
-                    * np.abs(v) ** (params.alpha + 1)
-                    * g_weight
-                )
-            )
-        )
+        wprod.append(float(np.sum(_potential_weights(grid, params.b) * np.abs(v) ** (params.alpha + 1) * g_weight)))
         drift = abs(Measures.of(field, params.alpha, params.b).mass - mass0) / mass0
         max_drift = max(max_drift, drift)
     scaled = np.asarray(scaled)

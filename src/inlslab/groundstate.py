@@ -63,7 +63,7 @@ from .grid import (
     laplacian_radial,
     shifted_laplacian_solver,
 )
-from .params import ModelParams
+from .params import ModelParams, validate_scope
 
 
 class SolverFailure(NumericalFailure):
@@ -106,13 +106,20 @@ def _finalize(params, profile, method, residual, iterations) -> GroundState:
         raise SolverFailure(f"{method}: profile is not strictly decreasing")
     if not math.isfinite(residual):
         raise SolverFailure(f"{method}: residual {residual} is not finite")
+    energy = me.energy(params.alpha)
+    if validate_scope(params).mass_supercritical and not energy > 0:
+        # for s_c > 0, EGS gives E(Q) = alpha s_c ||grad Q||^2 / (N alpha + 2b) > 0
+        g = profile.grid
+        raise SolverFailure(
+            f"{method}: E(Q) = {energy} is not positive on the grid J={g.J}, h={g.h}, which does not resolve Q"
+        )
     return GroundState(
         params=params,
         profile=profile,
         mass2=me.mass,
         grad2=me.grad2,
         potential=me.potential,
-        energy=me.energy(params.alpha),
+        energy=energy,
         cgn=weinstein_quotient(profile, params),
         method=method,
         residual=residual,

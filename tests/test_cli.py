@@ -496,8 +496,9 @@ def test_mesh_width_out_of_float_range_exits_2(tmp_path, subcommand, method, h):
 
 def test_groundstate_on_a_coarse_grid(tmp_path):
     # at h = 9 a Gaussian-mixture probe is so small on the grid that the
-    # Weinstein quotient's denominator underflowed to 0 (ZeroDivisionError)
-    cfg = _write_config(tmp_path / "c.json", grid={"J": 64, "h": 9.0}, solver={"method": "both"})
+    # Weinstein quotient's denominator underflowed to 0 (ZeroDivisionError);
+    # the shooting Q there has E(Q) > 0, so the probe runs
+    cfg = _write_config(tmp_path / "c.json", grid={"J": 64, "h": 9.0}, solver={"method": "shooting"})
     proc = _run_cli_process("groundstate", "--config", cfg, "--out", tmp_path / "out", timeout=60)
     assert proc.returncode == 0 and proc.stderr == ""
     with open(tmp_path / "out" / "sharp.csv", newline="") as fh:
@@ -506,10 +507,11 @@ def test_groundstate_on_a_coarse_grid(tmp_path):
 
 
 @pytest.mark.parametrize("h", [2.0, 9.0])
-@pytest.mark.parametrize("subcommand", ["classify", "evolve"])
+@pytest.mark.parametrize("subcommand", ["classify", "evolve", "groundstate"])
 def test_threshold_of_an_unresolved_ground_state_exits_4(tmp_path, capsys, subcommand, h):
-    # the fixed-point Q on these grids has E(Q) < 0, and classify reported a
-    # negative em_threshold with w = inf and exited 0
+    # the fixed-point Q on these grids has E(Q) < 0 although s_c > 0:
+    # classify reported a negative em_threshold with w = inf and exited 0,
+    # and groundstate (solver.method both) wrote its identities and exited 0
     cfg = _write_config(tmp_path / "c.json", grid={"J": 64, "h": h}, evolve=_EVOLVE)
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
     lines = capsys.readouterr().err.splitlines()

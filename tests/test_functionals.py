@@ -197,8 +197,8 @@ def test_linear_decay_weighted_product_decays(params_330):
 
 
 def test_linear_decay_steps_stay_normal(params_330, monkeypatch):
-    # e^{-r^2} underflows past r ~ 27; the tail floor keeps every step's
-    # samples out of the subnormal range, where the solves run slowly
+    # e^{-r^2} underflows past r ~ 27; the evolver's support window keeps
+    # every step's samples out of the subnormal range, where the solves run slowly
     tiny = np.finfo(float).tiny
     step, subnormal = Evolver.step_values, []
 
