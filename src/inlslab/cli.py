@@ -167,14 +167,6 @@ def _write_csv(path, header, rows, prec):
             writer.writerow([_fmt(v, prec) for v in row])
 
 
-def _remove_stale(path):
-    """Delete an earlier run's output file that this run does not write."""
-    try:
-        os.remove(path)
-    except FileNotFoundError:
-        pass
-
-
 def _write_report(path, label, report, prec):
     """A report dataclass as one CSV row: label, then the report's fields in order."""
     names = [f.name for f in dataclasses.fields(report)]
@@ -210,10 +202,17 @@ def _read_field(path, grid: RadialGrid) -> RadialField:
     return grid.field(np.asarray(vals))
 
 
-def _out_dir(cfg, args) -> str:
+def _out_dir(cfg, args, *names) -> str:
+    """The output directory, made if missing, with the files `names` of an
+    earlier run deleted, so that a run that fails leaves none of them."""
     directory = _read(cfg, "output.directory", ".")
     out = args.out or directory
     os.makedirs(out, exist_ok=True)
+    for name in names:
+        try:
+            os.remove(os.path.join(out, name))
+        except FileNotFoundError:
+            pass
     return out
 
 
@@ -244,9 +243,9 @@ def cmd_pairs(cfg, args) -> int:
     params = _model(cfg)
     prec = _precision(cfg)
     theta, eps = _read(cfg, "pairs.theta", None), _read(cfg, "pairs.eps", exponents.CLAIM2_EPS)
+    out = _out_dir(cfg, args, "pairs.csv", "appendix.csv")
     rows = _checked("pairs", exponents.certificate_rows, params.N, params.alpha, params.b, theta=theta, eps=eps)
     app = _checked("pairs", exponents.appendix_checks, params.N, params.alpha, params.b, rows[0]["theta"], eps=eps)
-    out = _out_dir(cfg, args)
     header = ["family", "pair", "N", "alpha", "b", "theta", "q", "r", "class", "admissible", "identity_residual"]
     _write_csv(
         os.path.join(out, "pairs.csv"),
@@ -284,7 +283,7 @@ def cmd_groundstate(cfg, args) -> int:
     params = _model(cfg)
     grid = _grid(cfg, params)
     prec = _precision(cfg)
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg, args, "profile.csv", "identities.csv", "solver.csv", "sharp.csv")
     method = _read(cfg, "solver.method", "both",
                    valid=("shooting, fixedpoint or both", lambda m: m in ("shooting", "fixedpoint", "both")))
     methods = ["shooting", "fixedpoint"] if method == "both" else [method]
@@ -358,7 +357,7 @@ def cmd_evolve(cfg, args) -> int:
     params = _model(cfg)
     grid = _grid(cfg, params, _CLASSIFIER_J)
     prec = _precision(cfg)
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg, args, "trace.csv", "rigidity.csv", "scattering.csv")
     defaults = evolve_mod.EvolutionConfig
     values = dict(
         dt=_read(cfg, "evolve.dt"),
@@ -376,11 +375,8 @@ def cmd_evolve(cfg, args) -> int:
     _write_csv(os.path.join(out, "trace.csv"), list(columns),
                zip(*(getattr(trace, name) for name in columns.values())), prec)
     label = "exploratory" if exploratory else "below_threshold"
-    rigidity = os.path.join(out, "rigidity.csv")
     if econf.virial_R is not None and not exploratory:
-        _write_report(rigidity, label, evolve_mod.rigidity_check(trace, rep), prec)
-    else:
-        _remove_stale(rigidity)
+        _write_report(os.path.join(out, "rigidity.csv"), label, evolve_mod.rigidity_check(trace, rep), prec)
     _write_report(os.path.join(out, "scattering.csv"), label, evolve_mod.scattering_diagnostic(trace), prec)
     return 0
 

@@ -7,9 +7,11 @@ algebraic identities, and rounding must not blur them.  Every entry point
 reads its inputs with params.exact, so a float means the decimal it was
 written as.  Each family's exponents are stated once, in plain arithmetic
 (_lemma43, _claim1, _claim2), and its pairs once, in PAIR_ROWS; the judge
-_family makes every comparison.  Endpoint
-markers a+ / a- are realized as a +- eps with the fixed ENDPOINT_EPS so sweeps
-are reproducible; shifted endpoints are treated as closed.
+_family makes every comparison.  One rule, _admissible, judges every pair
+class: its level's sign comes from _CLASSES and its r-range, each end open or
+closed, from _r_range.  Endpoint markers a+ / a- are realized as a +- eps with
+the fixed ENDPOINT_EPS so sweeps are reproducible; shifted endpoints are
+treated as closed.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ ENDPOINT_EPS = Fraction(1, 10**9)
 CLAIM2_EPS = Fraction(1, 100)
 
 
+# each class's verdict key and the sign of its level: L2 at 0, Hs at +s_c, Hneg at -s_c
+_CLASSES = {"L2": ("l2_admissible", 0), "Hs": ("hs_admissible", 1), "Hneg": ("hneg_admissible", -1)}
+
+
 def _exponent(a) -> Fraction | float:
     """An exponent as an exact Fraction (see params.exact), math.inf as is."""
     return a if a == math.inf else exact(a)
@@ -34,16 +40,6 @@ def _exponent(a) -> Fraction | float:
 def _inv(a) -> Fraction:
     """1/a for a positive exponent, with 1/inf = 0."""
     return Fraction(0) if a == math.inf else 1 / a
-
-
-def dual_exponent(a) -> Fraction | float:
-    """Hoelder conjugate a' with 1/a + 1/a' = 1; dual of 1 is math.inf."""
-    a = _exponent(a)
-    if a < 1:
-        raise ValueError(f"exponent must be >= 1, got {a}")
-    if a == 1:
-        return math.inf
-    return 1 / (1 - _inv(a))
 
 
 def plus_conjugate(a, eps) -> Fraction:
@@ -60,64 +56,60 @@ def _scaling_holds(q, r, N: int, s: Fraction) -> bool:
     return 2 * _inv(q) == Fraction(N, 2) - N * _inv(r) - s
 
 
+def _unit_s(s) -> Fraction:
+    """s as an exact Fraction, which must lie in (0, 1)."""
+    s = exact(s)
+    if not (0 < s < 1):
+        raise ValueError(f"s must lie in (0, 1), got {s}")
+    return s
+
+
+def _r_range(klass: str, N: int, s: Fraction) -> tuple:
+    """(lo, lo_closed, hi, hi_closed): the r-range of klass at level s.
+
+    L2 [2, 2N/(N-2)], r < inf at N = 2; Hs (2N/(N-2s), 2N/(N-2)-], at N = 2
+    (2/(1-s), ((2/(1-s))+)'] and at N = 1 (2/(1-2s), inf], or [1, inf] for
+    s >= 1/2; Hneg as Hs, with a closed lower end lo+ where Hs's is open and
+    the N = 2 ceiling ((2/(1+s))+)'.
+    """
+    sign = _CLASSES[klass][1]
+    if sign == 0:
+        return 2, True, (Fraction(2 * N, N - 2) if N >= 3 else math.inf), N != 2
+    if N >= 3:
+        lo, hi = Fraction(2 * N, N - 2 * s), Fraction(2 * N, N - 2) - ENDPOINT_EPS  # N - 2s > 0: s < 1
+    elif N == 2:
+        lo, hi = 2 / (1 - s), plus_conjugate(2 / (1 - sign * s), ENDPOINT_EPS)
+    elif 1 - 2 * s <= 0:
+        return 1, True, math.inf, True  # the lower constraint is vacuous when s >= 1/2 in 1D
+    else:
+        lo, hi = 2 / (1 - 2 * s), math.inf
+    return (lo + ENDPOINT_EPS, True, hi, True) if sign < 0 else (lo, False, hi, True)
+
+
+def _admissible(klass: str, q, r, N: int, s) -> bool:
+    """klass-admissibility of exact (q, r) at level s: q, r >= 1, the scaling
+    identity 2/q = N/2 - N/r - sign*s and r in _r_range."""
+    if q < 1 or r < 1 or not _scaling_holds(q, r, N, _CLASSES[klass][1] * s):
+        return False
+    lo, lo_closed, hi, hi_closed = _r_range(klass, N, s)
+    return (lo <= r if lo_closed else lo < r) and (r <= hi if hi_closed else r < hi)
+
+
 def is_l2_admissible(q, r, N: int) -> bool:
     """Mass-level admissibility: 2/q = N/2 - N/r with r in the N-range."""
-    q, r = _exponent(q), _exponent(r)
-    if q < 1 or r < 1:
-        return False
-    if not _scaling_holds(q, r, N, 0):
-        return False
-    if N >= 3:
-        return 2 <= r <= Fraction(2 * N, N - 2)
-    if N == 2:
-        return 2 <= r < math.inf
-    return 2 <= r  # N = 1, r = inf allowed
+    return _admissible("L2", _exponent(q), _exponent(r), N, 0)
 
 
 def is_hs_admissible(q, r, N: int, s) -> bool:
     """H^s-level admissibility, 0 < s < 1: 2/q = N/2 - N/r - s plus range."""
-    s = exact(s)
-    if not (0 < s < 1):
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    q, r = _exponent(q), _exponent(r)
-    if q < 1 or r < 1:
-        return False
-    if not _scaling_holds(q, r, N, s):
-        return False
-    if N >= 3:
-        lo = Fraction(2 * N, N - 2 * s)  # denominator positive: s < 1 <= N/2
-        hi = Fraction(2 * N, N - 2) - ENDPOINT_EPS
-        return lo < r <= hi
-    if N == 2:
-        lo = 2 / (1 - s)
-        hi = plus_conjugate(2 / (1 - s), ENDPOINT_EPS)
-        return lo < r <= hi
-    if 1 - 2 * s <= 0:
-        return 1 <= r  # lower constraint vacuous when s >= 1/2 in 1D
-    return 2 / (1 - 2 * s) < r
+    s = _unit_s(s)
+    return _admissible("Hs", _exponent(q), _exponent(r), N, s)
 
 
 def is_hneg_admissible(q, r, N: int, s) -> bool:
     """Dual-level admissibility, 0 < s < 1: 2/q = N/2 - N/r + s plus range."""
-    s = exact(s)
-    if not (0 < s < 1):
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    q, r = _exponent(q), _exponent(r)
-    if q < 1 or r < 1:
-        return False
-    if not _scaling_holds(q, r, N, -s):
-        return False
-    if N >= 3:
-        lo = Fraction(2 * N, N - 2 * s) + ENDPOINT_EPS
-        hi = Fraction(2 * N, N - 2) - ENDPOINT_EPS
-        return lo <= r <= hi
-    if N == 2:
-        lo = 2 / (1 - s) + ENDPOINT_EPS
-        hi = plus_conjugate(2 / (1 + s), ENDPOINT_EPS)
-        return lo <= r <= hi
-    if 1 - 2 * s <= 0:
-        return 1 <= r
-    return 2 / (1 - 2 * s) + ENDPOINT_EPS <= r
+    s = _unit_s(s)
+    return _admissible("Hneg", _exponent(q), _exponent(r), N, s)
 
 
 class DegenerateFamilyError(ValueError):
@@ -243,12 +235,6 @@ PAIR_ROWS = {
 }
 _FORMULAS = {"lemma43": _lemma43, "claim1": _claim1, "claim2": _claim2}
 _RESIDUAL_KEY = {"lemma43": "holder_residual", "claim1": "split_residual", "claim2": "split_residual"}
-# each class's verdict key and its predicate on (q, r, N, s_c)
-_CLASSES = {
-    "L2": ("l2_admissible", lambda q, r, N, s: is_l2_admissible(q, r, N)),
-    "Hs": ("hs_admissible", is_hs_admissible),
-    "Hneg": ("hneg_admissible", is_hneg_admissible),
-}
 
 
 def _family(name: str, N: int, alpha, b, theta, eps) -> dict:
@@ -272,10 +258,9 @@ def _family(name: str, N: int, alpha, b, theta, eps) -> dict:
                 + (f", eps={eps}" if reads_eps else "")
             )
     fam = {key: num / den for key, (num, den) in exps.items()}
-    s_c = critical_index(N, al, b)
+    s_c = _unit_s(critical_index(N, al, b))  # every family has an Hs or Hneg pair
     for row in PAIR_ROWS[name]:
-        key, admissible = _CLASSES[row.klass]
-        fam[key] = admissible(fam[row.q], fam[row.r], N, s_c)
+        fam[_CLASSES[row.klass][0]] = _admissible(row.klass, fam[row.q], fam[row.r], N, s_c)
     fam[_RESIDUAL_KEY[name]] = residual[0] / residual[1]
     fam["s_c"] = s_c
     return fam
@@ -371,9 +356,8 @@ def certificate_rows(N: int, alpha, b, theta=None, eps=CLAIM2_EPS) -> list[dict]
             th, fam = exact(theta), None
         if fam is None:
             fam = _evaluate(family, N, al, b_, th, eps)
-        s_c = fam["s_c"]
-        klass = {"L2": "L2", "Hs": f"Hs({s_c})", "Hneg": f"Hs(-{s_c})"}
         for row in PAIR_ROWS[family]:
+            key, sign = _CLASSES[row.klass]
             rows.append(
                 {
                     "family": family,
@@ -384,8 +368,8 @@ def certificate_rows(N: int, alpha, b, theta=None, eps=CLAIM2_EPS) -> list[dict]
                     "theta": th,
                     "q": fam[row.q],
                     "r": fam[row.r],
-                    "class": klass[row.klass],
-                    "admissible": fam[_CLASSES[row.klass][0]],
+                    "class": f"Hs({sign * fam['s_c']})" if sign else "L2",
+                    "admissible": fam[key],
                     "identity_residual": fam[_RESIDUAL_KEY[family]],
                 }
             )

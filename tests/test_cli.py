@@ -208,6 +208,38 @@ def test_evolve_removes_stale_rigidity_csv(tmp_path):
     assert not (out / "rigidity.csv").exists()
 
 
+_RIGIDITY_RUN = dict(_EVOLVE, t_end=0.01, virial_R=8.0)
+
+
+@pytest.mark.parametrize(
+    "subcommand, passing, failing, status, names",
+    [
+        # alpha = 0.5 is mass-subcritical: s_c < 0 has no H^{s_c} pairs
+        ("pairs", {}, {"model": {"N": 3, "alpha": 0.5, "b": 0.3}}, 2, ["pairs.csv", "appendix.csv"]),
+        # at h = 9 the shooting Q is sound and the fixed-point Q has E(Q) < 0
+        ("groundstate", {"grid": {"J": 64, "h": 9.0}, "solver": {"method": "shooting"}},
+         {"grid": {"J": 64, "h": 9.0}, "solver": {"method": "both"}}, 4,
+         ["profile.csv", "identities.csv", "solver.csv", "sharp.csv"]),
+        # a below-threshold run writes all three files; a datum wider than the domain leaks at t = 0
+        ("evolve", {"grid": {"J": 512, "h": 1 / 16}, "evolve": _RIGIDITY_RUN},
+         {"grid": {"J": 256, "h": 1 / 16}, "classify": {"field": "gaussian(0.3,6.0)"}, "evolve": _EVOLVE}, 4,
+         ["trace.csv", "rigidity.csv", "scattering.csv"]),
+    ],
+)
+def test_failed_run_leaves_no_earlier_results(tmp_path, capsys, subcommand, passing, failing, status, names):
+    # the files of an earlier run in --out were kept by a run that failed,
+    # and read as that run's results
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "ok.json", **passing)
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
+    assert all((out / name).exists() for name in names)
+    capsys.readouterr()
+    cfg = _write_config(tmp_path / "bad.json", **failing)
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == status
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert [name for name in names if (out / name).exists()] == []
+
+
 def test_classify_roundtrip_field_csv(tmp_path, capsys):
     # write a field in the CLI's format, feed it back through --field
     import numpy as np

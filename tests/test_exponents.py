@@ -18,7 +18,6 @@ from inlslab.exponents import (
     certificate_rows,
     claim2_theta_window,
     default_theta,
-    dual_exponent,
     family_claim1,
     family_claim2,
     family_lemma43,
@@ -28,17 +27,6 @@ from inlslab.exponents import (
     plus_conjugate,
 )
 from inlslab.params import critical_index
-
-
-def test_dual_exponent_involution():
-    for a in [Fraction(3, 2), 2, Fraction(7, 3), 10, Fraction(101, 100)]:
-        d = dual_exponent(a)
-        assert isinstance(d, Fraction) and isinstance(dual_exponent(d), Fraction)
-        assert dual_exponent(d) == a
-        # 1/a + 1/a' = 1 exactly
-        assert 1 / Fraction(a) + 1 / d == 1
-    assert dual_exponent(1) == math.inf
-    assert dual_exponent(math.inf) == 1 and isinstance(dual_exponent(math.inf), Fraction)
 
 
 def test_plus_conjugate_identity():
@@ -64,6 +52,68 @@ def test_l2_admissible_examples():
     assert not is_l2_admissible(3, 3, 3)  # scaling violated
     assert is_l2_admissible(4, math.inf, 1)  # r = inf allowed only for N = 1
     assert not is_l2_admissible(4, math.inf, 2)
+
+
+def _written_ranges(n, s):
+    """Each class's r-range at (N, s) as (lo, lo_closed, hi, hi_closed), as the pairs are defined."""
+    e, inf = ENDPOINT_EPS, math.inf
+    if n >= 3:
+        ceiling = Fraction(2 * n, n - 2)
+        floor = Fraction(2 * n, n - 2 * s)
+        return {
+            "L2": (2, True, ceiling, True),  # [2, 2N/(N-2)]
+            "Hs": (floor, False, ceiling - e, True),  # (2N/(N-2s), 2N/(N-2)-]
+            "Hneg": (floor + e, True, ceiling - e, True),  # [2N/(N-2s)+, 2N/(N-2)-]
+        }
+    if n == 2:
+        return {
+            "L2": (2, True, inf, False),  # [2, inf)
+            "Hs": (2 / (1 - s), False, plus_conjugate(2 / (1 - s), e), True),  # (2/(1-s), ((2/(1-s))+)']
+            "Hneg": (2 / (1 - s) + e, True, plus_conjugate(2 / (1 + s), e), True),  # [2/(1-s)+, ((2/(1+s))+)']
+        }
+    if s >= Fraction(1, 2):  # [2, inf], and no lower constraint past r >= 1 at either level
+        return {"L2": (2, True, inf, True), "Hs": (1, True, inf, True), "Hneg": (1, True, inf, True)}
+    return {
+        "L2": (2, True, inf, True),  # [2, inf]
+        "Hs": (2 / (1 - 2 * s), False, inf, True),  # (2/(1-2s), inf]
+        "Hneg": (2 / (1 - 2 * s) + e, True, inf, True),  # [2/(1-2s)+, inf]
+    }
+
+
+def test_admissibility_range_ends():
+    # the public predicates at and around each end of each class's r-range,
+    # with q from the scaling identity 2/q = N/2 - N/r - sign*s
+    predicates = {
+        "L2": (0, lambda q, r, n, s: is_l2_admissible(q, r, n)),
+        "Hs": (1, is_hs_admissible),
+        "Hneg": (-1, is_hneg_admissible),
+    }
+    rng = random.Random(20261021)
+    levels = [Fraction(1, 2)] + [Fraction(rng.randint(1, 999), 1000) for _ in range(12)]
+    verdicts = Counter()
+    for n in (1, 2, 3, 4, 5):
+        for s in levels:
+            for klass, (lo, lo_closed, hi, hi_closed) in _written_ranges(n, s).items():
+                sign, admissible = predicates[klass]
+                points = {"lo": lo, "lo-": lo - ENDPOINT_EPS, "lo+": lo + ENDPOINT_EPS, "inf": math.inf}
+                if hi != math.inf:
+                    points.update({"hi": hi, "hi+": hi + ENDPOINT_EPS})
+                for where, r in points.items():
+                    rhs = Fraction(n, 2) - (0 if r == math.inf else Fraction(n) / r) - sign * s
+                    if rhs < 0:
+                        continue  # no exponent q has this r at this level
+                    q = math.inf if rhs == 0 else 2 / rhs
+                    in_range = (lo <= r if lo_closed else lo < r) and (r <= hi if hi_closed else r < hi)
+                    expected = q >= 1 and r >= 1 and in_range
+                    assert admissible(q, r, n, s) == expected, (klass, n, s, where, q, r)
+                    verdicts[klass, where, expected] += 1
+    # each open end is seen refused and each closed end admitted, with its neighbours
+    for klass, where, verdict in [
+        ("L2", "lo", True), ("L2", "hi", True), ("L2", "hi+", False),
+        ("Hs", "lo", False), ("Hs", "lo+", True), ("Hs", "hi", True), ("Hs", "hi+", False),
+        ("Hneg", "lo-", False), ("Hneg", "lo", True), ("Hneg", "hi", True), ("Hneg", "hi+", False),
+    ]:
+        assert verdicts[klass, where, verdict], (klass, where, verdict)
 
 
 def test_family_lemma43_reference_point():
