@@ -382,6 +382,18 @@ def cmd_evolve(cfg, args) -> int:
 
 
 def cmd_sweep(cfg, args) -> int:
+    out = _out_dir(cfg, args, "manifest.csv")
+    # the sweep owns every point_NNNN directory in out: all of them go before
+    # the sweep reads its keys, so a sweep that fails leaves no earlier result,
+    # and each listed point is made anew
+    point_dir = re.compile(r"point_\d{4,}")
+    if args.field is not None:
+        top = os.path.relpath(os.path.realpath(args.field), os.path.realpath(out)).split(os.sep)[0]
+        if point_dir.fullmatch(top):
+            raise ConfigError(f"--field {args.field} lies in a sweep point directory, which the sweep empties")
+    for entry in os.scandir(out):
+        if entry.is_dir() and point_dir.fullmatch(entry.name):
+            shutil.rmtree(entry.path)
     sub = _read(cfg, "sweep.subcommand",
                 valid=("params, pairs, groundstate, classify or evolve", lambda s: s in _DISPATCH and s != "sweep"))
     lists = {}
@@ -395,17 +407,6 @@ def cmd_sweep(cfg, args) -> int:
         else:
             lists[key] = _typed(f"sweep.{key}", [cfg["model"][key]], list)
     points = itertools.product(lists["N"], lists["alpha"], lists["b"])
-    out = _out_dir(cfg, args)
-    # the sweep owns every point_NNNN directory in out: all of them go and
-    # each listed point is made anew, so no file of an earlier run is left
-    point_dir = re.compile(r"point_\d{4,}")
-    if args.field is not None:
-        top = os.path.relpath(os.path.realpath(args.field), os.path.realpath(out)).split(os.sep)[0]
-        if point_dir.fullmatch(top):
-            raise ConfigError(f"--field {args.field} lies in a sweep point directory, which the sweep empties")
-    for entry in os.scandir(out):
-        if entry.is_dir() and point_dir.fullmatch(entry.name):
-            shutil.rmtree(entry.path)
     manifest = []
     for idx, (n_val, a_val, b_val) in enumerate(points):
         name = f"point_{idx:04d}"

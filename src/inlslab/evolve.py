@@ -25,8 +25,11 @@ being the last node with a part of magnitude >= T/2 plus a margin of 32,
 are solved with the leading n x n block of A and rotated, and every node
 past the new support is written as an exact zero.  That is Crank-Nicolson
 with u_n = 0, unitary as before, and a node below T adds exactly 0 to any
-|u|^2 sum.  A field with a resolved tail (its last node >= T) steps on the
-whole grid exactly as it would without the window, bit for bit.
+|u|^2 sum.  The windowed rotation evaluates cos and sin only up to the last
+node where theta >= 2^-27: below that angle cos theta rounds to 1 and
+sin theta to theta, so it writes 1 and theta there, the same bits.  A field
+with a resolved tail (its last node >= T) steps on the whole grid exactly as
+it would without the window, bit for bit.
 
 The module also evaluates the localized virial quantities z_R, z'_R and the
 four-term direct expression for z''_R, plus the rigidity lower bound
@@ -48,6 +51,7 @@ from .grid import (
     NumericalFailure,
     RadialField,
     RadialGrid,
+    _leading,
     _support,
     radial_derivative,
     shifted_laplacian_solver,
@@ -61,6 +65,7 @@ _BUDGET_FRACTION = 0.5  # initial exterior budget share of the rigidity bound th
 _DECAY_FRACTION = 0.05  # final/initial potential ratio below which a run counts as decayed
 _TAIL = 2.0**-600  # a node of modulus below this adds exactly 0 to any |u|^2 sum
 _MARGIN = 32  # nodes past the support that a windowed step solves on
+_SMALL_ANGLE = 2.0**-27  # below it cos rounds to 1 and sin to its argument
 
 # the classifier verdicts of data strictly below the ground-state threshold
 BELOW_THRESHOLD = ("GlobalScatters", "GlobalOnly")
@@ -218,7 +223,11 @@ class Evolver:
 
         The margin keeps the sweeps' values normal: _TAIL rho^32 is normal
         for dt/h^2 >= 1e-3, rho being the sweeps' decay per node.  The
-        window doubles while L w reaches _TAIL at its last node.
+        window doubles while L w reaches _TAIL at its last node.  The
+        rotation is _rotate's, with cos and sin evaluated only up to the
+        last node where theta >= _SMALL_ANGLE; past it they would round to
+        1 and theta, which are written instead.  The product goes straight
+        into the output.
         """
         J = w.size
         n = _support(w, _TAIL / 2) + _MARGIN
@@ -233,7 +242,18 @@ class Evolver:
             raise LinearSolveFailure("linear step produced non-finite values")
         m = _support(x, _TAIL / 2)  # every node past m has modulus below _TAIL
         out = np.zeros(J, dtype=complex)
-        out[:m] = self._rotate(x[:m], self._phase[:m])
+        x = x[:m]
+        if self.linear_only:
+            out[:m] = x
+            return out
+        theta = self._phase[:m] * np.abs(x) ** self.params.alpha
+        k = _leading(theta, _SMALL_ANGLE)
+        e = np.empty(m, dtype=complex)
+        np.cos(theta[:k], out=e.real[:k])
+        np.sin(theta[:k], out=e.imag[:k])
+        e.real[k:] = 1.0
+        e.imag[k:] = theta[k:]
+        np.multiply(x, e, out=out[:m])
         return out
 
 

@@ -166,9 +166,11 @@ def _potential_weights(grid: RadialGrid, b: float) -> np.ndarray:
 def _leading(x: np.ndarray, threshold: float) -> int:
     """The number of leading entries of x >= 0 up to its last entry with
     x >= threshold or NaN; 0 where there is none."""
-    small = x[::-1] < threshold  # contiguous, so argmin stops at the first False
-    last = int(small.argmin())
-    return 0 if small[last] else x.size - last
+    if x.size == 0:
+        return 0
+    small = x < threshold  # a forward comparison vectorizes, one on x[::-1] does not
+    last = int(small[::-1].argmin())  # argmin stops at the first False
+    return 0 if small[-1 - last] else x.size - last
 
 
 def _support(v: np.ndarray, threshold: float) -> int:

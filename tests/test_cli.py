@@ -637,6 +637,19 @@ def test_sweep_removes_stale_error_txt(tmp_path):
     assert not (out / "point_0000" / "error.txt").exists()
 
 
+def test_failed_sweep_leaves_no_earlier_results(tmp_path, capsys):
+    # a sweep that exits 2 on sweep.subcommand kept an earlier sweep's
+    # manifest.csv and point directories, which read as its own results
+    out = tmp_path / "sw"
+    for sub, status in (("params", 0), ("nope", 2)):
+        cfg = _write_config(tmp_path / "c.json", sweep={"subcommand": sub, "alpha": [1.5, 2]})
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == status
+        if status == 0:
+            assert sorted(p.name for p in out.iterdir()) == ["manifest.csv", "point_0000", "point_0001"]
+    assert "sweep.subcommand" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 # a config every subcommand runs in well under a second
 _SMALL = {
     "model": {"N": 3, "alpha": 2, "b": 0.3},

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from inlslab.evolve import (
     _DT_SAFETY,
+    _MARGIN,
+    _SMALL_ANGLE,
     _TAIL,
     BoundaryLeak,
     EvolutionConfig,
@@ -28,6 +30,7 @@ from inlslab.functionals import classify
 from inlslab.grid import (
     Measures,
     RadialGrid,
+    _support,
     gaussian_field,
     grad_norm_sq_form,
     radial_derivative,
@@ -670,3 +673,73 @@ def test_window_step_matches_the_whole_grid(N, alpha, J, h, dt_over_h2, widths, 
     held = np.flatnonzero(np.abs(parts) >= _TAIL / 2) // 2
     assert np.all(step[held[-1] + 1 if held.size else 0:] == 0)
     assert not np.any((parts != 0) & (np.abs(parts) < np.finfo(float).tiny))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    small=st.lists(
+        st.one_of(
+            # +0, subnormals, the least normal and the float just below the threshold
+            st.sampled_from([0.0, 5e-324, 1e-310, np.finfo(float).tiny, math.nextafter(_SMALL_ANGLE, 0)]),
+            st.floats(0.0, _SMALL_ANGLE, exclude_max=True),
+        ),
+        min_size=1,
+        max_size=300,
+    ),
+    lead=st.integers(0, 20),
+)
+def test_cos_and_sin_of_a_small_angle_are_one_and_the_angle(small, lead):
+    # below _SMALL_ANGLE cos rounds to 1 and sin to its argument, in the call
+    # form of _rotate (strided out into one complex buffer), at any position
+    # behind `lead` larger angles; the windowed step writes these values
+    # without calling cos and sin
+    theta = np.concatenate([np.linspace(0.5, 1.5, lead), small])
+    e = np.empty(theta.size, dtype=complex)
+    np.cos(theta, out=e.real)
+    np.sin(theta, out=e.imag)
+    assert np.all(e.real[lead:] == 1.0)
+    assert e.imag[lead:].tobytes() == theta[lead:].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    N=st.integers(1, 5),
+    alpha=st.floats(0.5, 4.0),
+    J=st.integers(64, 3000),
+    h=st.floats(1 / 256, 1.0),
+    dt_over_h2=st.floats(1e-3, _DT_SAFETY),
+    widths=st.floats(28.0, 80.0),
+    amplitude=st.floats(0.0, 3.0),
+    angle=st.floats(0.0, 2 * math.pi),
+    linear_only=st.booleans(),
+)
+@example(N=3, alpha=2.0, J=256, h=1 / 16, dt_over_h2=1.0, widths=40.0, amplitude=0.0, angle=0.0,
+         linear_only=False)  # a zero field: an empty support
+def test_window_step_is_bitwise_the_rotation_formula(N, alpha, J, h, dt_over_h2, widths, amplitude, angle,
+                                                    linear_only):
+    # the windowed step, which writes cos = 1 and sin = theta wherever
+    # theta < 2^-27, is v * exp(1j * theta) on the support of the windowed
+    # Cayley step and exact zeros past it, bit for bit
+    g = RadialGrid(J=J, h=h, N=N)
+    dt = dt_over_h2 * h**2
+    w = amplitude * np.exp(1j * angle) * np.exp(-((g.nodes * widths / g.r_max) ** 2))
+    assert w[-1] == 0
+    params = ModelParams(N, alpha, 0.3)
+    solve2 = shifted_laplacian_solver(g, 1j * dt / 2, 2.0)
+    n = _support(w, _TAIL / 2) + _MARGIN
+    while n < J:
+        x = solve2(w[:n]) - w[:n]
+        if abs(x[-1]) < _TAIL:
+            break
+        n *= 2
+    else:
+        x = solve2(w) - w
+    m = _support(x, _TAIL / 2)
+    ref = np.zeros(J, dtype=complex)
+    coef = dt * g.nodes[:m] ** (-params.b)
+    ref[:m] = x[:m] if linear_only else _exp_formula(x[:m], coef, alpha)
+    resolved = np.count_nonzero(coef * np.abs(x[:m]) ** alpha >= _SMALL_ANGLE)
+    share = "no" if resolved == 0 else "every" if resolved == m else "some"
+    event(f"theta >= 2^-27 on {share} node" if m else "empty support")
+    step = Evolver(g, params, dt, linear_only=linear_only).step_values(w)
+    assert step.tobytes() == ref.tobytes()

@@ -328,6 +328,14 @@ def test_support_power_is_bitwise_the_power(head, tail, p):
     assert grid_mod.support_power(x, p).tobytes() == (x**p).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(x=st.lists(st.one_of(st.floats(0.0, 10.0), st.just(math.nan)), max_size=60), threshold=st.floats(0.5, 5.0))
+def test_leading_counts_up_to_the_last_large_entry(x, threshold):
+    # NaN counts as large, and an empty array has no large entry
+    expected = max((i + 1 for i, v in enumerate(x) if not v < threshold), default=0)
+    assert grid_mod._leading(np.array(x, dtype=float), threshold) == expected
+
+
 def test_shifted_laplacian_solver_refuses_row_interchange(tmp_path, capsys, monkeypatch):
     # a Crank-Nicolson factorization that pivots is refused, and the evolver
     # reports it as a linear-solve failure (CLI exit 4); the real fixed-point
