@@ -31,6 +31,15 @@ sin theta to theta, so it writes 1 and theta there, the same bits.  A field
 with a resolved tail (its last node >= T) steps on the whole grid exactly as
 it would without the window, bit for bit.
 
+The evolver remembers its last windowed output and the node m from which
+that output is exact zeros.  The output is returned read-only, so its zero
+tail cannot go stale: a step whose input is that very array searches its
+support in the leading m nodes alone, and un-staggering it rotates those m
+nodes and writes +0 past them, which is what the rotation of a zero node
+gives.  Any other input (a copy, a fresh datum) is searched in full, with
+the same result.  The support search itself looks at the last 64 nodes
+first, where a windowed step's answer lies, before it scans the rest.
+
 The module also evaluates the localized virial quantities z_R, z'_R and the
 four-term direct expression for z''_R, plus the rigidity lower bound
 z''_R >= 8 A E[u] - (exterior remainder budget).
@@ -40,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -160,7 +170,9 @@ class Evolver:
     L w = 2 A^{-1} w - w of Crank-Nicolson, A = I - (i dt/2) Lap, with the
     2 folded into the factored solve.  For linear_only the phase rotation
     P is the identity.  A field whose last node has modulus below _TAIL
-    steps on its support only, as the module docstring describes.
+    steps on its support only, and the last windowed output carries its
+    zero tail into the next step and into unstagger, as the module
+    docstring describes.
     """
 
     def __init__(self, grid: RadialGrid, params: ModelParams, dt: float, linear_only=False):
@@ -175,9 +187,13 @@ class Evolver:
         rb = grid.nodes ** (-params.b)
         self._phase = dt * rb
         self._half_phase = (dt / 2) * rb
+        # the last windowed output (read-only), held weakly so that it lives no
+        # longer than its caller keeps it, and the node from which it is exact zeros
+        self._carried = lambda: None
+        self._zeros_from = 0
 
-    def _rotate(self, v: np.ndarray, coef: np.ndarray) -> np.ndarray:
-        """P_tau v for coef = tau r^{-b}.
+    def _rotate(self, v: np.ndarray, coef: np.ndarray, out=None) -> np.ndarray:
+        """P_tau v for coef = tau r^{-b}, into out when it is given.
 
         e^{i theta}, theta = coef |v|^alpha, is written as cos theta and
         sin theta into the real and imaginary parts of one buffer, which takes
@@ -193,19 +209,40 @@ class Evolver:
         e = np.empty(v.shape, dtype=complex)
         np.cos(theta, out=e.real)
         np.sin(theta, out=e.imag)
-        return v * e
+        return np.multiply(v, e, out=out)
+
+    def _held(self, w: np.ndarray) -> int:
+        """The node from which w is exact zeros, as far as the evolver
+        knows: the support of the last windowed step if w is its output,
+        else w.size."""
+        return self._zeros_from if w is self._carried() else w.size
 
     def stagger(self, v: np.ndarray) -> np.ndarray:
         """w = P_{dt/2} v."""
         return self._rotate(v, self._half_phase)
 
     def unstagger(self, w: np.ndarray) -> np.ndarray:
-        """v = P_{-dt/2} w."""
-        return self._rotate(w, -self._half_phase)
+        """v = P_{-dt/2} w.
+
+        On the last windowed output only its leading nodes up to its zero
+        tail are rotated and +0 is written past them: P of a zero node is
+        (0 + 0i)(1 - 0i) = +0, so the bits are those of the whole rotation.
+        """
+        m = self._held(w)
+        if self.linear_only or m == w.size:
+            return self._rotate(w, -self._half_phase)
+        v = np.zeros_like(w)
+        self._rotate(w[:m], -self._half_phase[:m], out=v[:m])
+        return v
 
     def step_values(self, w: np.ndarray) -> np.ndarray:
         """One step of the staggered field: P_dt(L w), on w's support only
         where its last node is below _TAIL (a NaN there is not).
+
+        A windowed step returns its output read-only and remembers it, so
+        that the next step, given that array back, searches its support
+        only up to the zero tail it wrote; the full-grid step returns a
+        writable array and neither reads nor sets what is remembered.
 
         Raises LinearSolveFailure when L w holds a NaN or an infinity, or
         when its squared norm overflows.
@@ -228,9 +265,15 @@ class Evolver:
         last node where theta >= _SMALL_ANGLE; past it they would round to
         1 and theta, which are written instead.  The product goes straight
         into the output.
+
+        The support of w is searched in w[:m] when w is the output of the
+        last windowed step, m being the node from which it wrote exact
+        zeros, and in the whole of w otherwise: the same n either way.  The
+        output is read-only and is remembered, by a weak reference, with its
+        own m.
         """
         J = w.size
-        n = _support(w, _TAIL / 2) + _MARGIN
+        n = _support(w[: self._held(w)], _TAIL / 2) + _MARGIN
         while n < J:
             x = self._solve2(w[:n]) - w[:n]
             if abs(x[-1]) < _TAIL:
@@ -245,15 +288,17 @@ class Evolver:
         x = x[:m]
         if self.linear_only:
             out[:m] = x
-            return out
-        theta = self._phase[:m] * np.abs(x) ** self.params.alpha
-        k = _leading(theta, _SMALL_ANGLE)
-        e = np.empty(m, dtype=complex)
-        np.cos(theta[:k], out=e.real[:k])
-        np.sin(theta[:k], out=e.imag[:k])
-        e.real[k:] = 1.0
-        e.imag[k:] = theta[k:]
-        np.multiply(x, e, out=out[:m])
+        else:
+            theta = self._phase[:m] * np.abs(x) ** self.params.alpha
+            k = _leading(theta, _SMALL_ANGLE)
+            e = np.empty(m, dtype=complex)
+            np.cos(theta[:k], out=e.real[:k])
+            np.sin(theta[:k], out=e.imag[:k])
+            e.real[k:] = 1.0
+            e.imag[k:] = theta[k:]
+            np.multiply(x, e, out=out[:m])
+        out.setflags(write=False)  # so the remembered zero tail cannot go stale
+        self._carried, self._zeros_from = weakref.ref(out), m
         return out
 
 

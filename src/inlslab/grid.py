@@ -163,6 +163,9 @@ def _potential_weights(grid: RadialGrid, b: float) -> np.ndarray:
     return weights
 
 
+_TAIL_BLOCK = 64  # trailing nodes that _support searches before the rest
+
+
 def _leading(x: np.ndarray, threshold: float) -> int:
     """The number of leading entries of x >= 0 up to its last entry with
     x >= threshold or NaN; 0 where there is none."""
@@ -175,12 +178,23 @@ def _leading(x: np.ndarray, threshold: float) -> int:
 
 def _support(v: np.ndarray, threshold: float) -> int:
     """The number of leading nodes of v up to its last node with a real or
-    imaginary part of magnitude >= threshold or NaN; 0 where there is none.
-    Private, like _leading, so that a tracer wrapping the package's public
-    functions adds no span to a time step."""
-    parts = np.abs(np.ascontiguousarray(v).view(np.float64))  # real, or (re, im) per node
+    imaginary part of magnitude >= threshold or NaN; 0 where there is none,
+    an empty v included.  Private, like _leading, so that a tracer wrapping
+    the package's public functions adds no span to a time step.
+
+    The search looks at the last _TAIL_BLOCK nodes first and scans the rest
+    only when they hold no such part: a windowed step's answer lies within
+    a few nodes of its window's end.
+    """
+    if v.size == 0:
+        return 0
+    parts = np.ascontiguousarray(v).view(np.float64)  # real, or (re, im) per node
     per_node = parts.size // v.size
-    return (_leading(parts, threshold) - 1) // per_node + 1
+    start = max(parts.size - _TAIL_BLOCK * per_node, 0)
+    k = _leading(np.abs(parts[start:]), threshold)
+    if k == 0:
+        start, k = 0, _leading(np.abs(parts[:start]), threshold)
+    return (start + k - 1) // per_node + 1
 
 
 def support_power(x: np.ndarray, p: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -743,3 +744,67 @@ def test_window_step_is_bitwise_the_rotation_formula(N, alpha, J, h, dt_over_h2,
     event(f"theta >= 2^-27 on {share} node" if m else "empty support")
     step = Evolver(g, params, dt, linear_only=linear_only).step_values(w)
     assert step.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(1, 5),
+    alpha=st.floats(0.5, 4.0),
+    J=st.integers(64, 1500),
+    h=st.floats(1 / 256, 1.0),
+    dt_over_h2=st.floats(1e-3, 10.0),
+    widths=st.floats(28.0, 80.0),
+    amplitude=st.floats(0.0, 3.0),
+    angle=st.floats(0.0, 2 * math.pi),
+    linear_only=st.booleans(),
+    steps=st.integers(1, 8),
+)
+@example(N=3, alpha=2.0, J=256, h=1 / 16, dt_over_h2=1.0, widths=40.0, amplitude=0.0, angle=0.0,
+         linear_only=False, steps=3)  # a zero field: the carried support is empty
+@example(N=3, alpha=2.0, J=256, h=1 / 16, dt_over_h2=1.0, widths=40.0, amplitude=0.0, angle=0.0,
+         linear_only=True, steps=3)
+def test_carried_tail_is_bitwise_the_full_search(N, alpha, J, h, dt_over_h2, widths, amplitude, angle,
+                                                 linear_only, steps):
+    # steps through one Evolver, each searching only up to the zero tail the
+    # step before wrote, give the bits of steps through a fresh Evolver each,
+    # which searches the whole grid; so does a copy of an output passed back,
+    # and the un-staggering of the carried output is the whole rotation
+    g = RadialGrid(J=J, h=h, N=N)
+    dt = dt_over_h2 * h**2
+    params = ModelParams(N, alpha, 0.3)
+    w = amplitude * np.exp(1j * angle) * np.exp(-((g.nodes * widths / g.r_max) ** 2))
+    ev = Evolver(g, params, dt, linear_only=linear_only)
+    carried = fresh = w
+    for _ in range(steps):
+        carried = ev.step_values(carried)
+        fresh = Evolver(g, params, dt, linear_only=linear_only).step_values(fresh)
+        assert carried.tobytes() == fresh.tobytes()
+    windowed = not carried.flags.writeable  # only a windowed step's output is read-only
+    event("every step windowed" if windowed else "the last step on the whole grid")
+    if linear_only:
+        assert ev.unstagger(carried) is carried
+    else:
+        half = (dt / 2) * g.nodes ** (-params.b)
+        assert ev.unstagger(carried).tobytes() == _exp_formula(carried, -half, alpha).tobytes()
+    from_carried = ev.step_values(carried)
+    assert ev.step_values(carried.copy()).tobytes() == from_carried.tobytes()
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.5])
+@pytest.mark.parametrize("linear_only", [False, True])
+def test_window_step_output_is_read_only(amplitude, linear_only):
+    # the evolver remembers a windowed output's zero tail, so nobody may write into it
+    g = RadialGrid(J=512, h=1 / 16, N=3)
+    ev = Evolver(g, ModelParams(3, 2.0, 0.3), 1e-3, linear_only=linear_only)
+    w = ev.stagger(gaussian_field(g, amplitude, 1.0).values.astype(complex))
+    for _ in range(3):
+        w = ev.step_values(w)
+        with pytest.raises(ValueError, match="read-only"):
+            w[-1] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            w[:] = 0.0
+    assert not np.any(w[_support(w, _TAIL / 2):])
+    # the evolver holds its last output weakly: it does not outlive the caller's reference
+    held = weakref.ref(w)
+    del w
+    assert held() is None

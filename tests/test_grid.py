@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg.lapack import get_lapack_funcs
@@ -334,6 +334,69 @@ def test_leading_counts_up_to_the_last_large_entry(x, threshold):
     # NaN counts as large, and an empty array has no large entry
     expected = max((i + 1 for i, v in enumerate(x) if not v < threshold), default=0)
     assert grid_mod._leading(np.array(x, dtype=float), threshold) == expected
+
+
+def _support_full_scan(v, threshold):
+    """_support as a scan of every part: the number of leading nodes up to
+    the last with a part of magnitude >= threshold or NaN."""
+    if v.size == 0:
+        return 0
+    parts = np.abs(np.ascontiguousarray(v).view(np.float64))
+    return (grid_mod._leading(parts, threshold) - 1) // (parts.size // v.size) + 1
+
+
+_BLOCK = grid_mod._TAIL_BLOCK
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nodes=st.integers(0, 4 * _BLOCK),
+    small=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -1e-310, math.nextafter(1.0, 0)]),
+            st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+        ),
+        min_size=1,
+        max_size=16,
+    ),
+    large=st.lists(
+        st.tuples(
+            # the last large part's distance from the end: inside the tail
+            # block, just before it, or anywhere before it
+            st.one_of(st.integers(0, _BLOCK - 1), st.integers(_BLOCK, _BLOCK + 2), st.integers(0, 4 * _BLOCK)),
+            st.one_of(st.floats(1.0, 1e300), st.floats(-1e300, -1.0), st.just(math.nan)),
+            st.booleans(),  # real or imaginary part
+        ),
+        max_size=3,
+    ),
+    real=st.booleans(),
+)
+@example(nodes=200, small=[0.0], large=[(0, 2.0, True)], real=False)  # the last node
+@example(nodes=200, small=[0.5], large=[(_BLOCK - 1, 2.0, False)], real=False)  # the block's first node
+@example(nodes=200, small=[0.0], large=[(_BLOCK, -2.0, True)], real=False)  # just before the block
+@example(nodes=200, small=[-0.5], large=[(190, 1e300, False)], real=True)  # far before it
+@example(nodes=200, small=[0.0, -0.0], large=[], real=False)  # no large part
+@example(nodes=200, small=[0.0], large=[(100, math.nan, True)], real=False)  # NaN before the block
+@example(nodes=0, small=[0.0], large=[], real=True)  # empty
+def test_support_searches_the_tail_block_first_with_the_full_scan_result(nodes, small, large, real):
+    # looking at the last _TAIL_BLOCK nodes before the rest returns the node
+    # count of a scan over every part, for real and complex input, with no
+    # large part, a NaN and an empty array
+    parts = np.resize(np.array(small), nodes if real else 2 * nodes)
+    for from_end, value, imag in large:
+        if from_end < nodes:
+            parts[(nodes - 1 - from_end) * (1 if real else 2) + (imag and not real)] = value
+    v = parts if real else parts.view(complex)
+    expected = _support_full_scan(v, 1.0)
+    tail = "none" if expected == 0 else "in the block" if nodes - expected < _BLOCK else "before the block"
+    event(f"last large node: {tail}")
+    assert grid_mod._support(v, 1.0) == expected
+
+
+def test_support_of_an_empty_array_is_zero():
+    # a zero field's carried support is 0 nodes: the evolver searches w[:0]
+    assert grid_mod._support(np.empty(0), 1.0) == 0
+    assert grid_mod._support(np.empty(0, dtype=complex), 1.0) == 0
 
 
 def test_shifted_laplacian_solver_refuses_row_interchange(tmp_path, capsys, monkeypatch):
