@@ -20,16 +20,22 @@ where the physical field v is needed: at the records and at the end.
 A dispersing Gaussian underflows to exact zeros past r ~ 27 widths, and a
 solve over those zeros would run its geometric tail down through the
 subnormal range, where arithmetic is slow.  So a field whose last node has
-modulus below T = 2^-600 steps on its support only: the leading n nodes, n
-being the last node with a part of magnitude >= T/2 plus a margin of 32,
-are solved with the leading n x n block of A and rotated, and every node
-past the new support is written as an exact zero.  That is Crank-Nicolson
-with u_n = 0, unitary as before, and a node below T adds exactly 0 to any
-|u|^2 sum.  The windowed rotation evaluates cos and sin only up to the last
-node where theta >= 2^-27: below that angle cos theta rounds to 1 and
-sin theta to theta, so it writes 1 and theta there, the same bits.  A field
-with a resolved tail (its last node >= T) steps on the whole grid exactly as
-it would without the window, bit for bit.
+modulus below T steps on its support only: the leading n nodes, n being the
+last node with a part of magnitude >= T/2 plus a margin of 32, are solved
+with the leading n x n block of A and rotated, and every node past the new
+support is written as an exact zero.  That is Crank-Nicolson with u_n = 0,
+unitary as before.  T = 2^-290 (M0 / sum w)^(1/2) is fixed once per evolver
+from the datum's mass M0, sum w being the sum of the grid weights, so the
+window sits at the same depth below every datum's scale: each dropped node
+has parts below T/2, and all of them together add less than 2^-580 M0 to
+any |u|^2 sum whose weights are at most the grid's.  On the README datum
+T is about 2^-300.5.  Where M0 is not a positive finite number (zero data,
+or a mass that overflows) T is 0 and every step takes the whole grid.  The
+windowed rotation evaluates cos and sin only up to the last node where
+theta >= 2^-27: below that angle cos theta rounds to 1 and sin theta to
+theta, so it writes 1 and theta there, the same bits.  A field with a
+resolved tail (its last node >= T) steps on the whole grid exactly as it
+would without the window, bit for bit.
 
 The evolver remembers its last windowed output and the node m from which
 that output is exact zeros.  The output is returned read-only, so its zero
@@ -73,7 +79,7 @@ _DT_SAFETY = 100.0  # stability is unconditional; dt <= _DT_SAFETY h^2 caps the 
 _BOUNDARY_SHELL = 0.03  # outer fraction of the domain whose mass counts as leaked
 _BUDGET_FRACTION = 0.5  # initial exterior budget share of the rigidity bound that makes R too small
 _DECAY_FRACTION = 0.05  # final/initial potential ratio below which a run counts as decayed
-_TAIL = 2.0**-600  # a node of modulus below this adds exactly 0 to any |u|^2 sum
+_TAIL_DEPTH = 2.0**-290  # the window threshold T over the datum's rms amplitude (M0 / sum w)^(1/2)
 _MARGIN = 32  # nodes past the support that a windowed step solves on
 _SMALL_ANGLE = 2.0**-27  # below it cos rounds to 1 and sin to its argument
 
@@ -169,13 +175,17 @@ class Evolver:
     unstagger convert between v and w.  Its linear step is the Cayley form
     L w = 2 A^{-1} w - w of Crank-Nicolson, A = I - (i dt/2) Lap, with the
     2 folded into the factored solve.  For linear_only the phase rotation
-    P is the identity.  A field whose last node has modulus below _TAIL
-    steps on its support only, and the last windowed output carries its
-    zero tail into the next step and into unstagger, as the module
-    docstring describes.
+    P is the identity.  A field whose last node has modulus below
+    T = 2^-290 (mass / sum w)^(1/2) steps on its support only, and the last
+    windowed output carries its zero tail into the next step and into
+    unstagger, as the module docstring describes.  mass is the mass of the
+    datum the evolver will step (1.0 where it is not given); where it is
+    not a positive finite number, or T overflows, T is 0 and every step
+    takes the whole grid.
     """
 
-    def __init__(self, grid: RadialGrid, params: ModelParams, dt: float, linear_only=False):
+    def __init__(self, grid: RadialGrid, params: ModelParams, dt: float, linear_only=False,
+                 mass=1.0):
         self.grid = grid
         self.params = params
         self.dt = dt
@@ -187,6 +197,8 @@ class Evolver:
         rb = grid.nodes ** (-params.b)
         self._phase = dt * rb
         self._half_phase = (dt / 2) * rb
+        tail = _TAIL_DEPTH * math.sqrt(mass / float(np.sum(grid.weights))) if mass > 0 else 0.0
+        self._tail = tail if math.isfinite(tail) else 0.0  # T; 0 steps the whole grid
         # the last windowed output (read-only), held weakly so that it lives no
         # longer than its caller keeps it, and the node from which it is exact zeros
         self._carried = lambda: None
@@ -237,7 +249,7 @@ class Evolver:
 
     def step_values(self, w: np.ndarray) -> np.ndarray:
         """One step of the staggered field: P_dt(L w), on w's support only
-        where its last node is below _TAIL (a NaN there is not).
+        where its last node is below the evolver's T (a NaN there is not).
 
         A windowed step returns its output read-only and remembers it, so
         that the next step, given that array back, searches its support
@@ -247,7 +259,7 @@ class Evolver:
         Raises LinearSolveFailure when L w holds a NaN or an infinity, or
         when its squared norm overflows.
         """
-        if abs(w.item(-1)) < _TAIL:  # item: a Python scalar tests faster than a numpy one
+        if abs(w.item(-1)) < self._tail:  # item: a Python scalar tests faster than a numpy one
             return self._step_window(w)
         w = self._solve2(w) - w
         if not math.isfinite(np.vdot(w, w).real):
@@ -258,9 +270,13 @@ class Evolver:
         """P_dt(L w) on w's support plus _MARGIN nodes, exact zeros past
         the support of L w.
 
-        The margin keeps the sweeps' values normal: _TAIL rho^32 is normal
-        for dt/h^2 >= 1e-3, rho being the sweeps' decay per node.  The
-        window doubles while L w reaches _TAIL at its last node.  The
+        The margin keeps the sweeps' values normal: rho being their decay
+        per node, rho >= 2^-11 for dt/h^2 >= 1e-3, so T rho^32 is normal
+        wherever the datum's rms amplitude (M0 / sum w)^(1/2) is at least
+        2^-380; below that the sweeps may pass through subnormals, which is
+        slower, not wrong.  The nodes dropped past the support have parts
+        below T/2 and together add less than 2^-580 M0 to the mass.  The
+        window doubles while L w reaches T at its last node.  The
         rotation is _rotate's, with cos and sin evaluated only up to the
         last node where theta >= _SMALL_ANGLE; past it they would round to
         1 and theta, which are written instead.  The product goes straight
@@ -272,18 +288,18 @@ class Evolver:
         output is read-only and is remembered, by a weak reference, with its
         own m.
         """
-        J = w.size
-        n = _support(w[: self._held(w)], _TAIL / 2) + _MARGIN
+        J, tail = w.size, self._tail
+        n = _support(w[: self._held(w)], tail / 2) + _MARGIN
         while n < J:
             x = self._solve2(w[:n]) - w[:n]
-            if abs(x[-1]) < _TAIL:
+            if abs(x[-1]) < tail:
                 break
             n *= 2
         else:
             x = self._solve2(w) - w
         if not math.isfinite(np.vdot(x, x).real):
             raise LinearSolveFailure("linear step produced non-finite values")
-        m = _support(x, _TAIL / 2)  # every node past m has modulus below _TAIL
+        m = _support(x, tail / 2)  # every node past m has modulus below T
         out = np.zeros(J, dtype=complex)
         x = x[:m]
         if self.linear_only:
@@ -476,7 +492,6 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
     if (grid.J, grid.h, grid.N) != (config.J, config.h, params.N):
         raise ValueError("initial field grid does not match the configuration")
     alpha, b, s_c = params.alpha, params.b, params.s_c
-    ev = Evolver(grid, params, config.dt, linear_only=config.linear_only)
     n_steps = config.n_steps
 
     enforce_gm = threshold is not None and threshold.verdict in BELOW_THRESHOLD
@@ -509,8 +524,10 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
                 f"{config.boundary_budget:.3e} at t={t}"
             )
 
-    # records un-stagger a copy of w; stepping always goes on from w itself
+    # records un-stagger a copy of w; stepping always goes on from w itself.
+    # The evolver's window threshold is set by the datum's mass, M[u] at t = 0
     record(0.0, v)
+    ev = Evolver(grid, params, config.dt, linear_only=config.linear_only, mass=records[0][1])
     w = ev.stagger(v)
     for n in range(1, n_steps + 1):
         w = ev.step_values(w)

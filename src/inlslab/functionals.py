@@ -225,11 +225,10 @@ def linear_decay_check(
     grid = RadialGrid(J=J, h=h, N=N)
     r = grid.nodes
 
-    ev = Evolver(grid, params, dt, linear_only=True)
-
     g_weight = np.exp(-(r**2))
     u0 = g_weight.astype(complex)
     mass0 = Measures.of(grid.field(u0), params.alpha, params.b).mass
+    ev = Evolver(grid, params, dt, linear_only=True, mass=mass0)
     v = u0.copy()
     t = 0.0
     lp_num, lp_cl, scaled, wprod = [], [], [], []

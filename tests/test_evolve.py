@@ -10,7 +10,6 @@ from inlslab.evolve import (
     _DT_SAFETY,
     _MARGIN,
     _SMALL_ANGLE,
-    _TAIL,
     BoundaryLeak,
     EvolutionConfig,
     Evolver,
@@ -623,11 +622,11 @@ def test_rotation_is_bitwise_the_exp_formula(params, values, real, h, dt_over_h2
         v.real, v.imag = values[: v.size], values[v.size : 2 * v.size]
     g = RadialGrid(J=v.size, h=h, N=params.N)
     dt = dt_over_h2 * h**2
-    ev = Evolver(g, params, dt, linear_only=linear_only)
+    ev = Evolver(g, params, dt, linear_only=linear_only, mass=_mass(g.field(v)))
     w = shifted_laplacian_solver(g, 1j * dt / 2, 2.0)(v) - v  # the Cayley step 2 A^{-1} v - v
-    # a field whose last node is below _TAIL steps on its support instead,
-    # which test_window_step_matches_the_whole_grid covers
-    whole_grid = abs(v[-1]) >= _TAIL
+    # a field whose last node is below the evolver's T steps on its support
+    # instead, which test_window_step_matches_the_whole_grid covers
+    whole_grid = abs(v[-1]) >= ev._tail
     if linear_only:
         assert ev.stagger(v) is v and ev.unstagger(v) is v
         if whole_grid:
@@ -655,23 +654,25 @@ def test_rotation_is_bitwise_the_exp_formula(params, values, real, h, dt_over_h2
 def test_window_step_matches_the_whole_grid(N, alpha, J, h, dt_over_h2, widths, amplitude, angle,
                                             linear_only):
     # a Gaussian that underflows to exact zeros past r = 27.3 width steps on
-    # its support only: off by at most _TAIL (1 + dt/h^2) from the step on
-    # the whole grid, and the same to rounding wherever the field is resolved
+    # its support only: off by at most T (1 + dt/h^2) from the step on the
+    # whole grid, T being the evolver's window threshold for the datum's
+    # mass, and the same to rounding wherever the field is resolved
     g = RadialGrid(J=J, h=h, N=N)
     dt = dt_over_h2 * h**2
     w = amplitude * np.exp(1j * angle) * np.exp(-((g.nodes * widths / g.r_max) ** 2))
     assert w[-1] == 0
-    ev = Evolver(g, ModelParams(N, alpha, 0.3), dt, linear_only=linear_only)
+    ev = Evolver(g, ModelParams(N, alpha, 0.3), dt, linear_only=linear_only, mass=_mass(g.field(w)))
+    tail = ev._tail
     step = ev.step_values(w)
     full = ev._rotate(shifted_laplacian_solver(g, 1j * dt / 2, 2.0)(w) - w, ev._phase)
     diff = np.abs(step - full)
-    assert np.all(diff <= _TAIL * (1 + dt_over_h2))
-    resolved = np.abs(full) >= 2.0**-500
+    assert np.all(diff <= tail * (1 + dt_over_h2))
+    resolved = np.abs(full) >= tail * 2.0**100
     assert np.all(diff[resolved] <= 1e-15 * np.abs(full[resolved]))
-    # exact zeros past the last node with a part of at least _TAIL/2, and
-    # no subnormal part anywhere
+    # exact zeros past the last node with a part of at least T/2, and no
+    # subnormal part anywhere
     parts = step.view(np.float64)
-    held = np.flatnonzero(np.abs(parts) >= _TAIL / 2) // 2
+    held = np.flatnonzero(np.abs(parts) >= tail / 2) // 2
     assert np.all(step[held[-1] + 1 if held.size else 0:] == 0)
     assert not np.any((parts != 0) & (np.abs(parts) < np.finfo(float).tiny))
 
@@ -726,24 +727,25 @@ def test_window_step_is_bitwise_the_rotation_formula(N, alpha, J, h, dt_over_h2,
     w = amplitude * np.exp(1j * angle) * np.exp(-((g.nodes * widths / g.r_max) ** 2))
     assert w[-1] == 0
     params = ModelParams(N, alpha, 0.3)
+    ev = Evolver(g, params, dt, linear_only=linear_only)
+    tail = ev._tail
     solve2 = shifted_laplacian_solver(g, 1j * dt / 2, 2.0)
-    n = _support(w, _TAIL / 2) + _MARGIN
+    n = _support(w, tail / 2) + _MARGIN
     while n < J:
         x = solve2(w[:n]) - w[:n]
-        if abs(x[-1]) < _TAIL:
+        if abs(x[-1]) < tail:
             break
         n *= 2
     else:
         x = solve2(w) - w
-    m = _support(x, _TAIL / 2)
+    m = _support(x, tail / 2)
     ref = np.zeros(J, dtype=complex)
     coef = dt * g.nodes[:m] ** (-params.b)
     ref[:m] = x[:m] if linear_only else _exp_formula(x[:m], coef, alpha)
     resolved = np.count_nonzero(coef * np.abs(x[:m]) ** alpha >= _SMALL_ANGLE)
     share = "no" if resolved == 0 else "every" if resolved == m else "some"
     event(f"theta >= 2^-27 on {share} node" if m else "empty support")
-    step = Evolver(g, params, dt, linear_only=linear_only).step_values(w)
-    assert step.tobytes() == ref.tobytes()
+    assert ev.step_values(w).tobytes() == ref.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -803,8 +805,60 @@ def test_window_step_output_is_read_only(amplitude, linear_only):
             w[-1] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             w[:] = 0.0
-    assert not np.any(w[_support(w, _TAIL / 2):])
+    assert not np.any(w[_support(w, ev._tail / 2):])
     # the evolver holds its last output weakly: it does not outlive the caller's reference
     held = weakref.ref(w)
     del w
     assert held() is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(1, 5),
+    J=st.integers(64, 1500),
+    h=st.floats(1 / 256, 1.0),
+    dt_over_h2=st.floats(1e-3, _DT_SAFETY),
+    widths=st.floats(28.0, 80.0),
+    amplitude=st.floats(0.05, 3.0),
+    angle=st.floats(0.0, 2 * math.pi),
+    s=st.integers(1, 200),
+)
+def test_window_step_is_scale_covariant(N, J, h, dt_over_h2, widths, amplitude, angle, s):
+    # T follows the datum's rms amplitude, so the linear step of 2^-s w, on an
+    # evolver given the mass 2^-2s M, is 2^-s times the step of w bit for bit,
+    # window and zero tail included; an absolute T would cut the two fields at
+    # different depths below their scale.  The datum is cut to exact zeros
+    # below 2^-400, so every nonzero part of 2^-s w stays normal
+    g = RadialGrid(J=J, h=h, N=N)
+    dt = dt_over_h2 * h**2
+    params = ModelParams(N, 2.0, 0.3)
+    w = amplitude * np.exp(1j * angle) * np.exp(-((g.nodes * widths / g.r_max) ** 2))
+    w[np.abs(w) < 2.0**-400] = 0
+    mass = _mass(g.field(w))
+    scale = 2.0**-s
+    ev = Evolver(g, params, dt, linear_only=True, mass=mass)
+    scaled = Evolver(g, params, dt, linear_only=True, mass=scale**2 * mass)
+    assert scaled._tail == scale * ev._tail > 0
+    step = ev.step_values(w)
+    assert not step.flags.writeable  # only a windowed step's output is read-only
+    assert scaled.step_values(scale * w).tobytes() == (scale * step).tobytes()
+
+
+@pytest.mark.parametrize("amplitude", [1e151, 1e-170])
+def test_a_mass_that_overflows_or_underflows_steps_the_whole_grid(amplitude):
+    # at 1e151 the weighted mass overflows to inf, where a threshold read from
+    # it would be inf and the window would zero the datum; at 1e-170 it
+    # underflows to 0.  T is 0 in both, and the step is the whole-grid Cayley
+    # step bit for bit
+    g = RadialGrid(J=2048, h=1 / 8, N=5)
+    params = ModelParams(5, 2.0, 0.3)
+    dt = 1e-3
+    w = gaussian_field(g, amplitude, 40.0).values.astype(complex)
+    with np.errstate(over="ignore"):
+        mass = _mass(g.field(w))
+    assert mass == (math.inf if amplitude > 1 else 0.0)
+    ev = Evolver(g, params, dt, linear_only=True, mass=mass)
+    assert ev._tail == 0.0
+    whole = shifted_laplacian_solver(g, 1j * dt / 2, 2.0)(w) - w
+    assert np.any(whole != 0)
+    assert ev.step_values(w).tobytes() == whole.tobytes()
