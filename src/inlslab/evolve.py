@@ -49,6 +49,10 @@ first, where a windowed step's answer lies, before it scans the rest.
 The module also evaluates the localized virial quantities z_R, z'_R and the
 four-term direct expression for z''_R, plus the rigidity lower bound
 z''_R >= 8 A E[u] - (exterior remainder budget).
+
+scipy.optimize is imported in _phi_deviation_constants, its one caller,
+which runs once per dimension: importing it takes a large share of a fresh
+process's start-up, and the exact-rational subcommands never need it.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .grid import (
     Measures,
@@ -373,6 +376,8 @@ def _phi_deviation_constants(N):
     the limits at 1+, where c_bilap = |B^(4)(1)| = 2040 (B matches s^2 to
     third order), and s = 2 the deviations 2, 2N and 2 of phi = 0 on s >= 2.
     """
+    from scipy.optimize import minimize_scalar
+
     s = np.linspace(1.0, 2.0, 4001)
 
     def sup(deviation):
@@ -527,7 +532,12 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
     # records un-stagger a copy of w; stepping always goes on from w itself.
     # The evolver's window threshold is set by the datum's mass, M[u] at t = 0
     record(0.0, v)
-    ev = Evolver(grid, params, config.dt, linear_only=config.linear_only, mass=records[0][1])
+    mass0 = records[0][1]
+    if not math.isfinite(mass0):
+        # every later record would read an infinite mass, and the leak check,
+        # which divides by M0, could never fire
+        raise NumericalFailure(f"the datum's mass M0 = {mass0} is not finite")
+    ev = Evolver(grid, params, config.dt, linear_only=config.linear_only, mass=mass0)
     w = ev.stagger(v)
     for n in range(1, n_steps + 1):
         w = ev.step_values(w)

@@ -15,6 +15,12 @@ accumulate, and it can carry a constant factor (the 2 of the evolver's
 Cayley step 2 A^{-1} w - w).  The one discrete ||grad u||^2 is this
 Laplacian's quadratic form <-Lap u, u>.
 Measures holds a field's three full-grid sums and the formulas built on them.
+
+scipy is imported where it is first used: LAPACK and BLAS when a solver is
+built, Gamma when sphere_area first meets a dimension (it is cached per N).
+Importing scipy.linalg and scipy.special takes most of a fresh process's
+start-up, and the exact-rational subcommands (params, pairs) never call
+either.  get_lapack_funcs stays a module function that a test can replace.
 """
 
 from __future__ import annotations
@@ -25,9 +31,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import get_blas_funcs
-from scipy.linalg.lapack import get_lapack_funcs
-from scipy.special import gamma as gamma_fn
 
 
 class NumericalFailure(RuntimeError):
@@ -35,9 +38,19 @@ class NumericalFailure(RuntimeError):
     the evolver's and the ground-state solvers' failures."""
 
 
+def get_lapack_funcs(names, dtype=None):
+    """scipy.linalg.lapack.get_lapack_funcs, imported when called."""
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    return get_lapack_funcs(names, dtype=dtype)
+
+
+@functools.cache
 def sphere_area(N: int) -> float:
     """Surface measure of the unit sphere, 2 pi^{N/2} / Gamma(N/2)."""
-    return 2 * math.pi ** (N / 2) / gamma_fn(N / 2)
+    from scipy.special import gamma
+
+    return 2 * math.pi ** (N / 2) / gamma(N / 2)
 
 
 @dataclass(frozen=True)
@@ -289,6 +302,8 @@ def shifted_laplacian_solver(grid: RadialGrid, c, scale=1.0):
     matrix, or a factorization that interchanges rows, raises
     numpy.linalg.LinAlgError.
     """
+    from scipy.linalg.blas import get_blas_funcs
+
     lower, diag, upper = grid.laplacian
     dtype = np.result_type(c, diag)
     dl, d, du, _, ipiv, info = get_lapack_funcs("gttrf", dtype=dtype)(-c * lower, 1 - c * diag, -c * upper)

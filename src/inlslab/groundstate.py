@@ -40,6 +40,12 @@ Two independent solvers:
 Both return the same GroundState record with the Pohozaev bookkeeping.
 Neither checks the (N, alpha, b) scope: the command line does, where
 outside input reaches a solver.
+
+scipy is imported inside the functions that call it, so importing the module
+loads none of it: scipy.integrate, scipy.optimize and scipy.special take
+most of a fresh process's start-up, and only the shooting solver calls them.
+ode and solve_ivp stay module functions that forward to scipy's, so a test
+or a tracer can replace them.
 """
 
 from __future__ import annotations
@@ -51,9 +57,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import ode, solve_ivp
-from scipy.optimize import brentq
-from scipy.special import kv, roots_jacobi, roots_legendre
 
 from .grid import (
     Measures,
@@ -64,6 +67,20 @@ from .grid import (
     shifted_laplacian_solver,
 )
 from .params import ModelParams, validate_scope
+
+
+def ode(f):
+    """scipy.integrate.ode, imported when called."""
+    from scipy.integrate import ode
+
+    return ode(f)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported when called."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 class SolverFailure(NumericalFailure):
@@ -281,6 +298,8 @@ def _exit_margin(a, params) -> float:
     from a*, where they would not help, brentq falls back to bisection steps
     and keeps the bracket.
     """
+    from scipy.special import kv
+
     fun, series, y0, cap = _shot_start(a, params)
     N, alpha, b = params.N, params.alpha, params.b
 
@@ -373,6 +392,8 @@ def _center(params):
     Margins are kept by center value, so Brent's opening evaluations at the
     bracket ends reuse the bracket's last two shots and no center value is
     shot twice."""
+    from scipy.optimize import brentq
+
     a_lo, a_hi, margins = _bracket(params)
 
     def margin(a):
@@ -400,6 +421,8 @@ def _center(params):
 
 def solve_shooting(params: ModelParams, grid: RadialGrid) -> GroundState:
     """Shooting for the ground state, sampled onto `grid`."""
+    from scipy.special import kv
+
     N = params.N
     center, shots = _center(params)
     # Graft the linearized decay tail C r^{-nu} K_nu(r), nu = N/2 - 1, where
@@ -465,6 +488,8 @@ def shooting_residual(shot, params, grid, r_match) -> float:
     left out.  A grid with no cell inside r_match (h > r_match) measures
     nothing: the residual is the sum over no cells, 0.0.
     """
+    from scipy.special import roots_jacobi, roots_legendre
+
     N, alpha, b = params.N, params.alpha, params.b
     j_max = min(grid.J, int(math.floor(r_match / grid.h)))
     if j_max == 0:

@@ -365,9 +365,8 @@ def _leaking_config(path, **overrides):
     )
 
 
-def _run_cli_process(*args, timeout=300):
-    """Run the command line in a fresh interpreter, as a user would."""
-    import os
+def _run_python(*args, timeout=300):
+    """Run a fresh interpreter that imports the package under test."""
     import subprocess
     import sys
 
@@ -376,9 +375,46 @@ def _run_cli_process(*args, timeout=300):
     src = os.path.dirname(os.path.dirname(inlslab.cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "inlslab.cli", *map(str, args)],
+        [sys.executable, *map(str, args)],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def _run_cli_process(*args, timeout=300):
+    """Run the command line in a fresh interpreter, as a user would."""
+    return _run_python("-m", "inlslab.cli", *args, timeout=timeout)
+
+
+def _scipy_loaded_by(statement):
+    """The scipy modules a fresh interpreter holds after running statement."""
+    report = "import sys\nprint('scipy:', *sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    proc = _run_python("-c", f"{statement}\n{report}")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()[1:]
+
+
+def test_importing_the_package_loads_no_scipy():
+    modules = ("cli", "evolve", "exponents", "functionals", "grid", "groundstate", "params")
+    assert _scipy_loaded_by("import " + ", ".join(f"inlslab.{m}" for m in modules)) == []
+
+
+@pytest.mark.parametrize("subcommand", ["params", "pairs"])
+def test_exact_rational_subcommands_load_no_scipy(tmp_path, subcommand):
+    # the exponent certificates and the scope check run in Fractions alone
+    args = [subcommand, "--config", str(_write_config(tmp_path / "c.json"))]
+    if subcommand == "pairs":
+        args += ["--out", str(tmp_path / "out")]
+    assert _scipy_loaded_by(f"from inlslab.cli import main\nassert main({args!r}) == 0") == []
+
+
+def test_fixedpoint_evolve_loads_no_integrator(tmp_path):
+    # the ODE integrators serve the shooting solver alone
+    cfg = _write_config(tmp_path / "c.json", grid={"J": 256, "h": 1 / 16}, solver={"method": "fixedpoint"},
+                        evolve={"dt": 0.002, "t_end": 0.01, "virial_R": 4.0})
+    args = ["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    loaded = _scipy_loaded_by(f"from inlslab.cli import main\nassert main({args!r}) == 0")
+    assert "scipy.optimize" in loaded  # the virial records ran
+    assert [m for m in loaded if m.split(".")[:2] == ["scipy", "integrate"]] == []
 
 
 def test_evolve_boundary_leak_exits_4(tmp_path):
@@ -402,6 +438,18 @@ def test_evolve_numerical_failures_exit_4(tmp_path, capsys, monkeypatch, name):
                         evolve={"dt": 0.002, "t_end": 0.01})
     assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
     assert capsys.readouterr().err == "error: numerical failure: reason\n"
+
+
+def test_evolve_refuses_a_datum_whose_mass_overflows(tmp_path, capsys):
+    # every value of the datum is finite, but its weighted mass overflows
+    import numpy as np
+
+    cfg = _write_config(tmp_path / "c.json", model={"N": 5, "alpha": 1.0, "b": 0.3}, grid={"J": 2048, "h": 1 / 8},
+                        classify={"field": "gaussian(1e151,40)"},
+                        evolve={"dt": 0.01, "t_end": 0.05, "linear_only": True})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == "error: numerical failure: the datum's mass M0 = inf is not finite\n"
 
 
 def test_evolve_factorisation_failure_exits_4(tmp_path, capsys, monkeypatch):

@@ -29,6 +29,7 @@ from inlslab.evolve import (
 from inlslab.functionals import classify
 from inlslab.grid import (
     Measures,
+    NumericalFailure,
     RadialGrid,
     _support,
     gaussian_field,
@@ -318,6 +319,19 @@ def test_run_refuses_a_datum_on_another_grid(params_330, J, h, N):
     u0 = gaussian_field(RadialGrid(J=J, h=h, N=N), 0.5, 1.0)
     with pytest.raises(ValueError, match="initial field grid does not match the configuration"):
         run(u0, _config(params_330, J=256, h=1 / 16, dt=1e-3, t_end=0.01))
+
+
+def test_run_refuses_a_datum_whose_mass_is_not_finite(monkeypatch):
+    # every value is finite, but the weighted mass overflows: each record would
+    # read mass inf and energy -inf, and the leak check, which divides by M0,
+    # could never fire.  The run stops after the t = 0 record, before a step
+    g = RadialGrid(J=2048, h=1 / 8, N=5)
+    cfg = _config(ModelParams(5, 2.0, 0.3), J=2048, h=1 / 8, dt=1e-2, t_end=0.05, linear_only=True)
+    u0 = gaussian_field(g, 1e151, 40.0)
+    assert np.all(np.isfinite(u0.values))
+    monkeypatch.setattr(Evolver, "__init__", lambda *args, **kwargs: pytest.fail("built an evolver"))
+    with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match=r"^the datum's mass M0 = inf is not finite$"):
+        run(u0, cfg)
 
 
 def test_run_zero_field(params_330):
