@@ -50,9 +50,10 @@ The module also evaluates the localized virial quantities z_R, z'_R and the
 four-term direct expression for z''_R, plus the rigidity lower bound
 z''_R >= 8 A E[u] - (exterior remainder budget).
 
-scipy.optimize is imported in _phi_deviation_constants, its one caller,
-which runs once per dimension: importing it takes a large share of a fresh
-process's start-up, and the exact-rational subcommands never need it.
+The exterior budget's four cutoff constants are suprema of rational
+functions on [1, 2], located on samples and refined in exact rationals
+(_phi_deviation_constants), so no optimizer is imported for them: a run
+with a virial radius loads scipy.linalg and scipy.special alone.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -335,11 +337,6 @@ _PHI_POLY = np.array([44.0, -465.0, 2060.0, -4950.0, 6960.0, -5728.0, 2560.0, -4
 _PHI_CORE = np.array([1.0, 0.0, 0.0])  # s^2
 
 
-def _blend(s, k):
-    """The k-th derivative of the blend polynomial at s, on any s."""
-    return np.polyval(np.polyder(_PHI_POLY, k), s)
-
-
 def phi(s, k=0):
     """The k-th derivative of the cutoff at s."""
     s = np.asarray(s, dtype=float)
@@ -347,24 +344,75 @@ def phi(s, k=0):
     core = s <= 1.0
     mid = (s > 1.0) & (s < 2.0)
     out[core] = np.polyval(np.polyder(_PHI_CORE, k), s[core])
-    out[mid] = _blend(s[mid], k)
+    out[mid] = np.polyval(np.polyder(_PHI_POLY, k), s[mid])
     return out
 
 
-def _phi_laplacian(s, N, f=phi):
-    """(Lap f)(s) = f'' + (N-1) f'/s for the radial profile whose k-th
-    derivative at s is f(s, k): the cutoff phi, or its blend polynomial."""
-    return f(s, 2) + (N - 1) * f(s, 1) / s
+def _phi_laplacian(s, N):
+    """(Lap phi)(s) = phi'' + (N-1) phi'/s."""
+    return phi(s, 2) + (N - 1) * phi(s, 1) / s
 
 
-def _phi_bilaplacian(s, N, f=phi):
-    """Radial bi-Laplacian at s of the profile f, as in _phi_laplacian."""
+def _phi_bilaplacian(s, N):
+    """Radial bi-Laplacian of phi at s."""
     return (
-        f(s, 4)
-        + 2 * (N - 1) * f(s, 3) / s
-        + (N - 1) * (N - 3) * f(s, 2) / s**2
-        - (N - 1) * (N - 3) * f(s, 1) / s**3
+        phi(s, 4)
+        + 2 * (N - 1) * phi(s, 3) / s
+        + (N - 1) * (N - 3) * phi(s, 2) / s**2
+        - (N - 1) * (N - 3) * phi(s, 1) / s**3
     )
+
+
+_SAMPLES = 4001  # the samples of [1, 2] that locate each deviation's maximum
+
+
+def _deviation_numerators(N):
+    """(p, k) for each deviation of _phi_deviation_constants, in its order:
+    on [1, 2] the deviation is |p(s)| / s^k, p an integer np.poly1d built
+    from the blend B (the numerator of each ratio, cleared of powers of s)."""
+    d = [np.poly1d(_PHI_POLY.astype(int)).deriv(j) for j in range(5)]  # B and its derivatives
+    s = np.poly1d([1, 0])
+    m = (N - 1) * (N - 3)
+    return (
+        (d[2] - 2, 0),  # B'' - 2
+        (s**3 * d[4] + 2 * (N - 1) * s**2 * d[3] + m * (s * d[2] - d[1]), 3),  # s^3 Lap^2 B
+        (s * d[2] + (N - 1) * d[1] - 2 * N * s, 1),  # s (Lap B - 2N)
+        (d[1] - 2 * s, 1),  # B' - 2s
+    )
+
+
+def _scaled_value(p, x: Fraction) -> int:
+    """p(x) d^n for x = c/d in lowest terms and n the degree of p: an
+    integer with the sign of p(x), by Horner's rule in integers alone."""
+    c, d = x.numerator, x.denominator
+    y, d_j = 0, 1
+    for a in p.coeffs:
+        y = y * c + int(a) * d_j
+        d_j *= d
+    return y
+
+
+def _deviation(p, k, x: Fraction) -> Fraction:
+    """|p(x)| / x^k, exactly."""
+    return abs(Fraction(_scaled_value(p, x), x.denominator**p.order)) / x**k
+
+
+def _refined_bracket(p, k) -> tuple[Fraction, Fraction]:
+    """[lo, hi] around the maximum of |p(s)| / s^k nearest its largest sample
+    on [1, 2]: the sample's two neighbours, bisected on the sign of the
+    derivative's numerator q = s p' - k p to 2^-64 of a sample step."""
+    s = np.linspace(1.0, 2.0, _SAMPLES)
+    i = int(np.argmax(np.abs(np.polyval(p, s)) / s**k))
+    lo, hi = Fraction(s[max(i - 1, 0)]), Fraction(s[min(i + 1, s.size - 1)])
+    q = np.poly1d([1, 0]) * p.deriv() - k * p  # s^(k+1) (p / s^k)'
+    width = Fraction(1, (_SAMPLES - 1) << 64)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if _scaled_value(p, mid) * _scaled_value(q, mid) > 0:  # |p| / s^k rises at mid
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 @functools.cache
@@ -375,25 +423,25 @@ def _phi_deviation_constants(N):
     maximum over the closed [1, 2] of a deviation of the blend B: s = 1 gives
     the limits at 1+, where c_bilap = |B^(4)(1)| = 2040 (B matches s^2 to
     third order), and s = 2 the deviations 2, 2N and 2 of phi = 0 on s >= 2.
+
+    Each deviation is f = |p| / s^k with p an integer polynomial
+    (_deviation_numerators), so it is evaluated exactly in Fractions; in
+    floats, polyval of the degree-7 blend loses about 1e-10 of its value to
+    cancellation.  The largest of _SAMPLES float samples locates the maximum,
+    _refined_bracket narrows it to a bracket of width w = 2^-64 / 4000, and
+    the constant is the least float at or above the exact maximum of f at
+    the bracket's ends and at s = 1 and s = 2.  On the bracket f exceeds its
+    larger end value by at most w max|f'|, and |f'| < 4e4 on [1, 2] for
+    N <= 10: a remainder below 1e-18, far under one ulp of any constant
+    (8.9e-16 for the least, c_grad = 4.35).
     """
-    from scipy.optimize import minimize_scalar
-
-    s = np.linspace(1.0, 2.0, 4001)
-
-    def sup(deviation):
-        # the largest sample, refined between its two neighbours: the samples
-        # alone fall short of an interior maximum by up to 3e-7, relative
-        values = deviation(s)
-        i = int(np.argmax(values))
-        bounds = (s[max(i - 1, 0)], s[min(i + 1, s.size - 1)])
-        peak = minimize_scalar(lambda x: -deviation(x), bounds=bounds, method="bounded", options={"xatol": 1e-12})
-        return max(float(values[i]), -float(peak.fun))
-
-    c_hess = sup(lambda x: np.abs(_blend(x, 2) - 2.0))
-    c_bilap = sup(lambda x: np.abs(_phi_bilaplacian(x, N, _blend)))
-    c_lap = sup(lambda x: np.abs(_phi_laplacian(x, N, _blend) - 2 * N))
-    c_grad = sup(lambda x: np.abs(_blend(x, 1) - 2 * x) / x)
-    return c_hess, c_bilap, c_lap, c_grad
+    ends = (Fraction(1), Fraction(2))
+    constants = []
+    for p, k in _deviation_numerators(N):
+        top = max(_deviation(p, k, x) for x in _refined_bracket(p, k) + ends)
+        c = float(top)  # the nearest float, raised one ulp where it lies below
+        constants.append(c if Fraction(c) >= top else math.nextafter(c, math.inf))
+    return tuple(constants)
 
 
 class _VirialTables(NamedTuple):
@@ -510,6 +558,8 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
         absv = np.abs(v)
         absv2, vpow = absv**2, support_power(absv, alpha + 2)
         me = Measures.of(u, alpha, b, absv2=absv2, vpow=vpow)
+        if not records:
+            me.require_finite(alpha)  # the datum's
         gm = me.gm_product(s_c) if 0 < s_c < 1 else math.nan
         vs = (
             virial_series(u, params, config.virial_R, absv2=absv2, vpow=vpow).values()
@@ -530,14 +580,13 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
             )
 
     # records un-stagger a copy of w; stepping always goes on from w itself.
-    # The evolver's window threshold is set by the datum's mass, M[u] at t = 0
-    record(0.0, v)
-    mass0 = records[0][1]
-    if not math.isfinite(mass0):
-        # every later record would read an infinite mass, and the leak check,
-        # which divides by M0, could never fire
-        raise NumericalFailure(f"the datum's mass M0 = {mass0} is not finite")
-    ev = Evolver(grid, params, config.dt, linear_only=config.linear_only, mass=mass0)
+    # The t = 0 record refuses a datum whose mass, potential or energy is not
+    # finite, with no floating-point warning before it: every later record
+    # would read inf or nan, and the leak check, which divides by M0, could
+    # never fire.  The evolver's window threshold is set by the datum's mass
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0.0, v)
+    ev = Evolver(grid, params, config.dt, linear_only=config.linear_only, mass=records[0][1])
     w = ev.stagger(v)
     for n in range(1, n_steps + 1):
         w = ev.step_values(w)

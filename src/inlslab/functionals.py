@@ -72,13 +72,17 @@ def classify(u0: RadialField, gs: GroundState) -> ThresholdReport:
     (outside the equality band) plus the matching parameter scope;
     AtThreshold when either product sits within the band; Unknown otherwise.
     The band compares against u0 on the 2h grid, so u0's grid needs J >= 6
-    (ValueError otherwise).  A threshold that is not positive raises
+    (ValueError otherwise).  A datum whose mass, potential or energy is not
+    finite raises NumericalFailure; a threshold that is not positive raises
     SolverFailure.  For s_c > 0 the solvers already refuse a Q with
     E(Q) <= 0 (EGS gives E(Q) > 0), so this fires only for s_c <= 0 or a
     GroundState built by hand.
     """
     params = gs.params
-    me = Measures.of(u0, params.alpha, params.b)
+    # a datum that overflows its measures is refused, with no warning before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        me = Measures.of(u0, params.alpha, params.b)
+    me.require_finite(params.alpha)
     em, gm = _products(me, params)
     em_c, gm_c = _products(Measures.of(_coarsen(u0), params.alpha, params.b), params)
     em_err, gm_err = abs(em - em_c), abs(gm - gm_c)

@@ -254,6 +254,15 @@ class Measures(NamedTuple):
         """||grad u||^{s_c} ||u||^{1-s_c}."""
         return math.sqrt(self.grad2) ** s_c * math.sqrt(self.mass) ** (1 - s_c)
 
+    def require_finite(self, alpha: float) -> None:
+        """Raise NumericalFailure where these measures of a datum have a mass
+        M0, potential P0 or energy E0 that is not finite, as a datum that
+        overflows them has: every later quantity of it reads inf or nan."""
+        for name, value in (("mass M0", self.mass), ("potential P0", self.potential),
+                            ("energy E0", self.energy(alpha))):
+            if not math.isfinite(value):
+                raise NumericalFailure(f"the datum's {name} = {value} is not finite")
+
 
 def laplacian_radial(u: RadialField) -> RadialField:
     """Second-order flux-form discretization of u'' + (N-1)/r u'."""

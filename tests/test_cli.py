@@ -408,13 +408,16 @@ def test_exact_rational_subcommands_load_no_scipy(tmp_path, subcommand):
 
 
 def test_fixedpoint_evolve_loads_no_integrator(tmp_path):
-    # the ODE integrators serve the shooting solver alone
+    # the ODE integrators serve the shooting solver alone, and the virial
+    # records' cutoff constants are refined in exact rationals, with no optimizer
     cfg = _write_config(tmp_path / "c.json", grid={"J": 256, "h": 1 / 16}, solver={"method": "fixedpoint"},
                         evolve={"dt": 0.002, "t_end": 0.01, "virial_R": 4.0})
     args = ["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]
     loaded = _scipy_loaded_by(f"from inlslab.cli import main\nassert main({args!r}) == 0")
-    assert "scipy.optimize" in loaded  # the virial records ran
-    assert [m for m in loaded if m.split(".")[:2] == ["scipy", "integrate"]] == []
+    assert [m for m in loaded if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"])] == []
+    with open(tmp_path / "out" / "trace.csv", newline="") as fh:
+        budgets = [float(row["ext_budget"]) for row in csv.DictReader(fh)]
+    assert len(budgets) == 2 and all(map(math.isfinite, budgets))  # the virial records ran
 
 
 def test_evolve_boundary_leak_exits_4(tmp_path):
@@ -450,6 +453,25 @@ def test_evolve_refuses_a_datum_whose_mass_overflows(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
     assert capsys.readouterr().err == "error: numerical failure: the datum's mass M0 = inf is not finite\n"
+
+
+@pytest.mark.parametrize("subcommand", ["evolve", "classify"])
+@pytest.mark.parametrize("N, alpha, amplitude, measure", [
+    (5, 1.0, "1e160", "mass M0"),
+    (3, 2.0, "1e160", "mass M0"),
+    (3, 2.0, "1e151", "potential P0"),  # its mass is finite
+])
+def test_an_overflowing_datum_exits_4_with_one_line(tmp_path, subcommand, N, alpha, amplitude, measure):
+    # every value of the datum is finite, but its measures overflow: the
+    # diagnostic is the only line on stderr, with no numpy warning before it
+    cfg = _write_config(tmp_path / "c.json", model={"N": N, "alpha": alpha, "b": 0.3}, grid={"J": 2048, "h": 1 / 8},
+                        classify={"field": f"gaussian({amplitude},40)"},
+                        evolve={"dt": 0.01, "t_end": 0.05, "linear_only": True})
+    out = tmp_path / "out"
+    proc = _run_cli_process(subcommand, "--config", cfg, "--out", out, timeout=60)
+    assert proc.returncode == 4
+    assert proc.stderr == f"error: numerical failure: the datum's {measure} = inf is not finite\n"
+    assert proc.stdout == "" and not (out.exists() and any(out.iterdir()))  # no output file
 
 
 def test_evolve_factorisation_failure_exits_4(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 import math
+import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,9 +18,11 @@ from inlslab.evolve import (
     GradientBoundViolation,
     LinearSolveFailure,
     _PHI_POLY,
+    _deviation_numerators,
     _phi_bilaplacian,
     _phi_deviation_constants,
     _phi_laplacian,
+    _refined_bracket,
     _virial_tables,
     phi,
     rigidity_check,
@@ -150,6 +154,52 @@ def test_deviation_constants_cover_the_exterior_and_the_blend(N):
     # each constant is a supremum: no sample exceeds it, and it exceeds none by more than rounding
     for constant, sup in zip((c_hess, c_lap, c_grad), fine):
         assert sup <= constant <= sup * (1 + 1e-9)
+
+
+# the four constants per N as scipy.optimize.minimize_scalar (bounded, xatol
+# 1e-12) refined the largest float sample before the exact refinement
+_MINIMIZE_SCALAR_CONSTANTS = {
+    1: (20.702178530997116, 2040.0, 20.702178530997116, 4.348630218422547),
+    2: (20.702178530997116, 2040.0, 23.39039198217424, 4.348630218422547),
+    3: (20.702178530997116, 2040.0, 26.288570896601424, 4.348630218422547),
+    4: (20.702178530997116, 2040.0, 29.37575614069423, 4.348630218422547),
+    5: (20.702178530997116, 2040.0, 32.62956894534385, 4.348630218422547),
+    6: (20.702178530997116, 2040.0, 36.02802227897733, 4.348630218422547),
+}
+
+
+def _exact_deviations(N, x):
+    """The four deviations of the blend B at the rational x, in Fractions,
+    written as the cutoff's Laplacian and bi-Laplacian are."""
+
+    def blend(k):
+        y = Fraction(0)
+        for c in np.polyder(_PHI_POLY, k):
+            y = y * x + int(c)
+        return y
+
+    b1, b2, b3, b4 = (blend(k) for k in range(1, 5))
+    m = (N - 1) * (N - 3)
+    return (
+        abs(b2 - 2),
+        abs(b4 + 2 * (N - 1) * b3 / x + m * b2 / x**2 - m * b1 / x**3),
+        abs(b2 + (N - 1) * b1 / x - 2 * N),
+        abs(b1 - 2 * x) / x,
+    )
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+def test_deviation_constants_are_the_exact_suprema(N):
+    constants = _phi_deviation_constants(N)
+    samples = [Fraction(x) for x in np.linspace(1.0, 2.0, 2001)]  # floats, so dyadic rationals
+    at_samples = [_exact_deviations(N, x) for x in samples]
+    for j, (c, (p, k)) in enumerate(zip(constants, _deviation_numerators(N))):
+        ends = _refined_bracket(p, k)
+        at_ends = [_exact_deviations(N, x)[j] for x in (*ends, Fraction(1), Fraction(2))]
+        # no exact value exceeds the constant, and the float below it falls short of the bracket's
+        assert max(max(dev[j] for dev in at_samples), *at_ends) <= Fraction(c)
+        assert Fraction(math.nextafter(c, -math.inf)) < max(at_ends)
+        assert abs(c - _MINIMIZE_SCALAR_CONSTANTS[N][j]) <= 1e-12 * c
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -332,6 +382,20 @@ def test_run_refuses_a_datum_whose_mass_is_not_finite(monkeypatch):
     monkeypatch.setattr(Evolver, "__init__", lambda *args, **kwargs: pytest.fail("built an evolver"))
     with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match=r"^the datum's mass M0 = inf is not finite$"):
         run(u0, cfg)
+
+
+def test_run_refuses_a_datum_whose_potential_is_not_finite(monkeypatch):
+    # at (3, 2, 0.3) the datum's mass is finite but its potential overflows:
+    # each record would read potential inf and energy -inf.  The refusal is
+    # the run's only report: no floating-point warning comes before it
+    g = RadialGrid(J=2048, h=1 / 8, N=3)
+    cfg = _config(ModelParams(3, 2.0, 0.3), J=2048, h=1 / 8, dt=1e-2, t_end=0.05, linear_only=True)
+    u0 = gaussian_field(g, 1e151, 40.0)
+    monkeypatch.setattr(Evolver, "__init__", lambda *args, **kwargs: pytest.fail("built an evolver"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=r"^the datum's potential P0 = inf is not finite$"):
+            run(u0, cfg)
 
 
 def test_run_zero_field(params_330):

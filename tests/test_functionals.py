@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from inlslab.functionals import (
     lgs_verify,
     linear_decay_check,
 )
-from inlslab.grid import Measures, RadialGrid, gaussian_field, grad_norm_sq_form
+from inlslab.grid import Measures, NumericalFailure, RadialGrid, gaussian_field, grad_norm_sq_form
 from inlslab.params import ModelParams, validate_scope
 
 
@@ -64,6 +65,17 @@ def test_classify_below_threshold_gaussian(grid_330, gs_330):
     assert rep.em_product < rep.em_threshold
     assert rep.gm_product < rep.gm_threshold
     assert 0 < rep.w < 1 and 0 < rep.A < 1
+
+
+@pytest.mark.parametrize("amplitude, measure", [(1e151, "potential P0"), (1e160, "mass M0")])
+def test_classify_refuses_a_datum_whose_measures_overflow(gs_330, amplitude, measure):
+    # every value of the datum is finite; at 1e151 its potential overflows,
+    # at 1e160 its mass too.  The refusal is the only report, with no warning
+    u0 = gaussian_field(RadialGrid(J=2048, h=1 / 8, N=3), amplitude, 40.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=rf"^the datum's {measure} = inf is not finite$"):
+            classify(u0, gs_330)
 
 
 def test_classify_global_only_scope():
