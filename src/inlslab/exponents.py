@@ -1,17 +1,20 @@
 """Exact-rational engine for Strichartz admissible pairs.
 
-Finite exponents are fractions.Fraction values and the one infinite exponent,
-r = infinity, is math.inf, which a Fraction compares with exactly: the range
-checks and Hoelder-splitting identities asserted for the pair families are
-algebraic identities, and rounding must not blur them.  Every entry point
-reads its inputs with params.exact, so a float means the decimal it was
-written as.  Each family's exponents are stated once, in plain arithmetic
-(_lemma43, _claim1, _claim2), and its pairs once, in PAIR_ROWS; the judge
-_family makes every comparison.  One rule, _admissible, judges every pair
-class: its level's sign comes from _CLASSES and its r-range, each end open or
-closed, from _r_range.  Endpoint markers a+ / a- are realized as a +- eps with
-the fixed ENDPOINT_EPS so sweeps are reproducible; shifted endpoints are
-treated as closed.
+Finite exponents are exact rationals and the one infinite exponent, r =
+infinity, is math.inf, with which every comparison is exact: the range checks
+and Hoelder-splitting identities asserted for the pair families are algebraic
+identities, and rounding must not blur them.  Every entry point reads its
+inputs once with params.exact, so a float means the decimal it was written
+as, and evaluates on _Ratio, an integer ratio n/d (d > 0) kept unreduced:
+its arithmetic takes no gcd and its comparisons cross-multiply (Knuth, TAOCP
+Vol. 2, 4.5.1).  A value is reduced to a fractions.Fraction once, where it
+leaves the module, so the public functions return Fractions and bools.  Each
+family's exponents are stated once, in plain arithmetic (_lemma43, _claim1,
+_claim2), and its pairs once, in PAIR_ROWS; the judge _family makes every
+comparison.  One rule, _admissible, judges every pair class: its level's sign
+comes from _CLASSES and its r-range, each end open or closed, from _r_range.
+Endpoint markers a+ / a- are realized as a +- eps with the fixed ENDPOINT_EPS
+so sweeps are reproducible; shifted endpoints are treated as closed.
 """
 
 from __future__ import annotations
@@ -28,18 +31,154 @@ ENDPOINT_EPS = Fraction(1, 10**9)
 CLAIM2_EPS = Fraction(1, 100)
 
 
+class _Ratio:
+    """The exact rational n/d with integer n and d > 0, kept unreduced.
+
+    + - * / take _Ratio, int and Fraction operands; comparisons take those
+    and +-math.inf, and any other float raises TypeError rather than round.
+    fraction() is the value as a reduced Fraction.
+    """
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: int, d: int = 1):
+        self.n = n
+        self.d = d
+
+    def fraction(self) -> Fraction:
+        return Fraction(self.n, self.d)
+
+    def __str__(self) -> str:
+        return str(self.fraction())
+
+    def __repr__(self) -> str:
+        return f"_Ratio({self.n}, {self.d})"
+
+    def __add__(a, b):
+        if type(b) is _Ratio:
+            return _Ratio(a.n * b.d + b.n * a.d, a.d * b.d)
+        if type(b) is int:
+            return _Ratio(a.n + b * a.d, a.d)
+        b = _operand(b)
+        return NotImplemented if b is None else a + b
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        if type(b) is _Ratio:
+            return _Ratio(a.n * b.d - b.n * a.d, a.d * b.d)
+        if type(b) is int:
+            return _Ratio(a.n - b * a.d, a.d)
+        b = _operand(b)
+        return NotImplemented if b is None else a - b
+
+    def __rsub__(a, b):
+        if type(b) is int:
+            return _Ratio(b * a.d - a.n, a.d)
+        b = _operand(b)
+        return NotImplemented if b is None else b - a
+
+    def __mul__(a, b):
+        if type(b) is _Ratio:
+            return _Ratio(a.n * b.n, a.d * b.d)
+        if type(b) is int:
+            return _Ratio(a.n * b, a.d)
+        b = _operand(b)
+        return NotImplemented if b is None else a * b
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        if type(b) is _Ratio:
+            return _quotient(a.n * b.d, a.d * b.n)
+        if type(b) is int:
+            return _quotient(a.n, a.d * b)
+        b = _operand(b)
+        return NotImplemented if b is None else a / b
+
+    def __rtruediv__(a, b):
+        if type(b) is int:
+            return _quotient(b * a.d, a.n)
+        b = _operand(b)
+        return NotImplemented if b is None else b / a
+
+    def __eq__(a, b):
+        c = _cross(a, b)
+        return NotImplemented if c is None else c[0] == c[1]
+
+    def __lt__(a, b):
+        c = _cross(a, b)
+        return NotImplemented if c is None else c[0] < c[1]
+
+    def __le__(a, b):
+        c = _cross(a, b)
+        return NotImplemented if c is None else c[0] <= c[1]
+
+    def __gt__(a, b):
+        c = _cross(a, b)
+        return NotImplemented if c is None else c[0] > c[1]
+
+    def __ge__(a, b):
+        c = _cross(a, b)
+        return NotImplemented if c is None else c[0] >= c[1]
+
+
+def _operand(x) -> _Ratio | None:
+    """An int or Fraction operand as a _Ratio; None for any other type."""
+    if isinstance(x, (int, Fraction)):
+        return _Ratio(x.numerator, x.denominator)
+    return None
+
+
+def _quotient(n: int, d: int) -> _Ratio:
+    """n/d with the sign moved into the numerator."""
+    if d > 0:
+        return _Ratio(n, d)
+    if d < 0:
+        return _Ratio(-n, -d)
+    raise ZeroDivisionError(f"ratio {n}/0")
+
+
+def _cross(a: _Ratio, b) -> tuple[int, int] | None:
+    """(x, y) such that a compares with b as x with y: the cross products for
+    an exact b, (0, 1) for b = inf and (1, 0) for b = -inf; None for a type
+    that is not a number.  Any other float raises TypeError."""
+    if type(b) is _Ratio:
+        return a.n * b.d, b.n * a.d
+    if type(b) is int:
+        return a.n, b * a.d
+    if isinstance(b, float):
+        if b == math.inf:
+            return 0, 1
+        if b == -math.inf:
+            return 1, 0
+        raise TypeError(f"an exact ratio compares with a float only at +-inf, got {b!r}")
+    b = _operand(b)
+    return None if b is None else _cross(a, b)
+
+
+def _ratio(x) -> _Ratio:
+    """x read by params.exact, as a _Ratio; a _Ratio passes as it is."""
+    if type(x) is _Ratio:
+        return x
+    x = exact(x)
+    return _Ratio(x.numerator, x.denominator)
+
+
+_ENDPOINT_EPS = _ratio(ENDPOINT_EPS)
+
 # each class's verdict key and the sign of its level: L2 at 0, Hs at +s_c, Hneg at -s_c
 _CLASSES = {"L2": ("l2_admissible", 0), "Hs": ("hs_admissible", 1), "Hneg": ("hneg_admissible", -1)}
 
 
-def _exponent(a) -> Fraction | float:
-    """An exponent as an exact Fraction (see params.exact), math.inf as is."""
-    return a if a == math.inf else exact(a)
+def _exponent(a) -> _Ratio | float:
+    """An exponent as an exact _Ratio (see params.exact), math.inf as is."""
+    return a if a == math.inf else _ratio(a)
 
 
-def _inv(a) -> Fraction:
+def _inv(a):
     """1/a for a positive exponent, with 1/inf = 0."""
-    return Fraction(0) if a == math.inf else 1 / a
+    return 0 if a == math.inf else 1 / a
 
 
 def plus_conjugate(a, eps) -> Fraction:
@@ -47,24 +186,26 @@ def plus_conjugate(a, eps) -> Fraction:
 
     Satisfies 1/a = 1/(a+)' + 1/a+ exactly.
     """
-    a, eps = exact(a), exact(eps)
+    return _plus_conjugate(_ratio(a), _ratio(eps)).fraction()
+
+
+def _plus_conjugate(a: _Ratio, eps: _Ratio) -> _Ratio:
     return (a + eps) * a / eps
 
 
-def _scaling_holds(q, r, N: int, s: Fraction) -> bool:
+def _scaling_holds(q, r, N: int, s) -> bool:
     # 2/q = N/2 - N/r - s, with 1/inf = 0
-    return 2 * _inv(q) == Fraction(N, 2) - N * _inv(r) - s
+    return 2 * _inv(q) == _Ratio(N, 2) - N * _inv(r) - s
 
 
-def _unit_s(s) -> Fraction:
-    """s as an exact Fraction, which must lie in (0, 1)."""
-    s = exact(s)
+def _unit_s(s: _Ratio) -> _Ratio:
+    """s, which must lie in (0, 1)."""
     if not (0 < s < 1):
         raise ValueError(f"s must lie in (0, 1), got {s}")
     return s
 
 
-def _r_range(klass: str, N: int, s: Fraction) -> tuple:
+def _r_range(klass: str, N: int, s: _Ratio) -> tuple:
     """(lo, lo_closed, hi, hi_closed): the r-range of klass at level s.
 
     L2 [2, 2N/(N-2)], r < inf at N = 2; Hs (2N/(N-2s), 2N/(N-2)-], at N = 2
@@ -74,16 +215,16 @@ def _r_range(klass: str, N: int, s: Fraction) -> tuple:
     """
     sign = _CLASSES[klass][1]
     if sign == 0:
-        return 2, True, (Fraction(2 * N, N - 2) if N >= 3 else math.inf), N != 2
+        return 2, True, (_Ratio(2 * N, N - 2) if N >= 3 else math.inf), N != 2
     if N >= 3:
-        lo, hi = Fraction(2 * N, N - 2 * s), Fraction(2 * N, N - 2) - ENDPOINT_EPS  # N - 2s > 0: s < 1
+        lo, hi = 2 * N / (N - 2 * s), _Ratio(2 * N, N - 2) - _ENDPOINT_EPS  # N - 2s > 0: s < 1
     elif N == 2:
-        lo, hi = 2 / (1 - s), plus_conjugate(2 / (1 - sign * s), ENDPOINT_EPS)
+        lo, hi = 2 / (1 - s), _plus_conjugate(2 / (1 - sign * s), _ENDPOINT_EPS)
     elif 1 - 2 * s <= 0:
         return 1, True, math.inf, True  # the lower constraint is vacuous when s >= 1/2 in 1D
     else:
         lo, hi = 2 / (1 - 2 * s), math.inf
-    return (lo + ENDPOINT_EPS, True, hi, True) if sign < 0 else (lo, False, hi, True)
+    return (lo + _ENDPOINT_EPS, True, hi, True) if sign < 0 else (lo, False, hi, True)
 
 
 def _admissible(klass: str, q, r, N: int, s) -> bool:
@@ -102,13 +243,13 @@ def is_l2_admissible(q, r, N: int) -> bool:
 
 def is_hs_admissible(q, r, N: int, s) -> bool:
     """H^s-level admissibility, 0 < s < 1: 2/q = N/2 - N/r - s plus range."""
-    s = _unit_s(s)
+    s = _unit_s(_ratio(s))
     return _admissible("Hs", _exponent(q), _exponent(r), N, s)
 
 
 def is_hneg_admissible(q, r, N: int, s) -> bool:
     """Dual-level admissibility, 0 < s < 1: 2/q = N/2 - N/r + s plus range."""
-    s = _unit_s(s)
+    s = _unit_s(_ratio(s))
     return _admissible("Hneg", _exponent(q), _exponent(r), N, s)
 
 
@@ -200,11 +341,15 @@ def _claim2(N, al, b, t, eps):
 
 def claim2_theta_window(N: int, alpha, b) -> tuple[Fraction, Fraction]:
     """Open window (lo, hi) that theta must occupy for the N >= 3 family."""
-    a, b_ = exact(alpha), exact(b)
-    hi = min(2 * (1 - b_) / N, a)
-    lo = Fraction(0)
+    lo, hi = _theta_window(N, _ratio(alpha), _ratio(b))
+    return lo.fraction(), hi.fraction()
+
+
+def _theta_window(N: int, a: _Ratio, b: _Ratio) -> tuple[_Ratio, _Ratio]:
+    hi = min(2 * (1 - b) / N, a)
+    lo = _Ratio(0)
     if N == 3:
-        lo = max(lo, 2 * (1 - 3 * b_) / 3)
+        lo = max(lo, 2 * (1 - 3 * b) / 3)
     return lo, hi
 
 
@@ -237,19 +382,31 @@ _FORMULAS = {"lemma43": _lemma43, "claim1": _claim1, "claim2": _claim2}
 _RESIDUAL_KEY = {"lemma43": "holder_residual", "claim1": "split_residual", "claim2": "split_residual"}
 
 
+def _check_dimension(N: int) -> None:
+    if N < 2:
+        raise ValueError("the pair families need N >= 2")
+
+
+def _check_eps(eps: _Ratio) -> None:
+    if eps <= 0:
+        raise ThetaWindowError(f"need eps > 0, got {eps}")
+
+
 def _family(name: str, N: int, alpha, b, theta, eps) -> dict:
-    """The family's exponents, one verdict per PAIR_ROWS row, its residual and s_c."""
+    """The family's exponents, one verdict per PAIR_ROWS row, its residual and
+    s_c, reduced to Fractions; the inputs are read by _ratio."""
+    _check_dimension(N)
     reads_eps = name == "claim2" and N < 3
-    al, b, t = exact(alpha), exact(b), exact(theta)
-    eps = exact(eps) if reads_eps else None  # only claim2 at N = 2 reads eps
+    al, b, t = _ratio(alpha), _ratio(b), _ratio(theta)
+    eps = _ratio(eps) if reads_eps else None  # only claim2 at N = 2 reads eps
     if name == "claim2" and N >= 3:
-        lo, hi = claim2_theta_window(N, al, b)
+        lo, hi = _theta_window(N, al, b)
         if not (lo < t < hi):
             raise ThetaWindowError(f"theta={t} outside ({lo}, {hi}) for N={N}, alpha={al}, b={b}")
     elif not (0 < t < al):
         raise ThetaWindowError(f"need 0 < theta < alpha, got theta={t}")
-    elif reads_eps and eps <= 0:
-        raise ThetaWindowError(f"need eps > 0, got {eps}")
+    elif reads_eps:
+        _check_eps(eps)
     exps, residual = _FORMULAS[name](N, al, b, t, eps)
     for _, den in (*exps.values(), residual):
         if den <= 0:
@@ -257,12 +414,14 @@ def _family(name: str, N: int, alpha, b, theta, eps) -> dict:
                 f"degenerate denominator(s) of {name} for N={N}, alpha={al}, b={b}, theta={t}"
                 + (f", eps={eps}" if reads_eps else "")
             )
-    fam = {key: num / den for key, (num, den) in exps.items()}
-    s_c = _unit_s(critical_index(N, al, b))  # every family has an Hs or Hneg pair
+    values = {key: num / den for key, (num, den) in exps.items()}
+    # a _Ratio, checked since every family has an Hs or Hneg pair
+    s_c = _unit_s(critical_index(N, al, b))
+    fam = {key: value.fraction() for key, value in values.items()}
     for row in PAIR_ROWS[name]:
-        fam[_CLASSES[row.klass][0]] = _admissible(row.klass, fam[row.q], fam[row.r], N, s_c)
-    fam[_RESIDUAL_KEY[name]] = residual[0] / residual[1]
-    fam["s_c"] = s_c
+        fam[_CLASSES[row.klass][0]] = _admissible(row.klass, values[row.q], values[row.r], N, s_c)
+    fam[_RESIDUAL_KEY[name]] = (residual[0] / residual[1]).fraction()
+    fam["s_c"] = s_c.fraction()
     return fam
 
 
@@ -289,7 +448,7 @@ def family_claim2(alpha, b, theta, N: int, eps=CLAIM2_EPS) -> dict:
     return _family("claim2", N, alpha, b, theta, eps)
 
 
-def _evaluate(family: str, N: int, al: Fraction, b: Fraction, theta: Fraction, eps: Fraction) -> dict:
+def _evaluate(family: str, N: int, al: _Ratio, b: _Ratio, theta: _Ratio, eps: _Ratio) -> dict:
     # the family functions are looked up at call time, so wrappers see every call
     if family == "lemma43":
         return family_lemma43(al, b, theta)
@@ -298,13 +457,13 @@ def _evaluate(family: str, N: int, al: Fraction, b: Fraction, theta: Fraction, e
     return family_claim2(al, b, theta, N, eps)
 
 
-def _theta_search(N: int, al: Fraction, b: Fraction, family: str, eps: Fraction) -> tuple[Fraction, dict | None]:
+def _theta_search(N: int, al: _Ratio, b: _Ratio, family: str, eps: _Ratio) -> tuple[_Ratio, dict | None]:
     """default_theta, with claim2 judged at eps, and the family dict evaluated there.
 
     The dict is None for the claim2 window midpoint, chosen without evaluating.
     """
     if family == "claim2" and N >= 3:
-        lo, hi = claim2_theta_window(N, al, b)
+        lo, hi = _theta_window(N, al, b)
         if lo >= hi:
             raise ThetaWindowError(f"empty theta window for N={N}, alpha={al}, b={b}")
         return (lo + hi) / 2, None
@@ -335,7 +494,7 @@ def default_theta(N: int, alpha, b, family: str = "claim1") -> Fraction:
     otherwise start from min(2(1-b)/N, alpha)/4 and halve until every
     admissibility flag of the family's PAIR_ROWS holds.
     """
-    return _theta_search(N, exact(alpha), exact(b), family, CLAIM2_EPS)[0]
+    return _theta_search(N, _ratio(alpha), _ratio(b), family, _ratio(CLAIM2_EPS))[0].fraction()
 
 
 def certificate_rows(N: int, alpha, b, theta=None, eps=CLAIM2_EPS) -> list[dict]:
@@ -346,25 +505,28 @@ def certificate_rows(N: int, alpha, b, theta=None, eps=CLAIM2_EPS) -> list[dict]
     once per call: at the given theta, or at its default theta searched at
     the given eps, where the dict the search already evaluated is reused.
     """
-    al, b_, eps = exact(alpha), exact(b), exact(eps)
+    al, b_, eps = _ratio(alpha), _ratio(b), _ratio(eps)
+    given = None if theta is None else _ratio(theta)
+    if N == 2:
+        _check_eps(eps)  # before the claim2 search, which would only halve theta
     families = ("lemma43", "claim1", "claim2") if N == 3 else ("claim1", "claim2")
+    point = {"N": N, "alpha": al.fraction(), "b": b_.fraction()}
     rows = []
     for family in families:
-        if theta is None:
+        if given is None:
             th, fam = _theta_search(N, al, b_, family, eps)
         else:
-            th, fam = exact(theta), None
+            th, fam = given, None
         if fam is None:
             fam = _evaluate(family, N, al, b_, th, eps)
+        th = th.fraction()
         for row in PAIR_ROWS[family]:
             key, sign = _CLASSES[row.klass]
             rows.append(
                 {
                     "family": family,
                     "pair": row.pair,
-                    "N": N,
-                    "alpha": al,
-                    "b": b_,
+                    **point,
                     "theta": th,
                     "q": fam[row.q],
                     "r": fam[row.r],
@@ -390,7 +552,8 @@ def appendix_checks(N: int, alpha, b, theta, eps=CLAIM2_EPS) -> list[dict]:
                   r_bar <= ((2/(1+s_c))+)'  <=>  the endpoint shift is small
                   enough, ENDPOINT_EPS * (2a - a_conj * eps) <= a_conj^2 * eps.
     """
-    al, b_, th, eps = exact(alpha), exact(b), exact(theta), exact(eps)
+    _check_dimension(N)
+    al, b_, th, eps = _ratio(alpha), _ratio(b), _ratio(theta), _ratio(eps)
     rows = []
 
     def add(check, bound_holds, condition_holds):
@@ -412,18 +575,18 @@ def appendix_checks(N: int, alpha, b, theta, eps=CLAIM2_EPS) -> list[dict]:
     if N >= 3:
         r_num, d_r = _claim2_d_r(N, al, b_)[1]
         r = r_num / d_r
-        cond = al < Fraction(4 - 2 * b_, N - 2)
-        add("A2_lower", Fraction(N, 1) * al / (2 - b_) < r, cond)
-        add("A2_upper", r < Fraction(2 * N, N - 2), cond)
+        cond = al < (4 - 2 * b_) / (N - 2)
+        add("A2_lower", N * al / (2 - b_) < r, cond)
+        add("A2_upper", r < _Ratio(2 * N, N - 2), cond)
     if N == 2:
         s_c = critical_index(N, al, b_)
         r_bar = 2 * al / eps
         add("A3_lower", 2 * al / (2 - b_) < r_bar, eps < 2 - b_)
         a_conj = 2 / (1 + s_c)
-        ceiling = plus_conjugate(a_conj, ENDPOINT_EPS)
+        ceiling = _plus_conjugate(a_conj, _ENDPOINT_EPS)
         add(
             "A3_upper",
             r_bar <= ceiling,
-            ENDPOINT_EPS * (2 * al - a_conj * eps) <= a_conj**2 * eps,
+            _ENDPOINT_EPS * (2 * al - a_conj * eps) <= a_conj * a_conj * eps,
         )
     return rows

@@ -38,7 +38,8 @@ def critical_index(N: int, alpha, b):
     """Scaling-critical Sobolev index N/2 - (2-b)/alpha.
 
     A float for float alpha or b (N/2 is exact in binary), a Fraction for
-    Fraction alpha and b.
+    Fraction alpha and b; plain arithmetic, so an exact number type that
+    takes Fraction operands (exponents' ratios) passes through as well.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")

@@ -94,6 +94,38 @@ def test_pairs_outputs(tmp_path):
     assert all(r["equivalent"] == "true" for r in arows)
 
 
+_PAIRS_DATA = os.path.join(os.path.dirname(__file__), "data", "pairs")
+
+
+@pytest.mark.parametrize("n, alpha, b", [(3, 2.0, 0.3), (2, 3.0, 0.2), (4, 1.2, 0.25)])
+def test_pairs_csvs_at_reference_points(tmp_path, n, alpha, b):
+    # byte for byte the files written when the certificates were computed in Fractions
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"model": {"N": n, "alpha": alpha, "b": b}}))
+    assert main(["pairs", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    expected = os.path.join(_PAIRS_DATA, f"N{n}_alpha{alpha}_b{b}")
+    for name in ("pairs.csv", "appendix.csv"):
+        assert filecmp.cmp(tmp_path / "out" / name, os.path.join(expected, name), shallow=False), name
+
+
+@pytest.mark.parametrize(
+    "model, pairs, line",
+    [
+        # at N = 1 the families once certified claim1 and failed claim2's theta search
+        ({"N": 1, "alpha": 5.0, "b": 0.3}, {}, "error: pairs: the pair families need N >= 2"),
+        # eps = 0 once ran 64 claim2 evaluations and reported no admissible theta
+        ({"N": 2, "alpha": 3.0, "b": 0.2}, {"eps": 0}, "error: pairs: need eps > 0, got 0"),
+        ({"N": 2, "alpha": 3.0, "b": 0.2}, {"eps": "-1/2"}, "error: pairs: need eps > 0, got -1/2"),
+    ],
+)
+def test_pairs_refusals_name_their_reason(tmp_path, capsys, model, pairs, line):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"model": model, "pairs": pairs}))
+    assert main(["pairs", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not os.listdir(tmp_path / "out")
+
+
 def test_classify_zero_field(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.json", classify={"field": "zero"})
     assert main(["classify", "--config", str(cfg)]) == 0

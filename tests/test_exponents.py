@@ -1,4 +1,6 @@
+import hashlib
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -26,6 +28,7 @@ from inlslab.exponents import (
     is_l2_admissible,
     plus_conjugate,
 )
+from inlslab.exponents import _Ratio
 from inlslab.params import critical_index
 
 
@@ -387,3 +390,142 @@ def test_float_inputs_mean_their_decimals(point):
     assert appendix_checks(n, a_k / 100, b_k / 100, theta) == appendix_checks(n, alpha, b, theta)
     assert default_theta(n, a_k / 100, b_k / 100) == default_theta(n, alpha, b)
     assert claim2_theta_window(n, a_k / 100, b_k / 100) == claim2_theta_window(n, alpha, b)
+
+
+def _outcome(call, *args, **kwargs):
+    """call's result, or the type and text of the ValueError it raised."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_certificates_digest_pinned():
+    # values, types, verdicts and error texts of 400 seeded points (N = 2-5,
+    # alpha up to half a scope width past the ceiling), at the default theta
+    # and at a given one, each with a non-default eps; the digest was taken
+    # when every value was still computed in Fractions
+    rng = random.Random(20261021)
+    digest = hashlib.sha256()
+    for _ in range(400):
+        n = rng.choice([2, 3, 4, 5])
+        b_cap = Fraction(min(n, 3), 3) if n >= 3 else Fraction(2, 3)
+        b = Fraction(rng.randint(1, 99), 100) * min(Fraction(99, 100), b_cap)
+        lo = Fraction(4 - 2 * b, n)
+        hi = lo + 4 if n == 2 else (3 - 2 * b if n == 3 else Fraction(4 - 2 * b, n - 2))
+        alpha = lo + Fraction(rng.randint(5, 150), 100) * (hi - lo)
+        theta = Fraction(rng.randint(1, 400), 1000)
+        eps = Fraction(rng.choice([1, 2, 5, 150, 250]), 100)
+        rows = _outcome(certificate_rows, n, alpha, b, eps=eps)
+        given = _outcome(certificate_rows, n, alpha, b, theta=theta, eps=eps)
+        app = _outcome(appendix_checks, n, alpha, b, theta, eps=eps)
+        digest.update(repr((rows, given, app)).encode())
+    assert digest.hexdigest() == "563a0791515ccb4fcb6200a40bc6c53e3806defc421d09d3c78d2d8b2eea49b5"
+
+
+def test_pair_families_need_two_dimensions():
+    # the families are stated for N >= 2; the predicates still cover N = 1
+    for call in (
+        lambda: family_claim1(5, 0.3, 0.1, 1),
+        lambda: family_claim2(5, 0.3, 0.1, 1),
+        lambda: appendix_checks(1, 5, 0.3, 0.1),
+        lambda: certificate_rows(1, 5, 0.3),
+        lambda: certificate_rows(1, 5, 0.3, theta=0.1),
+        lambda: default_theta(1, 5, 0.3),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError and str(info.value) == "the pair families need N >= 2"
+    assert is_hs_admissible(20, math.inf, 1, Fraction(2, 5))
+
+
+def test_nonpositive_eps_refused_before_the_search(monkeypatch):
+    calls = Counter()
+    for name in ("claim1", "claim2"):
+        original = getattr(exponents, f"family_{name}")
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(exponents, f"family_{name}", counted)
+    for eps in (0, Fraction(-1, 2), "-0.01"):
+        with pytest.raises(ThetaWindowError) as info:
+            certificate_rows(2, Fraction(3), Fraction(1, 5), eps=eps)
+        assert str(info.value) == f"need eps > 0, got {exponents.exact(eps)}"
+    assert not calls
+    # only the N = 2 family reads eps
+    assert certificate_rows(3, Fraction(2), Fraction(3, 10), eps=0) == certificate_rows(3, Fraction(2), Fraction(3, 10))
+
+
+def test_public_values_leave_as_fractions():
+    # exponents evaluates on private ratios; what it returns is Fractions and bools
+    alpha, b = Fraction(2), Fraction(3, 10)
+    theta = default_theta(3, alpha, b)
+    assert type(theta) is Fraction
+    assert all(type(x) is Fraction for x in claim2_theta_window(3, alpha, b))
+    assert type(plus_conjugate(Fraction(3, 2), ENDPOINT_EPS)) is Fraction
+    for fam in (
+        family_lemma43(alpha, b, theta),
+        family_claim1(alpha, b, theta, 3),
+        family_claim2(alpha, b, default_theta(3, alpha, b, "claim2"), 3),
+        family_claim2(Fraction(3), Fraction(1, 5), Fraction(1, 5), 2),
+    ):
+        for key, value in fam.items():
+            assert type(value) is (bool if key.endswith("_admissible") else Fraction), (key, value)
+    for row in appendix_checks(3, alpha, b, theta):
+        assert all(type(row[k]) is bool for k in ("bound_holds", "condition_holds", "equivalent"))
+    assert type(is_l2_admissible(4, math.inf, 1)) is bool
+
+
+# unreduced ratios: a common factor k stays in n and d
+_ints = st.integers(-(10**6), 10**6)
+_ratios = st.builds(lambda n, d, k: _Ratio(n * k, d * k), _ints, st.integers(1, 10**6), st.integers(1, 60))
+_operands = st.one_of(_ints, st.fractions(max_denominator=10**6), _ratios)
+_ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+_COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def _value(x):
+    """A _Ratio's n/d as a Fraction; anything else as it is."""
+    return Fraction(x.n, x.d) if isinstance(x, _Ratio) else x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ratios, _operands, st.booleans())
+def test_ratio_matches_fraction(r, other, reflected):
+    x, y = (other, r) if reflected else (r, other)
+    for op in _ARITHMETIC:
+        try:
+            expected = op(Fraction(_value(x)), _value(y))
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                op(x, y)
+            continue
+        got = op(x, y)
+        # the divisor stays positive, and the value leaves reduced
+        assert type(got) is _Ratio and got.d > 0, (op, x, y)
+        value = got.fraction()
+        assert type(value) is Fraction and value == expected
+        assert math.gcd(value.numerator, value.denominator) == 1
+        assert str(got) == str(expected)
+    for op in _COMPARISONS:
+        assert op(x, y) is op(_value(x), _value(y)), (op, x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ratios, st.sampled_from([math.inf, -math.inf]), st.booleans())
+def test_ratio_compares_exactly_with_infinities(r, inf, reflected):
+    x, y = (inf, r) if reflected else (r, inf)
+    for op in _COMPARISONS:
+        assert op(x, y) is op(_value(x), _value(y)), (op, x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ratios, st.floats(allow_infinity=False), st.booleans())
+def test_ratio_refuses_finite_floats(r, f, reflected):
+    # a finite float (or nan) is never rounded into a comparison or a result
+    x, y = (f, r) if reflected else (r, f)
+    for op in _COMPARISONS + _ARITHMETIC:
+        with pytest.raises(TypeError):
+            op(x, y)
