@@ -146,9 +146,9 @@ def _precision(cfg) -> int:
 
 
 def _fmt(x, prec):
-    if isinstance(x, float):  # numpy's float64 too; first, since a profile.csv holds 2 J of them
+    if isinstance(x, float):  # numpy's float64 too
         return f"%.{prec}g" % x
-    if isinstance(x, str):  # next, for the J r strings _write_field formats at 17 digits
+    if isinstance(x, str):
         return x
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
@@ -180,8 +180,13 @@ _FIELD_HEADER = ["r", "re", "im"]
 def _write_field(path, u: RadialField, prec):
     """u as a field CSV; r is written at 17 digits whatever prec, so that
     _read_field finds the grid's nodes again."""
-    rs = (_fmt(r, 17) for r in u.grid.nodes)
-    _write_csv(path, _FIELD_HEADER, zip(rs, u.values.real, u.values.imag), prec)
+    # the bytes _write_csv writes (_fmt's digits, csv's \r\n), one format per
+    # row of Python floats: a call and a numpy scalar per value cost twice as much
+    line = f"%.17g,%.{prec}g,%.{prec}g\r\n"
+    rows = zip(u.grid.nodes.tolist(), u.values.real.tolist(), u.values.imag.tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_FIELD_HEADER) + "\r\n")
+        fh.writelines(line % row for row in rows)
 
 
 def _read_field(path, grid: RadialGrid) -> RadialField:

@@ -494,6 +494,7 @@ def default_theta(N: int, alpha, b, family: str = "claim1") -> Fraction:
     otherwise start from min(2(1-b)/N, alpha)/4 and halve until every
     admissibility flag of the family's PAIR_ROWS holds.
     """
+    _check_dimension(N)  # before the search, whose first theta divides by N
     return _theta_search(N, _ratio(alpha), _ratio(b), family, _ratio(CLAIM2_EPS))[0].fraction()
 
 
@@ -505,6 +506,7 @@ def certificate_rows(N: int, alpha, b, theta=None, eps=CLAIM2_EPS) -> list[dict]
     once per call: at the given theta, or at its default theta searched at
     the given eps, where the dict the search already evaluated is reused.
     """
+    _check_dimension(N)  # before the search, whose first theta divides by N
     al, b_, eps = _ratio(alpha), _ratio(b), _ratio(eps)
     given = None if theta is None else _ratio(theta)
     if N == 2:
@@ -554,6 +556,8 @@ def appendix_checks(N: int, alpha, b, theta, eps=CLAIM2_EPS) -> list[dict]:
     """
     _check_dimension(N)
     al, b_, th, eps = _ratio(alpha), _ratio(b), _ratio(theta), _ratio(eps)
+    if N == 2:
+        _check_eps(eps)  # A3's equivalences presume eps > 0, and r_bar divides by it
     rows = []
 
     def add(check, bound_holds, condition_holds):

@@ -35,7 +35,12 @@ Two independent solvers:
   the graft;
 * fixedpoint: normalized fixed-point iteration on the grid operator,
   Q <- M^{(alpha+1)/alpha} (I - Lap)^{-1}[r^{-b} Q^{alpha+1}], whose
-  stabilizer M tends to 1 exactly when Q solves the discrete equation.
+  stabilizer M tends to 1 exactly when Q solves the discrete equation.  It
+  converges only linearly (Pelinovsky & Stepanyants, SIAM J. Numer. Anal.
+  42 (2004) 1110), so it serves as the warm start: once its step falls below
+  1e-3 of max(1, ||Q||), Newton steps on the discrete equation, one
+  tridiagonal LAPACK factorization each, finish the solve (21 steps in all
+  at the README grid, against 83 for the iteration alone).
 
 Both return the same GroundState record with the Pohozaev bookkeeping.
 Neither checks the (N, alpha, b) scope: the command line does, where
@@ -63,6 +68,7 @@ from .grid import (
     NumericalFailure,
     RadialField,
     RadialGrid,
+    get_lapack_funcs,
     laplacian_radial,
     shifted_laplacian_solver,
 )
@@ -92,7 +98,8 @@ class NoBracket(SolverFailure):
 
 
 class NoConvergence(SolverFailure):
-    """Fixed-point iteration failed to converge; carries the distance trace."""
+    """The fixed-point solve failed to converge; carries the trace of (M, step)
+    per step, fixed-point and Newton alike."""
 
     def __init__(self, message, trace):
         super().__init__(message)
@@ -110,7 +117,7 @@ class GroundState:
     cgn: float  # weinstein_quotient(profile, params), as gn_maximality_probe evaluates its mixtures
     method: str
     residual: float
-    # classifying shots (bracket + Brent) or fixed-point iterations
+    # classifying shots (bracket + Brent), or fixed-point and Newton steps
     iterations: int
 
 
@@ -522,6 +529,13 @@ def shooting_residual(shot, params, grid, r_match) -> float:
 # fixed-point solver
 
 
+# The normalized iteration hands off to Newton steps once its step falls
+# below this part of max(1, ||q||).  On 83 grids sampled across the scope,
+# the first Newton step was rejected on none at 1e-3, on one at 3e-3 and
+# 1e-2 and on twelve at 1e-1, each leaving the rest to the slower iteration.
+_NEWTON_HANDOFF = 1e-3
+
+
 def solve_fixedpoint(
     params: ModelParams,
     grid: RadialGrid,
@@ -529,38 +543,91 @@ def solve_fixedpoint(
     tol: float = 1e-12,
     max_iter: int = 500,
 ) -> GroundState:
-    """Normalized fixed-point iteration on the discrete operator."""
+    """Ground state of the discrete equation F(q) = -q + Lap q + r^{-b}|q|^alpha q = 0.
+
+    The normalized fixed-point iteration, which converges only linearly,
+    runs as a warm start until its step falls below _NEWTON_HANDOFF of
+    max(1, ||q||); Newton steps on F finish the solve.  Each solves the
+    tridiagonal Jacobian Lap - I + (alpha+1) r^{-b}|q|^alpha with LAPACK
+    gttrf/gttrs.  The Jacobian is indefinite, so its factorization may
+    interchange rows, which shifted_laplacian_solver refuses.  A Newton step
+    whose factorization is singular, whose result is not finite or which
+    does not lower ||F|| is rejected, and fixed-point steps finish the solve
+    from where it stands.  Both kinds of step stop on one test: the step
+    moved q by less than tol * max(1, ||q||).  max_iter caps the steps of
+    both kinds together, and iterations and NoConvergence.trace count them
+    all, each trace entry (M, step) with M the stabilizer at the iterate.
+    """
     N, alpha, b = params.N, params.alpha, params.b
     # m scales like |Q|^{-alpha} and the source like |Q|^{alpha+1}, so the
     # power (alpha+1)/alpha is the one that makes the update homogeneous of
     # degree 0 in Q; power 1 leaves the amplitude free and diverges
     gamma = (alpha + 1) / alpha
     solve = shifted_laplacian_solver(grid, 1.0)  # (I - Lap)^{-1}
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.float64)
+    lower, diag, upper = grid.laplacian
     r = grid.nodes
     w = grid.weights
     rb = r ** (-b)
+
+    def norm(v):
+        return math.sqrt(float(np.sum(w * v**2)))
+
+    def residual_norm(q, lap, pot):
+        """||F(q)||; an overflow reads inf, which every test refuses."""
+        with np.errstate(over="ignore"):
+            return norm(-q + lap + pot * q)
+
+    def terms(q):
+        """Lap q and r^{-b}|q|^alpha, whose product with q is the source."""
+        return laplacian_radial(grid.field(q)).values, rb * np.abs(q) ** alpha
+
+    def newton(q, lap, pot):
+        """The Newton step from q with its terms, or None where it is rejected."""
+        dl, d, du, du2, ipiv, info = gttrf(lower, diag - 1 + (alpha + 1) * pot, upper)
+        if info != 0:
+            return None
+        dq, info = gttrs(dl, d, du, du2, ipiv, q - lap - pot * q)
+        q_next = q + dq
+        if info != 0 or not np.all(np.isfinite(q_next)):
+            return None
+        lap_next, pot_next = terms(q_next)
+        if not residual_norm(q_next, lap_next, pot_next) < residual_norm(q, lap, pot):
+            return None
+        return q_next, lap_next, pot_next
+
     q = np.exp(-(r**2)) * 2.0
+    lap, pot = terms(q)
+    # "warm" until a step falls below the handoff, then "newton"; "fixed"
+    # once a Newton step is rejected
+    stage = "warm"
     trace = []
     for _ in range(max_iter):
-        f = rb * np.abs(q) ** alpha * q
-        num = float(np.sum(w * (q - laplacian_radial(grid.field(q)).values) * q))
+        f = pot * q
+        num = float(np.sum(w * (q - lap) * q))
         den = float(np.sum(w * f * q))
         if den <= 0:
             raise NoConvergence("nonlinear term lost positivity", trace)
         m = num / den
-        q_next = m**gamma * solve(f)
-        dist = math.sqrt(float(np.sum(w * (q_next - q) ** 2)))
+        step = newton(q, lap, pot) if stage == "newton" else None
+        if step is None:
+            if stage == "newton":
+                stage = "fixed"
+            q_next = m**gamma * solve(f)
+            lap_next, pot_next = terms(q_next)
+        else:
+            q_next, lap_next, pot_next = step
+        dist = norm(q_next - q)
         trace.append((m, dist))
-        q = q_next
-        if dist < tol * max(1.0, math.sqrt(float(np.sum(w * q**2)))):
+        q, lap, pot = q_next, lap_next, pot_next
+        scale = max(1.0, norm(q))
+        if dist < tol * scale:
             break
+        if stage == "warm" and dist < _NEWTON_HANDOFF * scale:
+            stage = "newton"
     else:
         raise NoConvergence(f"no convergence after {max_iter} iterations", trace)
-    profile = grid.field(q)
-    res_vec = -q + laplacian_radial(profile).values + rb * np.abs(q) ** alpha * q
-    with np.errstate(over="ignore"):  # _finalize refuses an inf residual
-        residual = math.sqrt(float(np.sum(w * res_vec**2)))
-    return _finalize(params, profile, "fixedpoint", residual, len(trace))
+    return _finalize(params, grid.field(q), "fixedpoint", residual_norm(q, lap, pot), len(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,28 @@ def test_field_csv_round_trip(tmp_path):
         cli._read_field(path, RadialGrid(J=64, h=1 / 8, N=3))
 
 
+@pytest.mark.parametrize(
+    "prec, digest",
+    [
+        (6, "92cc357cce599da3915fcd5dbff828d55db25fc6fae8e6c47438e7b8bed2a88f"),
+        (12, "ccd47f7de227ab9283547e6231ac92577679fa013423c6424712cbe7fabf72ff"),
+        (17, "a7ab43f116fbd051d3427500d9d71ee3bf3c3df55a058eaa6692473db044523e"),
+    ],
+)
+def test_field_csv_bytes_pinned(tmp_path, prec, digest):
+    # the digests were taken when each value went through _fmt and csv.writer;
+    # h = 1/48 is not a binary fraction, so r has 17 significant digits
+    import hashlib
+
+    from inlslab.grid import RadialGrid, gaussian_field
+
+    g = RadialGrid(J=1024, h=1 / 48, N=3)
+    u = g.field(gaussian_field(g, 1.5, 2.0).values * (1 - 0.25j))
+    path = tmp_path / "f.csv"
+    cli._write_field(path, u, prec)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_field_csv_rejects_bad_header(tmp_path):
     from inlslab.grid import RadialGrid
 

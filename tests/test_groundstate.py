@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from scipy.integrate import ode, solve_ivp
 
 from inlslab import cli, groundstate
-from inlslab.grid import Measures, NumericalFailure, RadialGrid, gaussian_field
+from inlslab.grid import (
+    Measures,
+    NumericalFailure,
+    RadialGrid,
+    gaussian_field,
+    get_lapack_funcs,
+    laplacian_radial,
+    shifted_laplacian_solver,
+)
 from inlslab.groundstate import (
     NoBracket,
     NoConvergence,
@@ -374,6 +382,81 @@ def test_iterations_count_shots_and_fixedpoint_steps(params_330, monkeypatch):
     with pytest.raises(NoConvergence) as exc:
         solve_fixedpoint(params_330, g, max_iter=fp.iterations - 1)
     assert len(exc.value.trace) == fp.iterations - 1
+
+
+# the measures the normalized iteration alone reached at the reference
+# points, J = 4096, h = 1/256, in 83, 44 and 109 steps
+ITERATION_MEASURES = {
+    (3, 2.0, 0.3): (9.277320706898292, 43.73554132274248, 53.012862029622504),
+    (2, 3.0, 0.2): (4.717681025676889, 8.387574859522928, 13.10525588519463),
+    (4, 1.2, 0.25): (99.98382186066311, 481.7291914122632, 581.713013273022),
+}
+
+
+@pytest.mark.parametrize("point", SHOT_POINTS)
+def test_newton_finish_keeps_the_iterations_measures(point):
+    p = ModelParams(*point)
+    gs = solve_fixedpoint(p, RadialGrid(J=4096, h=1 / 256, N=p.N))
+    for name, expected in zip(("mass2", "grad2", "potential"), ITERATION_MEASURES[point]):
+        assert getattr(gs, name) == pytest.approx(expected, rel=1e-10, abs=0), name
+
+
+def test_newton_finish_takes_few_steps_at_the_readme_grid(params_330):
+    # the normalized iteration alone took 83 steps here
+    assert solve_fixedpoint(params_330, RadialGrid(J=4096, h=1 / 64, N=3)).iterations <= 30
+
+
+@settings(max_examples=30, deadline=None)
+@given(point=scope_points())
+def test_fixedpoint_profile_passes_the_iterations_own_test(point):
+    # one more normalized step from the returned profile moves it by less than
+    # the iteration's stopping test, tol * max(1, ||Q||)
+    p = ModelParams(*point)
+    g = RadialGrid(J=512, h=1 / 32, N=p.N)
+    q = solve_fixedpoint(p, g).profile.values
+    f = g.nodes ** (-p.b) * np.abs(q) ** p.alpha * q
+    m = np.sum(g.weights * (q - laplacian_radial(g.field(q)).values) * q) / np.sum(g.weights * f * q)
+    step = m ** ((p.alpha + 1) / p.alpha) * shifted_laplacian_solver(g, 1.0)(f) - q
+    norm = math.sqrt(np.sum(g.weights * q**2))
+    assert math.sqrt(np.sum(g.weights * step**2)) < 1e-12 * max(1.0, norm)
+
+
+def _spoiled_newton(monkeypatch, spoil):
+    """Make every Newton step fail its check `spoil`; returns the count of
+    Newton factorizations."""
+    calls = []
+
+    def spoiled(names, dtype=None):
+        gttrf, gttrs = get_lapack_funcs(names, dtype=dtype)
+
+        def factor(*args):
+            calls.append(args)
+            *factors, info = gttrf(*args)
+            return (*factors, 1 if spoil == "singular" else info)
+
+        def solve(*args):
+            dq, info = gttrs(*args)
+            # -dq goes uphill: F(q - dq) is about 2 F(q)
+            return (dq * np.nan if spoil == "not finite" else -dq), info
+
+        return factor, solve
+
+    monkeypatch.setattr(groundstate, "get_lapack_funcs", spoiled)
+    return calls
+
+
+@pytest.mark.parametrize("spoil", ["singular", "not finite", "residual up"])
+def test_a_rejected_newton_step_leaves_the_solve_to_the_iteration(params_330, monkeypatch, spoil):
+    g = RadialGrid(J=1024, h=1 / 64, N=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(groundstate, "_NEWTON_HANDOFF", 0.0)  # no Newton step at all
+        plain = solve_fixedpoint(params_330, g)
+    calls = _spoiled_newton(monkeypatch, spoil)
+    gs = solve_fixedpoint(params_330, g)
+    # one attempt, which changes nothing: the iteration's own path
+    assert len(calls) == 1
+    assert gs.iterations == plain.iterations and gs.residual == plain.residual
+    assert np.array_equal(gs.profile.values, plain.profile.values)
 
 
 @pytest.mark.parametrize("point", SHOT_POINTS)
