@@ -458,6 +458,79 @@ def test_nonpositive_eps_refused_before_the_search(monkeypatch):
     assert certificate_rows(3, Fraction(2), Fraction(3, 10), eps=0) == certificate_rows(3, Fraction(2), Fraction(3, 10))
 
 
+def test_public_values_leave_as_fractions():
+    # exponents evaluates on private ratios; what it returns is Fractions and bools
+    alpha, b = Fraction(2), Fraction(3, 10)
+    theta = default_theta(3, alpha, b)
+    assert type(theta) is Fraction
+    assert all(type(x) is Fraction for x in claim2_theta_window(3, alpha, b))
+    assert type(plus_conjugate(Fraction(3, 2), ENDPOINT_EPS)) is Fraction
+    for fam in (
+        family_lemma43(alpha, b, theta),
+        family_claim1(alpha, b, theta, 3),
+        family_claim2(alpha, b, default_theta(3, alpha, b, "claim2"), 3),
+        family_claim2(Fraction(3), Fraction(1, 5), Fraction(1, 5), 2),
+    ):
+        for key, value in fam.items():
+            assert type(value) is (bool if key.endswith("_admissible") else Fraction), (key, value)
+    for row in appendix_checks(3, alpha, b, theta):
+        assert all(type(row[k]) is bool for k in ("bound_holds", "condition_holds", "equivalent"))
+    assert type(is_l2_admissible(4, math.inf, 1)) is bool
+
+
+# unreduced ratios: a common factor k stays in n and d
+_ints = st.integers(-(10**6), 10**6)
+_ratios = st.builds(lambda n, d, k: _Ratio(n * k, d * k), _ints, st.integers(1, 10**6), st.integers(1, 60))
+_operands = st.one_of(_ints, st.fractions(max_denominator=10**6), _ratios)
+_ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+_COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def _value(x):
+    """A _Ratio's n/d as a Fraction; anything else as it is."""
+    return Fraction(x.n, x.d) if isinstance(x, _Ratio) else x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ratios, _operands, st.booleans())
+def test_ratio_matches_fraction(r, other, reflected):
+    x, y = (other, r) if reflected else (r, other)
+    for op in _ARITHMETIC:
+        try:
+            expected = op(Fraction(_value(x)), _value(y))
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                op(x, y)
+            continue
+        got = op(x, y)
+        # the divisor stays positive, and the value leaves reduced
+        assert type(got) is _Ratio and got.d > 0, (op, x, y)
+        value = got.fraction()
+        assert type(value) is Fraction and value == expected
+        assert math.gcd(value.numerator, value.denominator) == 1
+        assert str(got) == str(expected)
+    for op in _COMPARISONS:
+        assert op(x, y) is op(_value(x), _value(y)), (op, x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ratios, st.sampled_from([math.inf, -math.inf]), st.booleans())
+def test_ratio_compares_exactly_with_infinities(r, inf, reflected):
+    x, y = (inf, r) if reflected else (r, inf)
+    for op in _COMPARISONS:
+        assert op(x, y) is op(_value(x), _value(y)), (op, x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ratios, st.floats(allow_infinity=False), st.booleans())
+def test_ratio_refuses_finite_floats(r, f, reflected):
+    # a finite float (or nan) is never rounded into a comparison or a result
+    x, y = (f, r) if reflected else (r, f)
+    for op in _COMPARISONS + _ARITHMETIC:
+        with pytest.raises(TypeError):
+            op(x, y)
+
+
 @pytest.mark.parametrize("eps", [0, Fraction(-1, 100)])
 def test_appendix_refuses_nonpositive_eps_at_two_dimensions(eps):
     # eps = 0 divided by zero in r_bar = 2a/eps; eps < 0 gave two A3 rows
