@@ -33,18 +33,32 @@ T is about 2^-300.5.  Where M0 is not a positive finite number (zero data,
 or a mass that overflows) T is 0 and every step takes the whole grid.  The
 windowed rotation evaluates cos and sin only up to the last node where
 theta >= 2^-27: below that angle cos theta rounds to 1 and sin theta to
-theta, so it writes 1 and theta there, the same bits.  A field with a
-resolved tail (its last node >= T) steps on the whole grid exactly as it
-would without the window, bit for bit.
+theta, so it writes 1 and theta there, the same bits; the un-stagger
+rotates the same way, writing 1 and -theta.  A field with a resolved tail
+(its last node >= T) steps on the whole grid exactly as it would without
+the window, bit for bit.
 
 The evolver remembers its last windowed output and the node m from which
 that output is exact zeros.  The output is returned read-only, so its zero
-tail cannot go stale: a step whose input is that very array searches its
-support in the leading m nodes alone, and un-staggering it rotates those m
-nodes and writes +0 past them, which is what the rotation of a zero node
-gives.  Any other input (a copy, a fresh datum) is searched in full, with
-the same result.  The support search itself looks at the last 64 nodes
-first, where a windowed step's answer lies, before it scans the rest.
+tail cannot go stale.  A step whose input is that very array reads its
+support as m itself where node m - 1 still has a part >= T/2 after the
+rotation, and searches the leading m nodes otherwise.  Un-staggering it
+rotates those m nodes and writes +0 past them, which is what the rotation
+of a zero node gives.  Any other input (a copy, a fresh datum) is searched
+and rotated in full, with the same result.  The support search itself
+looks at the last 64 nodes first, where a windowed step's answer lies,
+before it scans the rest.
+
+run records the un-staggered field with that same m: every elementwise
+term of a record (|u|, |u|^{alpha+2}, the face differences, the radial
+derivative and the z'_R cross term) is formed on the leading nodes only and
+written into a zero-filled array of the whole grid's length, the support
+keyword of Measures.of, grad_norm_sq_form, radial_derivative and
+virial_series.  Each np.sum then sees the array the whole-grid call would
+build, entry for entry, and returns its bits.  Summing the prefix alone
+would not: numpy sums pairwise, splitting at halves of the length rounded
+to blocks of 8, so the length sets the order of the additions and a
+shorter array rounds differently.
 
 The module also evaluates the localized virial quantities z_R, z'_R and the
 four-term direct expression for z''_R, plus the rigidity lower bound
@@ -73,10 +87,10 @@ from .grid import (
     RadialField,
     RadialGrid,
     _leading,
+    _moduli,
     _support,
     radial_derivative,
     shifted_laplacian_solver,
-    support_power,
 )
 from .params import ModelParams
 
@@ -209,8 +223,8 @@ class Evolver:
         self._carried = lambda: None
         self._zeros_from = 0
 
-    def _rotate(self, v: np.ndarray, coef: np.ndarray, out=None) -> np.ndarray:
-        """P_tau v for coef = tau r^{-b}, into out when it is given.
+    def _rotate(self, v: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """P_tau v for coef = tau r^{-b}.
 
         e^{i theta}, theta = coef |v|^alpha, is written as cos theta and
         sin theta into the real and imaginary parts of one buffer, which takes
@@ -226,7 +240,25 @@ class Evolver:
         e = np.empty(v.shape, dtype=complex)
         np.cos(theta, out=e.real)
         np.sin(theta, out=e.imag)
-        return np.multiply(v, e, out=out)
+        return v * e
+
+    def _rotate_window(self, x: np.ndarray, coef: np.ndarray, out: np.ndarray, inverse=False) -> None:
+        """out = P_tau x for coef = |tau| r^{-b}, tau < 0 where inverse: the
+        bits of _rotate(x, -coef if inverse else coef), with cos and sin
+        evaluated only up to the last node where theta = coef |x|^alpha is
+        >= _SMALL_ANGLE.  Past it cos(+-theta) rounds to 1 and sin(+-theta)
+        to +-theta, which are written instead.  The inverse rotation negates
+        theta before cos and sin, since (-c) y is -(c y) bit for bit."""
+        theta = coef * np.abs(x) ** self.params.alpha
+        k = _leading(theta, _SMALL_ANGLE)
+        if inverse:
+            np.negative(theta, out=theta)
+        e = np.empty(x.size, dtype=complex)
+        np.cos(theta[:k], out=e.real[:k])
+        np.sin(theta[:k], out=e.imag[:k])
+        e.real[k:] = 1.0
+        e.imag[k:] = theta[k:]
+        np.multiply(x, e, out=out)
 
     def _held(self, w: np.ndarray) -> int:
         """The node from which w is exact zeros, as far as the evolver
@@ -239,17 +271,20 @@ class Evolver:
         return self._rotate(v, self._half_phase)
 
     def unstagger(self, w: np.ndarray) -> np.ndarray:
-        """v = P_{-dt/2} w.
+        """v = P_{-dt/2} w, with the bits of _rotate(w, -dt/2 r^{-b}).
 
-        On the last windowed output only its leading nodes up to its zero
-        tail are rotated and +0 is written past them: P of a zero node is
-        (0 + 0i)(1 - 0i) = +0, so the bits are those of the whole rotation.
+        The rotation is the windowed step's small-angle one: cos and sin
+        only up to the last node where the angle is >= _SMALL_ANGLE, 1 and
+        the (negative) angle past it.  On the last windowed output only its
+        leading m nodes, up to its zero tail, are rotated, and +0 is written
+        past them: P of a zero node is (0 + 0i)(1 - 0i) = +0.
         """
+        if self.linear_only:
+            return w
         m = self._held(w)
-        if self.linear_only or m == w.size:
-            return self._rotate(w, -self._half_phase)
-        v = np.zeros_like(w)
-        self._rotate(w[:m], -self._half_phase[:m], out=v[:m])
+        v = np.empty(w.size, dtype=complex)
+        v[m:] = 0
+        self._rotate_window(w[:m], self._half_phase[:m], v[:m], inverse=True)
         return v
 
     def step_values(self, w: np.ndarray) -> np.ndarray:
@@ -282,45 +317,53 @@ class Evolver:
         slower, not wrong.  The nodes dropped past the support have parts
         below T/2 and together add less than 2^-580 M0 to the mass.  The
         window doubles while L w reaches T at its last node.  The
-        rotation is _rotate's, with cos and sin evaluated only up to the
-        last node where theta >= _SMALL_ANGLE; past it they would round to
-        1 and theta, which are written instead.  The product goes straight
-        into the output.
+        rotation is _rotate_window's: _rotate's bits, with cos and sin
+        evaluated only up to the last node where theta >= _SMALL_ANGLE.  The
+        Cayley w is subtracted in place in the solve's fresh output, and the
+        product goes straight into the output, of which only the zero tail
+        is written besides.
 
-        The support of w is searched in w[:m] when w is the output of the
-        last windowed step, m being the node from which it wrote exact
-        zeros, and in the whole of w otherwise: the same n either way.  The
-        output is read-only and is remembered, by a weak reference, with its
-        own m.
+        The support of w is read by _carried_support in w[:m] when w is the
+        output of the last windowed step, m being the node from which it
+        wrote exact zeros, and in the whole of w otherwise: the same n either
+        way.  On the carried output that read is O(1) wherever node m - 1
+        still has a part >= T/2 after the rotation.  The output is read-only
+        and is remembered, by a weak reference, with its own m.
         """
         J, tail = w.size, self._tail
-        n = _support(w[: self._held(w)], tail / 2) + _MARGIN
+        n = _carried_support(w, self._held(w), tail / 2) + _MARGIN
         while n < J:
-            x = self._solve2(w[:n]) - w[:n]
+            x = self._solve2(w[:n])
+            x -= w[:n]
             if abs(x[-1]) < tail:
                 break
             n *= 2
         else:
-            x = self._solve2(w) - w
+            x = self._solve2(w)
+            x -= w
         if not math.isfinite(np.vdot(x, x).real):
             raise LinearSolveFailure("linear step produced non-finite values")
         m = _support(x, tail / 2)  # every node past m has modulus below T
-        out = np.zeros(J, dtype=complex)
-        x = x[:m]
+        out = np.empty(J, dtype=complex)
+        out[m:] = 0
         if self.linear_only:
-            out[:m] = x
+            out[:m] = x[:m]
         else:
-            theta = self._phase[:m] * np.abs(x) ** self.params.alpha
-            k = _leading(theta, _SMALL_ANGLE)
-            e = np.empty(m, dtype=complex)
-            np.cos(theta[:k], out=e.real[:k])
-            np.sin(theta[:k], out=e.imag[:k])
-            e.real[k:] = 1.0
-            e.imag[k:] = theta[k:]
-            np.multiply(x, e, out=out[:m])
+            self._rotate_window(x[:m], self._phase[:m], out[:m])
         out.setflags(write=False)  # so the remembered zero tail cannot go stale
         self._carried, self._zeros_from = weakref.ref(out), m
         return out
+
+
+def _carried_support(w: np.ndarray, m: int, threshold: float) -> int:
+    """_support(w[:m], threshold), read from node m - 1 alone where that
+    node has a part >= threshold or a NaN, and searched as _support does
+    otherwise."""
+    if m:
+        z = w.item(m - 1)
+        if not (abs(z.real) < threshold and abs(z.imag) < threshold):
+            return m
+    return _support(w[:m], threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +521,16 @@ def _virial_tables(grid: RadialGrid, b: float, R: float) -> _VirialTables:
     return tables
 
 
-def virial_series(u: RadialField, params: ModelParams, R: float, *, absv2=None, vpow=None) -> dict:
+def virial_series(u: RadialField, params: ModelParams, R: float, *, absv2=None, vpow=None,
+                  support=None) -> dict:
     """z_R, z'_R, the four-term direct z''_R and the exterior budget at one time slice.
 
     absv2 and vpow, when given, are |u|^2 and |u|^{alpha+2} as the caller
     already evaluated them; the cutoff tables are cached per (grid, b, R).
+    support m, when given, says that u is +0 from node m on: |u|, the
+    radial derivative, its square and the z'_R cross term are then formed
+    on the leading m + 2 nodes and +0 is written past them, so every sum
+    sees the whole-grid array and gives its bits.
 
     The integrands use the centered radial_derivative, not the face
     differences of grad_norm_sq_form, so that z''_R stays the time derivative
@@ -499,14 +547,16 @@ def virial_series(u: RadialField, params: ModelParams, R: float, *, absv2=None, 
     tab = _virial_tables(grid, b, R)
     v = u.values
     if absv2 is None or vpow is None:
-        absv = np.abs(v)
-        absv2, vpow = absv**2, support_power(absv, alpha + 2)
+        absv2, vpow = _moduli(v, alpha + 2, support)
     pot_density = tab.r_b * vpow
-    du = radial_derivative(u)
-    du2 = np.abs(du) ** 2
+    du = radial_derivative(u, support=support)
+    n = v.size if support is None else min(support + 2, v.size)  # du is +0 past node n - 1
+    du2, cross = np.zeros(v.size), np.zeros(v.size)
+    du2[:n] = np.abs(du[:n]) ** 2
+    cross[:n] = np.imag(du[:n] * np.conj(v[:n]))
 
     zR = R**2 * float(np.sum(tab.phi * absv2))
-    zR_prime = 2 * R * float(np.sum(tab.d1 * np.imag(du * np.conj(v))))
+    zR_prime = 2 * R * float(np.sum(tab.d1 * cross))
     t1 = 4 * float(np.sum(tab.d2 * du2))
     t2 = -(1 / R**2) * float(np.sum(tab.bilap * absv2))
     t3 = -(2 * alpha / (alpha + 2)) * float(np.sum(tab.lap * pot_density))
@@ -553,16 +603,17 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
     shell = int(np.searchsorted(grid.nodes, (1 - _BOUNDARY_SHELL) * grid.r_max))
     v = u0.values.astype(complex)
 
-    def record(t, v):
+    def record(t, v, m):
+        # v is +0 from node m on, so every elementwise term is formed on the
+        # leading nodes only; each sum still sees the whole grid's array
         u = grid.field(v)
-        absv = np.abs(v)
-        absv2, vpow = absv**2, support_power(absv, alpha + 2)
-        me = Measures.of(u, alpha, b, absv2=absv2, vpow=vpow)
+        absv2, vpow = _moduli(v, alpha + 2, m)
+        me = Measures.of(u, alpha, b, absv2=absv2, vpow=vpow, support=m)
         if not records:
             me.require_finite(alpha)  # the datum's
         gm = me.gm_product(s_c) if 0 < s_c < 1 else math.nan
         vs = (
-            virial_series(u, params, config.virial_R, absv2=absv2, vpow=vpow).values()
+            virial_series(u, params, config.virial_R, absv2=absv2, vpow=vpow, support=m).values()
             if config.virial_R is not None else (math.nan,) * 4
         )
         records.append((t, me.mass, me.energy(alpha), me.grad2, me.potential, gm, *vs))
@@ -585,14 +636,14 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
     # would read inf or nan, and the leak check, which divides by M0, could
     # never fire.  The evolver's window threshold is set by the datum's mass
     with np.errstate(over="ignore", invalid="ignore"):
-        record(0.0, v)
+        record(0.0, v, grid.J)
     ev = Evolver(grid, params, config.dt, linear_only=config.linear_only, mass=records[0][1])
     w = ev.stagger(v)
     for n in range(1, n_steps + 1):
         w = ev.step_values(w)
         if n % config.record_every == 0 or n == n_steps:
-            v = ev.unstagger(w)
-            record(n * config.dt, v)
+            v = ev.unstagger(w)  # +0 from the node where w's carried zero tail starts
+            record(n * config.dt, v, ev._held(w))
 
     series = dict(zip(TRACE_COLUMNS.values(), map(np.asarray, zip(*records))))
     return EvolutionTrace(config=config, final_field=grid.field(v), **series)

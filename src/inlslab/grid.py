@@ -16,6 +16,16 @@ Cayley step 2 A^{-1} w - w).  The one discrete ||grad u||^2 is this
 Laplacian's quadratic form <-Lap u, u>.
 Measures holds a field's three full-grid sums and the formulas built on them.
 
+A field that is +0 from node m on (the evolver's windowed output) may pass
+support=m to Measures.of, grad_norm_sq_form and radial_derivative: their
+elementwise terms are then formed on the leading nodes only and written
+into a zero-filled array of the whole grid's length, which is the array the
+whole-grid call builds, entry for entry, since each term is +0 on zeros.
+So np.sum returns the same bits.  A sum of the prefix alone would not:
+numpy sums pairwise, with eight partial sums over blocks of up to 128
+entries and a split at half the length, rounded down to a multiple of 8,
+above that, so the length sets the order of the additions.
+
 scipy is imported where it is first used: LAPACK and BLAS when a solver is
 built, Gamma when sphere_area first meets a dimension (it is cached per N).
 Importing scipy.linalg and scipy.special takes most of a fresh process's
@@ -140,28 +150,41 @@ def gaussian_field(grid: RadialGrid, amplitude=1.0, width=1.0) -> RadialField:
     return grid.field(amplitude * np.exp(-((grid.nodes / width) ** 2)))
 
 
-def radial_derivative(u: RadialField) -> np.ndarray:
-    """Centered differences, one-sided at both ends (virial integrands only)."""
+def radial_derivative(u: RadialField, *, support=None) -> np.ndarray:
+    """Centered differences, one-sided at both ends (virial integrands only).
+
+    support m, when given, says that u is +0 from node m on: the formula
+    then runs on the leading m + 2 nodes, where node m's centered difference
+    still sees node m + 1, and +0 is written past them, which is what it
+    gives on the zeros.  The result is the whole-grid one bit for bit.
+    """
     v = u.values
     h = u.grid.h
-    d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-    d[0] = (v[1] - v[0]) / h
-    d[-1] = (v[-1] - v[-2]) / h
+    n = v.size if support is None else min(support + 2, v.size)
+    d = np.zeros_like(v)
+    x, dx = v[:n], d[:n]
+    dx[1:-1] = (x[2:] - x[:-2]) / (2 * h)
+    dx[0] = (x[1] - x[0]) / h
+    dx[-1] = (x[-1] - x[-2]) / h
     return d
 
 
-def grad_norm_sq_form(u: RadialField) -> float:
+def grad_norm_sq_form(u: RadialField, *, support=None) -> float:
     """<-Lap u, u> via the face fluxes: the one discrete ||grad u||^2.
 
     This is the quadratic form conserved by the implicit linear step.
+    support m, when given, says that u is +0 from node m on: the face terms
+    are then formed on the leading m + 1 nodes and +0 is written past them,
+    so the sum sees the whole-grid array and gives its bits.
     """
     grid = u.grid
     omega = sphere_area(grid.N)
     v = u.values
     a = grid.face_areas
-    dif = np.diff(v)  # u_{j+1} - u_j, j = 0..J-2
-    total = np.sum(a[1:-1] * np.abs(dif) ** 2)
+    n = v.size if support is None else min(support + 1, v.size)
+    faces = np.zeros(v.size - 1)  # a_{j+1} |u_{j+1} - u_j|^2, j = 0..J-2
+    faces[: n - 1] = a[1:n] * np.abs(np.diff(v[:n])) ** 2
+    total = np.sum(faces)
     total += a[-1] * np.abs(v[-1]) ** 2  # Dirichlet face
     return float(omega * total / grid.h)
 
@@ -226,6 +249,19 @@ def support_power(x: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
+def _moduli(v: np.ndarray, p: float, support=None) -> tuple[np.ndarray, np.ndarray]:
+    """|v|^2 and support_power(|v|, p) of a field's values.
+
+    support m, when given, says that v is +0 from node m on: |v| is then
+    taken on the leading m nodes and +0 is written past them, which is
+    |v| bit for bit.
+    """
+    n = v.size if support is None else support
+    absv = np.zeros(v.shape)
+    np.abs(v[:n], out=absv[:n])
+    return absv**2, support_power(absv, p)
+
+
 class Measures(NamedTuple):
     """M[u], ||grad u||^2 and the potential integral P[u] of one field."""
 
@@ -234,15 +270,18 @@ class Measures(NamedTuple):
     potential: float
 
     @classmethod
-    def of(cls, u: RadialField, alpha: float, b: float, *, absv2=None, vpow=None) -> "Measures":
-        """Each sum evaluated once; absv2 and vpow, when given, are |u|^2 and |u|^{alpha+2}."""
+    def of(cls, u: RadialField, alpha: float, b: float, *, absv2=None, vpow=None,
+           support=None) -> "Measures":
+        """Each sum evaluated once; absv2 and vpow, when given, are |u|^2 and
+        |u|^{alpha+2}.  support m, when given, says that u is +0 from node m
+        on, and the elementwise terms are formed on the leading nodes only,
+        with the whole-grid result bit for bit."""
         if absv2 is None or vpow is None:
-            absv = np.abs(u.values)
-            absv2, vpow = absv**2, support_power(absv, alpha + 2)
+            absv2, vpow = _moduli(u.values, alpha + 2, support)
         grid = u.grid
         return cls(
             mass=float(np.sum(grid.weights * absv2)),
-            grad2=grad_norm_sq_form(u),
+            grad2=grad_norm_sq_form(u, support=support),
             potential=float(np.sum(_potential_weights(grid, b) * vpow)),
         )
 

@@ -16,8 +16,10 @@ from inlslab.evolve import (
     EvolutionConfig,
     Evolver,
     GradientBoundViolation,
+    TRACE_COLUMNS,
     LinearSolveFailure,
     _PHI_POLY,
+    _carried_support,
     _deviation_numerators,
     _phi_bilaplacian,
     _phi_deviation_constants,
@@ -35,11 +37,13 @@ from inlslab.grid import (
     Measures,
     NumericalFailure,
     RadialGrid,
+    _moduli,
     _support,
     gaussian_field,
     grad_norm_sq_form,
     radial_derivative,
     shifted_laplacian_solver,
+    support_power,
 )
 from inlslab.groundstate import solve_fixedpoint
 from inlslab.params import ModelParams
@@ -940,3 +944,206 @@ def test_a_mass_that_overflows_or_underflows_steps_the_whole_grid(amplitude):
     whole = shifted_laplacian_solver(g, 1j * dt / 2, 2.0)(w) - w
     assert np.any(whole != 0)
     assert ev.step_values(w).tobytes() == whole.tobytes()
+
+
+# (model, J) of six runs at h = 1/64 on gaussian(0.5, 1): the README point at
+# two grid sizes, a non-integer alpha in three dimensions and N = 4, 2 and 1
+_SIX_CONFIGS = [((3, 2.0, 0.3), 4096), ((3, 2.0, 0.3), 2048), ((3, 2.5, 0.3), 4096),
+                ((4, 1.2, 0.25), 1024), ((2, 3.0, 0.2), 1024), ((1, 4.7, 0.2), 1024)]
+
+
+@pytest.mark.parametrize("linear_only", [False, True])
+@pytest.mark.parametrize(("model", "J"), _SIX_CONFIGS)
+def test_run_is_bitwise_the_whole_grid_computation(model, J, linear_only):
+    # run steps, un-staggers and records only the carried support; stepping
+    # fresh copies (a full support search each), un-staggering copies (the
+    # whole rotation) and recording with the whole-grid calls gives the same
+    # bytes in every trace column and in the final field
+    params = ModelParams(*model)
+    alpha, b, s_c = params.alpha, params.b, params.s_c
+    g = RadialGrid(J=J, h=1 / 64, N=params.N)
+    R = 6.0
+    cfg = EvolutionConfig(params=params, J=J, h=g.h, dt=5e-4, t_end=0.05, record_every=7, virial_R=R,
+                          linear_only=linear_only, boundary_budget=1.0)
+    v = gaussian_field(g, 0.5, 1.0).values.astype(complex)
+    trace = run(g.field(v), cfg)
+
+    def record(t, v):
+        u = g.field(v)
+        me = Measures.of(u, alpha, b)
+        gm = me.gm_product(s_c) if 0 < s_c < 1 else math.nan
+        return (t, me.mass, me.energy(alpha), me.grad2, me.potential, gm, *virial_series(u, params, R).values())
+
+    records = [record(0.0, v)]
+    ev = Evolver(g, params, cfg.dt, linear_only=linear_only, mass=records[0][1])
+    w = ev.stagger(v)
+    carried = 0
+    for n in range(1, cfg.n_steps + 1):
+        w = ev.step_values(w.copy())
+        carried += not w.flags.writeable  # a windowed output, which run would carry
+        if n % cfg.record_every == 0 or n == cfg.n_steps:
+            v = ev.unstagger(w.copy())
+            records.append(record(n * cfg.dt, v))
+    assert carried > 0
+    for column, series in zip(TRACE_COLUMNS.values(), zip(*records)):
+        assert getattr(trace, column).tobytes() == np.asarray(series).tobytes(), column
+    assert trace.final_field.values.tobytes() == v.tobytes()
+
+
+def _bits(x):
+    """The bytes of a float, a tuple of floats or an array, signed zeros included."""
+    return np.asarray(x).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    J=st.integers(3, 300),
+    h=st.floats(1 / 64, 1.0),
+    params=_in_scope_params(),
+    m_at=st.one_of(st.sampled_from(["0", "1", "J-2", "J-1", "J"]), st.floats(0.0, 1.0)),
+    special=st.lists(
+        st.tuples(
+            st.integers(0, 599),
+            st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e-200, 1e200]),  # zeros, subnormals, extremes
+        ),
+        max_size=40,
+    ),
+    real=st.booleans(),
+    r_frac=st.floats(0.02, 0.98),
+    shell_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(J=3, h=1 / 16, params=ModelParams(3, 2.0, 0.3), m_at="0", special=[], real=False,
+         r_frac=0.5, shell_frac=0.5, seed=1)
+@np.errstate(over="ignore", invalid="ignore")  # 1e200 overflows |v|^2 and |v|^(alpha+2)
+def test_support_aware_pieces_are_bitwise_the_whole_grid_calls(J, h, params, m_at, special, real, r_frac,
+                                                                shell_frac, seed):
+    # on a field that is +0 from node m on, each piece given support=m forms
+    # its elementwise terms on the leading nodes and returns the bits of its
+    # whole-grid call, signed zeros included, whichever side of m the
+    # virial cutoff's exterior and the leak shell start
+    m = {"0": 0, "1": 1, "J-2": J - 2, "J-1": J - 1, "J": J}.get(m_at) if isinstance(m_at, str) \
+        else int(m_at * J)
+    g = RadialGrid(J=J, h=h, N=params.N)
+    parts = np.random.default_rng(seed).uniform(-10.0, 10.0, 2 * J)
+    for i, x in special:
+        parts[i % (2 * J)] = x
+    v = parts[:J].copy() if real else parts.view(complex)
+    v[m:] = 0
+    u = g.field(v)
+    alpha, b = params.alpha, params.b
+    assert _bits(radial_derivative(u, support=m)) == _bits(radial_derivative(u))
+    assert _bits(grad_norm_sq_form(u, support=m)) == _bits(grad_norm_sq_form(u))
+    assert _bits(Measures.of(u, alpha, b, support=m)) == _bits(Measures.of(u, alpha, b))
+    absv2, vpow = _moduli(v, alpha + 2, m)
+    whole2, wholepow = np.abs(v) ** 2, support_power(np.abs(v), alpha + 2)
+    assert _bits(absv2) == _bits(whole2) and _bits(vpow) == _bits(wholepow)
+    shell = int(shell_frac * J)
+    event("leak shell before m" if shell < m else "leak shell from m on")
+    assert _bits(np.sum(g.weights[shell:] * absv2[shell:])) == _bits(np.sum(g.weights[shell:] * whole2[shell:]))
+    R = r_frac * g.r_max / 2
+    event("virial exterior before m" if _virial_tables(g, b, R).ext < m else "virial exterior from m on")
+    whole = virial_series(u, params, R)
+    assert _bits(tuple(virial_series(u, params, R, support=m).values())) == _bits(tuple(whole.values()))
+    given_moduli = virial_series(u, params, R, absv2=absv2, vpow=vpow, support=m)
+    assert _bits(tuple(given_moduli.values())) == _bits(tuple(whole.values()))
+
+
+_HALF = 2.0**-40  # a window threshold T/2 for the carried-support tests
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    J=st.integers(1, 200),
+    m_frac=st.floats(0.0, 1.0),
+    # earlier large parts (>= T/2 or NaN), each at a drawn distance before node m - 1
+    large=st.lists(st.tuples(st.integers(1, 200), st.sampled_from([_HALF, -1.0, math.nan])), max_size=3),
+    last=st.tuples(
+        *[st.sampled_from([0.0, -0.0, _HALF, -_HALF, math.nextafter(_HALF, 0), math.nextafter(_HALF, 1),
+                           -math.nextafter(_HALF, 0), 1e-300, math.nan])] * 2
+    ),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(J=8, m_frac=0.5, large=[(3, 0.5)], last=(_HALF / 2, -_HALF / 2), real=False, seed=1)  # the fallback
+def test_carried_support_is_the_support_search(J, m_frac, large, last, real, seed):
+    # node m - 1 at, just below and just above T/2 in either part, or NaN:
+    # the O(1) read there, or the search it falls back on where both parts
+    # are below T/2, is _support(w[:m], T/2)
+    m = int(m_frac * J)
+    w = np.random.default_rng(seed).uniform(-_HALF, _HALF, J)  # every part below T/2
+    w = w if real else w * (1 - 0.5j)
+    for distance, x in large:
+        if distance < m:
+            w[m - 1 - distance] = x
+    if m:
+        w[m - 1] = last[0] if real else complex(*last)
+    read = m and not (abs(w[m - 1].real) < _HALF and abs(w[m - 1].imag) < _HALF)
+    event("read at node m - 1" if read else "search")
+    assert _carried_support(w, m, _HALF) == _support(w[:m], _HALF)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(1, 5),
+    alpha=st.floats(0.5, 4.0),
+    J=st.integers(64, 3000),
+    h=st.floats(1 / 256, 1.0),
+    dt_over_h2=st.floats(1e-3, _DT_SAFETY),
+    widths=st.floats(28.0, 80.0),
+    amplitude=st.floats(0.0, 3.0),
+    angle=st.floats(0.0, 2 * math.pi),
+    steps=st.integers(1, 3),
+)
+@example(N=3, alpha=2.0, J=256, h=1 / 16, dt_over_h2=1.0, widths=40.0, amplitude=0.0, angle=0.0,
+         steps=2)  # a zero field: the carried support is empty
+def test_small_angle_unstagger_is_bitwise_the_rotation(N, alpha, J, h, dt_over_h2, widths, amplitude, angle,
+                                                       steps):
+    # un-staggering the carried output writes 1 and -theta wherever the
+    # angle theta is below 2^-27, and +0 past its zero tail: the bits of
+    # _rotate on its leading m nodes, zero-padded
+    g = RadialGrid(J=J, h=h, N=N)
+    dt = dt_over_h2 * h**2
+    params = ModelParams(N, alpha, 0.3)
+    w = amplitude * np.exp(1j * angle) * np.exp(-((g.nodes * widths / g.r_max) ** 2))
+    ev = Evolver(g, params, dt)
+    for _ in range(steps):
+        w = ev.step_values(w)
+    m = ev._held(w)
+    event("carried output" if m < J else "whole-grid output")
+    ref = np.zeros(J, dtype=complex)
+    ref[:m] = ev._rotate(w[:m], -ev._half_phase[:m])
+    theta = ev._half_phase[:m] * np.abs(w[:m]) ** alpha
+    resolved = np.count_nonzero(theta >= _SMALL_ANGLE)
+    event(f"theta >= 2^-27 on {'no' if resolved == 0 else 'every' if resolved == m else 'some'} node")
+    assert ev.unstagger(w).tobytes() == ref.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    angles=st.lists(
+        st.one_of(
+            # +0, subnormals, the least normal, either side of the small-angle
+            # threshold and the ends of the rotated range
+            st.sampled_from([0.0, 5e-324, 1e-310, np.finfo(float).tiny, math.nextafter(_SMALL_ANGLE, 0),
+                             _SMALL_ANGLE, 1.0, math.pi]),
+            st.floats(0.0, math.pi),
+        ),
+        min_size=1,
+        max_size=300,
+    ),
+)
+def test_cos_is_even_and_sin_odd_bit_for_bit(angles):
+    # cos(-x) == cos(x) and sin(-x) == -sin(x) bitwise, in the call form of
+    # _rotate (strided out into one complex buffer): so below _SMALL_ANGLE,
+    # where cos x is 1 and sin x is x, the un-stagger's negative angles give
+    # 1 and the angle too
+    theta = np.array(angles)
+    e = np.empty(theta.size, dtype=complex)
+    np.cos(theta, out=e.real)
+    np.sin(theta, out=e.imag)
+    f = np.empty(theta.size, dtype=complex)
+    np.cos(-theta, out=f.real)
+    np.sin(-theta, out=f.imag)
+    assert f.real.tobytes() == e.real.tobytes()
+    assert f.imag.tobytes() == (-e.imag).tobytes()
