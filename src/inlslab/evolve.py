@@ -23,8 +23,8 @@ subnormal range, where arithmetic is slow.  So a field whose last node has
 modulus below T steps on its support only: the leading n nodes, n being the
 last node with a part of magnitude >= T/2 plus a margin of 32, are solved
 with the leading n x n block of A and rotated, and every node past the new
-support is written as an exact zero.  That is Crank-Nicolson with u_n = 0,
-unitary as before.  T = 2^-290 (M0 / sum w)^(1/2) is fixed once per evolver
+support is an exact zero.  That is Crank-Nicolson with u_n = 0, unitary as
+before.  T = 2^-290 (M0 / sum w)^(1/2) is fixed once per evolver
 from the datum's mass M0, sum w being the sum of the grid weights, so the
 window sits at the same depth below every datum's scale: each dropped node
 has parts below T/2, and all of them together add less than 2^-580 M0 to
@@ -38,18 +38,20 @@ rotates the same way, writing 1 and -theta.  A field with a resolved tail
 (its last node >= T) steps on the whole grid exactly as it would without
 the window, bit for bit.
 
-The evolver remembers its last windowed output and the node m from which
-that output is exact zeros.  The output is returned read-only, so its zero
-tail cannot go stale.  A step whose input is that very array reads its
-support as m itself where node m - 1 still has a part >= T/2 after the
-rotation, and searches the leading m nodes otherwise.  Un-staggering it
-rotates those m nodes and writes +0 past them, which is what the rotation
-of a zero node gives.  Any other input (a copy, a fresh datum) is searched
-and rotated in full, with the same result.  The support search itself
-looks at the last 64 nodes first, where a windowed step's answer lies,
-before it scans the rest.
+A windowed step returns its support alone: the leading m nodes of the
+new field, m being its last node with a part of magnitude >= T/2, and
+step_values reads any w shorter than the grid as +0 past w.size.  So the
+run loop holds the staggered field as that prefix, and its length is the
+node from which the field is exact zeros.  A step given such a prefix
+reads its support as w.size itself where the last node still has a part
+>= T/2 after the rotation, and searches the prefix otherwise; the input is
+padded with +0 to the solve's n nodes, and the Cayley w subtracted on its
+own length, which is the zero-tailed field's step bit for bit.  Un-staggering
+rotates the prefix and writes +0 past it, which is what the rotation of a
+zero node gives.  The support search itself looks at the last 64 nodes
+first, where a windowed step's answer lies, before it scans the rest.
 
-run records the un-staggered field with that same m: every elementwise
+run records the un-staggered field with m = w.size: every elementwise
 term of a record (|u|, |u|^{alpha+2}, the face differences, the radial
 derivative and the z'_R cross term) is formed on the leading nodes only and
 written into a zero-filled array of the whole grid's length, the support
@@ -74,7 +76,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -194,13 +195,13 @@ class Evolver:
     unstagger convert between v and w.  Its linear step is the Cayley form
     L w = 2 A^{-1} w - w of Crank-Nicolson, A = I - (i dt/2) Lap, with the
     2 folded into the factored solve.  For linear_only the phase rotation
-    P is the identity.  A field whose last node has modulus below
-    T = 2^-290 (mass / sum w)^(1/2) steps on its support only, and the last
-    windowed output carries its zero tail into the next step and into
-    unstagger, as the module docstring describes.  mass is the mass of the
-    datum the evolver will step (1.0 where it is not given); where it is
-    not a positive finite number, or T overflows, T is 0 and every step
-    takes the whole grid.
+    P is the identity.  A field shorter than the grid, or whose last node
+    has modulus below T = 2^-290 (mass / sum w)^(1/2), steps on its support
+    only and comes back as its new support, the leading nodes up to its
+    last part >= T/2; unstagger returns the whole grid's field, +0 past w.
+    mass is the mass of the datum the evolver will step (1.0 where it is
+    not given); where it is not a positive finite number, or T overflows,
+    T is 0 and every whole-grid field steps on the whole grid.
     """
 
     def __init__(self, grid: RadialGrid, params: ModelParams, dt: float, linear_only=False,
@@ -218,10 +219,6 @@ class Evolver:
         self._half_phase = (dt / 2) * rb
         tail = _TAIL_DEPTH * math.sqrt(mass / float(np.sum(grid.weights))) if mass > 0 else 0.0
         self._tail = tail if math.isfinite(tail) else 0.0  # T; 0 steps the whole grid
-        # the last windowed output (read-only), held weakly so that it lives no
-        # longer than its caller keeps it, and the node from which it is exact zeros
-        self._carried = lambda: None
-        self._zeros_from = 0
 
     def _rotate(self, v: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """P_tau v for coef = tau r^{-b}.
@@ -248,7 +245,8 @@ class Evolver:
         evaluated only up to the last node where theta = coef |x|^alpha is
         >= _SMALL_ANGLE.  Past it cos(+-theta) rounds to 1 and sin(+-theta)
         to +-theta, which are written instead.  The inverse rotation negates
-        theta before cos and sin, since (-c) y is -(c y) bit for bit."""
+        theta before cos and sin, since (-c) y is -(c y) bit for bit.  out
+        may be x itself."""
         theta = coef * np.abs(x) ** self.params.alpha
         k = _leading(theta, _SMALL_ANGLE)
         if inverse:
@@ -260,46 +258,41 @@ class Evolver:
         e.imag[k:] = theta[k:]
         np.multiply(x, e, out=out)
 
-    def _held(self, w: np.ndarray) -> int:
-        """The node from which w is exact zeros, as far as the evolver
-        knows: the support of the last windowed step if w is its output,
-        else w.size."""
-        return self._zeros_from if w is self._carried() else w.size
-
     def stagger(self, v: np.ndarray) -> np.ndarray:
         """w = P_{dt/2} v."""
         return self._rotate(v, self._half_phase)
 
     def unstagger(self, w: np.ndarray) -> np.ndarray:
-        """v = P_{-dt/2} w, with the bits of _rotate(w, -dt/2 r^{-b}).
+        """v = P_{-dt/2} w on the whole grid, w read as +0 past w.size: the
+        bits of _rotate(w, -dt/2 r^{-b}) of the zero-padded w, complex.
 
         The rotation is the windowed step's small-angle one: cos and sin
         only up to the last node where the angle is >= _SMALL_ANGLE, 1 and
-        the (negative) angle past it.  On the last windowed output only its
-        leading m nodes, up to its zero tail, are rotated, and +0 is written
-        past them: P of a zero node is (0 + 0i)(1 - 0i) = +0.
+        the (negative) angle past it.  Only w's own nodes are rotated, and
+        +0 is written past them: P of a zero node is (0 + 0i)(1 - 0i) = +0.
         """
+        m = w.size
+        v = np.zeros(self.grid.J, dtype=complex)
         if self.linear_only:
-            return w
-        m = self._held(w)
-        v = np.empty(w.size, dtype=complex)
-        v[m:] = 0
-        self._rotate_window(w[:m], self._half_phase[:m], v[:m], inverse=True)
+            v[:m] = w
+        else:
+            self._rotate_window(w, self._half_phase[:m], v[:m], inverse=True)
         return v
 
     def step_values(self, w: np.ndarray) -> np.ndarray:
-        """One step of the staggered field: P_dt(L w), on w's support only
-        where its last node is below the evolver's T (a NaN there is not).
+        """One step of the staggered field: P_dt(L w), w read as +0 past
+        w.size.
 
-        A windowed step returns its output read-only and remembers it, so
-        that the next step, given that array back, searches its support
-        only up to the zero tail it wrote; the full-grid step returns a
-        writable array and neither reads nor sets what is remembered.
+        A w shorter than the grid, or whose last node is below the
+        evolver's T (a NaN there is not), steps on its support only and
+        returns the leading nodes of the new field up to its last part
+        >= T/2; any other w steps on the whole grid.
 
         Raises LinearSolveFailure when L w holds a NaN or an infinity, or
         when its squared norm overflows.
         """
-        if abs(w.item(-1)) < self._tail:  # item: a Python scalar tests faster than a numpy one
+        # item: a Python scalar tests faster than a numpy one
+        if w.size < self.grid.J or abs(w.item(-1)) < self._tail:
             return self._step_window(w)
         w = self._solve2(w) - w
         if not math.isfinite(np.vdot(w, w).real):
@@ -307,8 +300,8 @@ class Evolver:
         return self._rotate(w, self._phase)
 
     def _step_window(self, w: np.ndarray) -> np.ndarray:
-        """P_dt(L w) on w's support plus _MARGIN nodes, exact zeros past
-        the support of L w.
+        """P_dt(L w) on w's support plus _MARGIN nodes, cut to the support
+        of L w.
 
         The margin keeps the sweeps' values normal: rho being their decay
         per node, rho >= 2^-11 for dt/h^2 >= 1e-3, so T rho^32 is normal
@@ -318,52 +311,48 @@ class Evolver:
         below T/2 and together add less than 2^-580 M0 to the mass.  The
         window doubles while L w reaches T at its last node.  The
         rotation is _rotate_window's: _rotate's bits, with cos and sin
-        evaluated only up to the last node where theta >= _SMALL_ANGLE.  The
-        Cayley w is subtracted in place in the solve's fresh output, and the
-        product goes straight into the output, of which only the zero tail
-        is written besides.
+        evaluated only up to the last node where theta >= _SMALL_ANGLE,
+        written in place over the solve's fresh output.
 
-        The support of w is read by _carried_support in w[:m] when w is the
-        output of the last windowed step, m being the node from which it
-        wrote exact zeros, and in the whole of w otherwise: the same n either
-        way.  On the carried output that read is O(1) wherever node m - 1
-        still has a part >= T/2 after the rotation.  The output is read-only
-        and is remembered, by a weak reference, with its own m.
+        The support of w is read by _carried_support: O(1) on the output of
+        a windowed step wherever its last node still has a part >= T/2
+        after the rotation.
         """
-        J, tail = w.size, self._tail
-        n = _carried_support(w, self._held(w), tail / 2) + _MARGIN
+        J, tail = self.grid.J, self._tail
+        n = _carried_support(w, tail / 2) + _MARGIN
         while n < J:
-            x = self._solve2(w[:n])
-            x -= w[:n]
+            x = self._cayley(w, n)
             if abs(x[-1]) < tail:
                 break
             n *= 2
         else:
-            x = self._solve2(w)
-            x -= w
+            x = self._cayley(w, J)
         if not math.isfinite(np.vdot(x, x).real):
             raise LinearSolveFailure("linear step produced non-finite values")
-        m = _support(x, tail / 2)  # every node past m has modulus below T
-        out = np.empty(J, dtype=complex)
-        out[m:] = 0
-        if self.linear_only:
-            out[:m] = x[:m]
-        else:
-            self._rotate_window(x[:m], self._phase[:m], out[:m])
-        out.setflags(write=False)  # so the remembered zero tail cannot go stale
-        self._carried, self._zeros_from = weakref.ref(out), m
-        return out
+        x = x[: _support(x, tail / 2)]  # every node past it has modulus below T
+        if not self.linear_only:
+            self._rotate_window(x, self._phase[: x.size], x)
+        return x
+
+    def _cayley(self, w: np.ndarray, n: int) -> np.ndarray:
+        """2 A_n^{-1} w - w on the leading n nodes, A_n being A's leading
+        n x n block and w read as +0 past w.size.  The solve takes w padded
+        with +0, and w is subtracted on its own length only, since
+        x - (+0) is x bit for bit."""
+        w = w[:n]
+        x = self._solve2(np.concatenate((w, np.zeros(n - w.size, dtype=complex))) if w.size < n else w)
+        x[: w.size] -= w
+        return x
 
 
-def _carried_support(w: np.ndarray, m: int, threshold: float) -> int:
-    """_support(w[:m], threshold), read from node m - 1 alone where that
-    node has a part >= threshold or a NaN, and searched as _support does
-    otherwise."""
-    if m:
-        z = w.item(m - 1)
+def _carried_support(w: np.ndarray, threshold: float) -> int:
+    """_support(w, threshold), read from the last node alone where it has
+    a part >= threshold or a NaN, and searched as _support does otherwise."""
+    if w.size:
+        z = w.item(-1)
         if not (abs(z.real) < threshold and abs(z.imag) < threshold):
-            return m
-    return _support(w[:m], threshold)
+            return w.size
+    return _support(w, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +631,8 @@ def run(u0: RadialField, config: EvolutionConfig, threshold=None) -> EvolutionTr
     for n in range(1, n_steps + 1):
         w = ev.step_values(w)
         if n % config.record_every == 0 or n == n_steps:
-            v = ev.unstagger(w)  # +0 from the node where w's carried zero tail starts
-            record(n * config.dt, v, ev._held(w))
+            v = ev.unstagger(w)  # +0 from node w.size on
+            record(n * config.dt, v, w.size)
 
     series = dict(zip(TRACE_COLUMNS.values(), map(np.asarray, zip(*records))))
     return EvolutionTrace(config=config, final_field=grid.field(v), **series)

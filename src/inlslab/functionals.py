@@ -233,15 +233,16 @@ def linear_decay_check(
     u0 = g_weight.astype(complex)
     mass0 = Measures.of(grid.field(u0), params.alpha, params.b).mass
     ev = Evolver(grid, params, dt, linear_only=True, mass=mass0)
-    v = u0.copy()
+    w = u0
     t = 0.0
     lp_num, lp_cl, scaled, wprod = [], [], [], []
     max_drift = 0.0
     for t_target in t_list:
         steps = int(round((t_target - t) / dt))
         for _ in range(steps):
-            v = ev.step_values(v)
+            w = ev.step_values(w)
         t += steps * dt
+        v = ev.unstagger(w)  # the whole grid's field, +0 past the support w holds
         field = grid.field(v)
         closed = (1 + 4j * t) ** (-N / 2) * np.exp(-(r**2) / (1 + 4j * t))
         ln = _lp_norm(field, p)

@@ -1,6 +1,5 @@
 import math
 import warnings
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +78,13 @@ def _strang_step(ev, v):
     return ev.unstagger(ev.step_values(ev.stagger(v)))
 
 
+def _padded(w, J):
+    """w zero-padded to J nodes: the whole-grid field a windowed step's support stands for."""
+    v = np.zeros(J, dtype=complex)
+    v[: w.size] = w
+    return v
+
+
 def test_step_zero_field(params_330):
     g = RadialGrid(J=256, h=1 / 32, N=3)
     ev = Evolver(g, params_330, 1e-3)
@@ -115,6 +121,7 @@ def test_linear_step_matches_free_gaussian(params_330):
         t_end = 0.5
         for _ in range(int(round(t_end / dt))):
             v = ev.step_values(v)
+        v = ev.unstagger(v)  # the whole grid's field, +0 past the support the steps return
         closed = (1 + 4j * t_end) ** (-1.5) * np.exp(-g.nodes**2 / (1 + 4j * t_end))
         errs.append(np.max(np.abs(v - closed)))
     assert errs[0] < 5e-4
@@ -366,6 +373,26 @@ def test_run_steps_on_the_datum_grid(params_330):
     u0 = gaussian_field(g, 0.5, 1.0)
     trace = run(u0, _config(params_330, J=256, h=1 / 16, dt=1e-3, t_end=0.01, record_every=5))
     assert trace.final_field.grid is u0.grid
+
+
+@pytest.mark.parametrize("linear_only", [False, True])
+def test_run_steps_through_step_values_once_per_step(params_330, monkeypatch, linear_only):
+    # a tracer that wraps Evolver.step_values counts run's steps by its
+    # calls, and finds the records between them; the windowed steps hand
+    # their support, a prefix shorter than the grid, to the next call
+    g = RadialGrid(J=512, h=1 / 16, N=3)
+    step, sizes = Evolver.step_values, []
+
+    def spying(self, w):
+        sizes.append(w.size)
+        return step(self, w)
+
+    monkeypatch.setattr(Evolver, "step_values", spying)
+    cfg = _config(params_330, J=g.J, h=g.h, dt=1e-3, t_end=0.025, record_every=4, linear_only=linear_only)
+    trace = run(gaussian_field(g, 0.5, 1.0), cfg)
+    assert len(sizes) == cfg.n_steps == 25
+    assert trace.times.size == 8  # t = 0, six every fourth step and the last
+    assert sizes[0] == g.J and min(sizes) < g.J
 
 
 @pytest.mark.parametrize("J, h, N", [(255, 1 / 16, 3), (256, 1 / 32, 3), (256, 1 / 16, 2)])
@@ -710,7 +737,8 @@ def test_rotation_is_bitwise_the_exp_formula(params, values, real, h, dt_over_h2
     # instead, which test_window_step_matches_the_whole_grid covers
     whole_grid = abs(v[-1]) >= ev._tail
     if linear_only:
-        assert ev.stagger(v) is v and ev.unstagger(v) is v
+        assert ev.stagger(v) is v
+        assert ev.unstagger(v).tobytes() == v.astype(complex).tobytes()
         if whole_grid:
             assert ev.step_values(v).tobytes() == w.tobytes()
         return
@@ -746,6 +774,9 @@ def test_window_step_matches_the_whole_grid(N, alpha, J, h, dt_over_h2, widths, 
     ev = Evolver(g, ModelParams(N, alpha, 0.3), dt, linear_only=linear_only, mass=_mass(g.field(w)))
     tail = ev._tail
     step = ev.step_values(w)
+    # the step returns its support: the last node has a part of at least T/2
+    assert _support(step, tail / 2) == step.size
+    step = _padded(step, J)
     full = ev._rotate(shifted_laplacian_solver(g, 1j * dt / 2, 2.0)(w) - w, ev._phase)
     diff = np.abs(step - full)
     assert np.all(diff <= tail * (1 + dt_over_h2))
@@ -827,7 +858,7 @@ def test_window_step_is_bitwise_the_rotation_formula(N, alpha, J, h, dt_over_h2,
     resolved = np.count_nonzero(coef * np.abs(x[:m]) ** alpha >= _SMALL_ANGLE)
     share = "no" if resolved == 0 else "every" if resolved == m else "some"
     event(f"theta >= 2^-27 on {share} node" if m else "empty support")
-    assert ev.step_values(w).tobytes() == ref.tobytes()
+    assert _padded(ev.step_values(w), J).tobytes() == ref.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -849,49 +880,24 @@ def test_window_step_is_bitwise_the_rotation_formula(N, alpha, J, h, dt_over_h2,
          linear_only=True, steps=3)
 def test_carried_tail_is_bitwise_the_full_search(N, alpha, J, h, dt_over_h2, widths, amplitude, angle,
                                                  linear_only, steps):
-    # steps through one Evolver, each searching only up to the zero tail the
-    # step before wrote, give the bits of steps through a fresh Evolver each,
-    # which searches the whole grid; so does a copy of an output passed back,
-    # and the un-staggering of the carried output is the whole rotation
+    # a windowed step's output, its support, steps to the bits of its
+    # zero-padded copy, whose support is searched on the whole grid; and
+    # un-staggering it is the whole rotation of that copy
     g = RadialGrid(J=J, h=h, N=N)
     dt = dt_over_h2 * h**2
     params = ModelParams(N, alpha, 0.3)
     w = amplitude * np.exp(1j * angle) * np.exp(-((g.nodes * widths / g.r_max) ** 2))
     ev = Evolver(g, params, dt, linear_only=linear_only)
-    carried = fresh = w
     for _ in range(steps):
-        carried = ev.step_values(carried)
-        fresh = Evolver(g, params, dt, linear_only=linear_only).step_values(fresh)
-        assert carried.tobytes() == fresh.tobytes()
-    windowed = not carried.flags.writeable  # only a windowed step's output is read-only
-    event("every step windowed" if windowed else "the last step on the whole grid")
+        padded = _padded(w, J)
+        w = ev.step_values(w)
+        assert w.tobytes() == ev.step_values(padded).tobytes()
+    event("every step windowed" if w.size < J else "the last step on the whole grid")
     if linear_only:
-        assert ev.unstagger(carried) is carried
+        assert ev.unstagger(w).tobytes() == _padded(w, J).tobytes()
     else:
         half = (dt / 2) * g.nodes ** (-params.b)
-        assert ev.unstagger(carried).tobytes() == _exp_formula(carried, -half, alpha).tobytes()
-    from_carried = ev.step_values(carried)
-    assert ev.step_values(carried.copy()).tobytes() == from_carried.tobytes()
-
-
-@pytest.mark.parametrize("amplitude", [0.0, 0.5])
-@pytest.mark.parametrize("linear_only", [False, True])
-def test_window_step_output_is_read_only(amplitude, linear_only):
-    # the evolver remembers a windowed output's zero tail, so nobody may write into it
-    g = RadialGrid(J=512, h=1 / 16, N=3)
-    ev = Evolver(g, ModelParams(3, 2.0, 0.3), 1e-3, linear_only=linear_only)
-    w = ev.stagger(gaussian_field(g, amplitude, 1.0).values.astype(complex))
-    for _ in range(3):
-        w = ev.step_values(w)
-        with pytest.raises(ValueError, match="read-only"):
-            w[-1] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            w[:] = 0.0
-    assert not np.any(w[_support(w, ev._tail / 2):])
-    # the evolver holds its last output weakly: it does not outlive the caller's reference
-    held = weakref.ref(w)
-    del w
-    assert held() is None
+        assert ev.unstagger(w).tobytes() == _exp_formula(_padded(w, J), -half, alpha).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -921,9 +927,9 @@ def test_window_step_is_scale_covariant(N, J, h, dt_over_h2, widths, amplitude, 
     ev = Evolver(g, params, dt, linear_only=True, mass=mass)
     scaled = Evolver(g, params, dt, linear_only=True, mass=scale**2 * mass)
     assert scaled._tail == scale * ev._tail > 0
-    step = ev.step_values(w)
-    assert not step.flags.writeable  # only a windowed step's output is read-only
-    assert scaled.step_values(scale * w).tobytes() == (scale * step).tobytes()
+    assert abs(w[-1]) < ev._tail  # the step takes the support window
+    step = _padded(ev.step_values(w), J)
+    assert _padded(scaled.step_values(scale * w), J).tobytes() == (scale * step).tobytes()
 
 
 @pytest.mark.parametrize("amplitude", [1e151, 1e-170])
@@ -955,10 +961,10 @@ _SIX_CONFIGS = [((3, 2.0, 0.3), 4096), ((3, 2.0, 0.3), 2048), ((3, 2.5, 0.3), 40
 @pytest.mark.parametrize("linear_only", [False, True])
 @pytest.mark.parametrize(("model", "J"), _SIX_CONFIGS)
 def test_run_is_bitwise_the_whole_grid_computation(model, J, linear_only):
-    # run steps, un-staggers and records only the carried support; stepping
-    # fresh copies (a full support search each), un-staggering copies (the
-    # whole rotation) and recording with the whole-grid calls gives the same
-    # bytes in every trace column and in the final field
+    # run steps, un-staggers and records only the support its steps return;
+    # stepping zero-padded copies (a full support search each), un-staggering
+    # them (the whole rotation) and recording with the whole-grid calls gives
+    # the same bytes in every trace column and in the final field
     params = ModelParams(*model)
     alpha, b, s_c = params.alpha, params.b, params.s_c
     g = RadialGrid(J=J, h=1 / 64, N=params.N)
@@ -977,14 +983,14 @@ def test_run_is_bitwise_the_whole_grid_computation(model, J, linear_only):
     records = [record(0.0, v)]
     ev = Evolver(g, params, cfg.dt, linear_only=linear_only, mass=records[0][1])
     w = ev.stagger(v)
-    carried = 0
+    windowed = 0
     for n in range(1, cfg.n_steps + 1):
-        w = ev.step_values(w.copy())
-        carried += not w.flags.writeable  # a windowed output, which run would carry
+        w = ev.step_values(_padded(w, J))
+        windowed += w.size < J  # a support shorter than the grid, which run would hold
         if n % cfg.record_every == 0 or n == cfg.n_steps:
-            v = ev.unstagger(w.copy())
+            v = ev.unstagger(_padded(w, J))
             records.append(record(n * cfg.dt, v))
-    assert carried > 0
+    assert windowed > 0
     for column, series in zip(TRACE_COLUMNS.values(), zip(*records)):
         assert getattr(trace, column).tobytes() == np.asarray(series).tobytes(), column
     assert trace.final_field.values.tobytes() == v.tobytes()
@@ -1054,9 +1060,8 @@ _HALF = 2.0**-40  # a window threshold T/2 for the carried-support tests
 
 @settings(max_examples=300, deadline=None)
 @given(
-    J=st.integers(1, 200),
-    m_frac=st.floats(0.0, 1.0),
-    # earlier large parts (>= T/2 or NaN), each at a drawn distance before node m - 1
+    m=st.integers(0, 200),
+    # earlier large parts (>= T/2 or NaN), each at a drawn distance before the last node
     large=st.lists(st.tuples(st.integers(1, 200), st.sampled_from([_HALF, -1.0, math.nan])), max_size=3),
     last=st.tuples(
         *[st.sampled_from([0.0, -0.0, _HALF, -_HALF, math.nextafter(_HALF, 0), math.nextafter(_HALF, 1),
@@ -1065,13 +1070,12 @@ _HALF = 2.0**-40  # a window threshold T/2 for the carried-support tests
     real=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(J=8, m_frac=0.5, large=[(3, 0.5)], last=(_HALF / 2, -_HALF / 2), real=False, seed=1)  # the fallback
-def test_carried_support_is_the_support_search(J, m_frac, large, last, real, seed):
-    # node m - 1 at, just below and just above T/2 in either part, or NaN:
-    # the O(1) read there, or the search it falls back on where both parts
-    # are below T/2, is _support(w[:m], T/2)
-    m = int(m_frac * J)
-    w = np.random.default_rng(seed).uniform(-_HALF, _HALF, J)  # every part below T/2
+@example(m=4, large=[(3, 0.5)], last=(_HALF / 2, -_HALF / 2), real=False, seed=1)  # the fallback
+def test_carried_support_is_the_support_search(m, large, last, real, seed):
+    # the last node m - 1 of an m-node prefix at, just below and just above
+    # T/2 in either part, or NaN: the O(1) read there, or the search it
+    # falls back on where both parts are below T/2, is _support(w, T/2)
+    w = np.random.default_rng(seed).uniform(-_HALF, _HALF, m)  # every part below T/2
     w = w if real else w * (1 - 0.5j)
     for distance, x in large:
         if distance < m:
@@ -1080,7 +1084,7 @@ def test_carried_support_is_the_support_search(J, m_frac, large, last, real, see
         w[m - 1] = last[0] if real else complex(*last)
     read = m and not (abs(w[m - 1].real) < _HALF and abs(w[m - 1].imag) < _HALF)
     event("read at node m - 1" if read else "search")
-    assert _carried_support(w, m, _HALF) == _support(w[:m], _HALF)
+    assert _carried_support(w, _HALF) == _support(w, _HALF)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1099,9 +1103,9 @@ def test_carried_support_is_the_support_search(J, m_frac, large, last, real, see
          steps=2)  # a zero field: the carried support is empty
 def test_small_angle_unstagger_is_bitwise_the_rotation(N, alpha, J, h, dt_over_h2, widths, amplitude, angle,
                                                        steps):
-    # un-staggering the carried output writes 1 and -theta wherever the
-    # angle theta is below 2^-27, and +0 past its zero tail: the bits of
-    # _rotate on its leading m nodes, zero-padded
+    # un-staggering a step's output, m nodes long, writes 1 and -theta
+    # wherever the angle theta is below 2^-27, and +0 past node m: the bits
+    # of _rotate on those m nodes, zero-padded to the grid
     g = RadialGrid(J=J, h=h, N=N)
     dt = dt_over_h2 * h**2
     params = ModelParams(N, alpha, 0.3)
@@ -1109,8 +1113,8 @@ def test_small_angle_unstagger_is_bitwise_the_rotation(N, alpha, J, h, dt_over_h
     ev = Evolver(g, params, dt)
     for _ in range(steps):
         w = ev.step_values(w)
-    m = ev._held(w)
-    event("carried output" if m < J else "whole-grid output")
+    m = w.size
+    event("windowed output" if m < J else "whole-grid output")
     ref = np.zeros(J, dtype=complex)
     ref[:m] = ev._rotate(w[:m], -ev._half_phase[:m])
     theta = ev._half_phase[:m] * np.abs(w[:m]) ** alpha
